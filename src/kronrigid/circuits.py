@@ -25,6 +25,7 @@ from .errors import (
     NotSquare,
     UnverifiedInput,
 )
+from .fields import FieldCtx
 from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix, identity, kron, kron_all, kron_power, matmul
 
@@ -79,19 +80,6 @@ class SynchronousCircuit:
         acc = self.factors[0]
         for f in self.factors[1:]:
             acc = matmul(acc, f)
-        return acc
-
-    def product_csr(self):
-        """Product as a scipy int64 CSR of residues (prime field only).
-
-        Reduces mod p after every step so intermediates cannot overflow.
-        """
-        p = self.ctx.modulus
-        acc = self.factors[0].to_csr()
-        for f in self.factors[1:]:
-            acc = acc @ f.to_csr()
-            acc.data %= p
-            acc.eliminate_zeros()
         return acc
 
     def __repr__(self):
@@ -191,17 +179,23 @@ def symmetrized_factor_nnz(tf: TwoFactorization, d: int):
 
 def _restrict_rows(m: SparseMatrix, stride: int) -> SparseMatrix:
     """Keep rows whose index is a multiple of stride, renumbered by /stride."""
-    entries = [
-        (i // stride, j, v) for i, j, v in m.entries if i % stride == 0
-    ]
-    return SparseMatrix(m.rows // stride, m.cols, m.ctx, entries, _checked=True)
+    keep = np.repeat(np.arange(m.rows) % stride == 0, np.diff(m.indptr))
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    # dropped rows add no entries, so each kept row ends where the next starts
+    indptr = np.append(kept[m.indptr[0 : m.rows : stride]], kept[-1])
+    return SparseMatrix._from_csr(
+        m.rows // stride, m.cols, m.ctx, indptr, m.indices[keep], m.data[keep]
+    )
 
 
 def _restrict_cols(m: SparseMatrix, stride: int) -> SparseMatrix:
-    entries = sorted(
-        (i, j // stride, v) for i, j, v in m.entries if j % stride == 0
+    """Keep columns whose index is a multiple of stride, renumbered by /stride."""
+    keep = m.indices % stride == 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return SparseMatrix._from_csr(
+        m.rows, m.cols // stride, m.ctx, kept[m.indptr],
+        m.indices[keep] // stride, m.data[keep],
     )
-    return SparseMatrix(m.rows, m.cols // stride, m.ctx, entries, _checked=True)
 
 
 def lift_power(circ: SynchronousCircuit, n: int) -> SynchronousCircuit:
@@ -456,22 +450,33 @@ def verify_circuit(circ: SynchronousCircuit, target: SparseMatrix) -> dict:
 def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
     """Compare the circuit product with a dense int array, both mod p.
 
-    The fast path for targets too large to hold as coordinate lists.
+    The fast path for targets too large to hold as coordinate lists.  The
+    product is formed one block of rows at a time, so no dense copy of all
+    of it is held beside the target.
     """
     p = circ.ctx.modulus
-    prod = np.asarray(circ.product_csr().todense())
-    return bool(np.array_equal(prod % p, np.asarray(dense) % p))
+    dense = np.asarray(dense)
+    if dense.shape != (circ.rows, circ.cols):
+        return False
+    rest = [f.to_csr() for f in circ.factors[1:]]
+    step = max(1, (1 << 20) // max(1, circ.cols))  # 8 MB of int64 per block
+    for start in range(0, circ.rows, step):
+        block = circ.factors[0].row_block(start, min(start + step, circ.rows)).to_csr()
+        for f in rest:
+            block = sparse._csr_mulmod(block, f, p)
+        want = dense[start : start + step].astype(np.int64) % p
+        if not np.array_equal(block.toarray(), want):
+            return False
+    return True
 
 
 def hadamard_dense_np(n: int) -> np.ndarray:
     """2^n-point Hadamard matrix as a dense int8 +-1 numpy array."""
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    v = idx[:, None] & idx[None, :]
-    # parity of popcount by xor-folding the bits
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return np.where(v & 1, -1, 1).astype(np.int8)
+    h1 = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(n):
+        h = np.kron(h, h1)
+    return h
 
 
 # -- circuit file format ------------------------------------------------
@@ -480,48 +485,53 @@ def hadamard_dense_np(n: int) -> np.ndarray:
 # `factor idx rows cols nnz` followed by its triplets.
 
 
-def dump_circuit(circ: SynchronousCircuit) -> str:
-    lines = [
+def _circuit_text(circ: SynchronousCircuit):
+    """The circuit file as a sequence of strings, one whole block each."""
+    yield (
         f"circuit {circ.depth} {circ.rows} {circ.cols} "
-        f"{circ.ctx.modulus} {circ.wires}"
-    ]
+        f"{circ.ctx.modulus} {circ.wires}\n"
+    )
     for idx, f in enumerate(circ.factors):
-        lines.append(f"factor {idx} {f.rows} {f.cols} {f.nnz}")
-        for i, j, v in f.entries:
-            lines.append(f"{i} {j} {sparse._format_value(v)}")
-    return "\n".join(lines) + "\n"
+        yield f"factor {idx} {f.rows} {f.cols} {f.nnz}\n"
+        yield from sparse._format_entries(f)
 
 
-def parse_circuit(text: str):
-    from .fields import FieldCtx
+def dump_circuit(circ: SynchronousCircuit) -> str:
+    return "".join(_circuit_text(circ))
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tag, depth, rows, cols, field, wires = lines[0].split()
-    if tag != "circuit":
+
+def parse_circuit(text: str) -> SynchronousCircuit:
+    """Read a circuit back from its text; ValueError if it is malformed.
+
+    Each factor block must hold exactly its sub-header's nnz entries, and
+    the header's depth, shape and wire count must match the factors.
+    """
+    header, *blocks = text.split("\nfactor")
+    fields = header.split()
+    if len(fields) != 6 or fields[0] != "circuit":
         raise ValueError("not a circuit file")
-    ctx = FieldCtx(int(field))
+    depth, rows, cols, field, wires = (int(x) for x in fields[1:])
+    ctx = FieldCtx(field)
+    if len(blocks) != depth:
+        raise ValueError(f"header says {depth} factors, the file has {len(blocks)}")
     factors = []
-    pos = 1
-    for _ in range(int(depth)):
-        ftag, idx, frows, fcols, fnnz = lines[pos].split()
-        if ftag != "factor":
-            raise ValueError("expected a factor sub-header")
-        pos += 1
-        entries = []
-        for _ in range(int(fnnz)):
-            i, j, v = lines[pos].split()
-            entries.append((int(i), int(j), sparse._parse_value(v, ctx)))
-            pos += 1
-        factors.append(SparseMatrix(int(frows), int(fcols), ctx, entries))
+    for idx, block in enumerate(blocks):
+        sub, _, body = block.partition("\n")
+        fidx, frows, fcols, fnnz = sparse._int_fields(sub, 4, "factor sub-header")
+        if fidx != idx:
+            raise ValueError(f"factor {fidx} found where factor {idx} belongs")
+        factors.append(sparse._parse_entries(body, frows, fcols, ctx, fnnz))
     circ = SynchronousCircuit(factors)
-    if circ.wires != int(wires):
+    if (circ.rows, circ.cols) != (rows, cols):
+        raise ValueError("header shape does not match factors")
+    if circ.wires != wires:
         raise ValueError("header wire count does not match factors")
     return circ
 
 
 def save_circuit(circ: SynchronousCircuit, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dump_circuit(circ))
+        fh.writelines(_circuit_text(circ))
 
 
 def load_circuit(path) -> SynchronousCircuit:

@@ -1,9 +1,11 @@
-"""Exact sparse matrices in coordinate form, with the Kronecker toolkit.
+"""Exact sparse matrices in canonical CSR form, with the Kronecker toolkit.
 
-Entries are stored as a sorted coordinate list ``(i, j, v)`` with every
-stored value nonzero, so ``nnz`` (the wire-count metric everything else is
-built on) is canonical.  All arithmetic is exact; results of additions and
-products are re-sparsified so cancellations never leave explicit zeros.
+A matrix stores int64 ``indptr``/``indices`` arrays (columns sorted within
+each row) and a ``data`` array: int64 residues for F_p, an object array of
+``Fraction`` for Q.  No stored value is zero, so ``nnz`` (the wire-count
+metric everything else is built on) is canonical.  All arithmetic is exact:
+F_p products go through one overflow-guarded kernel, Q products through a
+short row loop, and cancellations never leave explicit zeros.
 
 Row/column index layout for Kronecker products follows ``IndexCodec``: the
 left operand occupies the high digits.
@@ -11,6 +13,7 @@ left operand occupies the high digits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +25,6 @@ from .fields import FieldCtx
 
 # Guardrail against accidental q**n explosion; configurable.
 DIMENSION_CAP = 2**26
-
-# Above this estimated op count, prime-field products go through scipy.
-_SCIPY_MATMUL_THRESHOLD = 200_000
 
 
 def set_dimension_cap(cap: int) -> None:
@@ -62,41 +62,35 @@ class IndexCodec:
 
 
 class SparseMatrix:
-    """Immutable exact sparse matrix over a FieldCtx."""
+    """Immutable exact sparse matrix over a FieldCtx, stored as CSR arrays."""
 
-    __slots__ = ("rows", "cols", "ctx", "entries", "_row_map")
+    __slots__ = ("rows", "cols", "ctx", "indptr", "indices", "data", "_entries", "_row_map")
 
     def __init__(self, rows, cols, ctx, entries, _checked=False):
-        self.rows = rows
-        self.cols = cols
-        self.ctx = ctx
-        if not _checked:
-            entries = sorted(entries)
-            prev = None
-            for (i, j, v) in entries:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i}, {j}) out of bounds")
-                if not v:
-                    raise ValueError(f"explicit zero stored at ({i}, {j})")
-                if prev == (i, j):
-                    raise ValueError(f"duplicate entry at ({i}, {j})")
-                prev = (i, j)
-        self.entries = tuple(entries)
-        self._row_map = None
+        """Build from (i, j, value) triplets of raw field values.
+
+        Unless _checked, every triplet must be in bounds, hold a nonzero
+        canonical value (a residue in [1, p) for F_p) and name a distinct
+        position.  Triplets may come in any order.
+        """
+        try:
+            i, j, v = _triplet_arrays(entries, ctx)
+        except OverflowError as exc:
+            raise ValueError(f"entry does not fit the matrix: {exc}") from None
+        _init_csr(self, rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, not _checked))
+
+    @classmethod
+    def _from_csr(cls, rows, cols, ctx, indptr, indices, data):
+        """Wrap arrays that are already canonical CSR; nothing is checked."""
+        m = cls.__new__(cls)
+        _init_csr(m, rows, cols, ctx, indptr, indices, data)
+        return m
 
     @classmethod
     def from_triplets(cls, rows, cols, ctx, triplets):
         """Build from possibly unsorted/duplicated triplets; duplicates sum."""
-        acc = {}
-        for i, j, v in triplets:
-            key = (i, j)
-            if key in acc:
-                acc[key] = ctx.add_raw(acc[key], ctx.coerce(v))
-            else:
-                acc[key] = ctx.coerce(v)
-        entries = [(i, j, v) for (i, j), v in acc.items() if v]
-        entries.sort()
-        return cls(rows, cols, ctx, entries)
+        triplets = [(i, j, ctx.coerce(v)) for i, j, v in triplets]
+        return _summed(rows, cols, ctx, *_triplet_arrays(triplets, ctx))
 
     @classmethod
     def from_dense(cls, dense_rows, ctx):
@@ -113,25 +107,28 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.indices)
 
     @property
     def nnz_r(self) -> int:
-        counts = {}
-        for i, _, _ in self.entries:
-            counts[i] = counts.get(i, 0) + 1
-        return max(counts.values(), default=0)
+        return int(np.diff(self.indptr).max()) if self.rows else 0
 
     @property
     def nnz_c(self) -> int:
-        counts = {}
-        for _, j, _ in self.entries:
-            counts[j] = counts.get(j, 0) + 1
-        return max(counts.values(), default=0)
+        return int(np.bincount(self.indices).max()) if self.nnz else 0
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @property
+    def entries(self):
+        """(i, j, value) triplets in row-major order, built on first use."""
+        if self._entries is None:
+            self._entries = tuple(
+                zip(_row_ids(self).tolist(), self.indices.tolist(), self.data.tolist())
+            )
+        return self._entries
 
     def row_map(self):
         """dict row -> list of (col, value); cached."""
@@ -143,29 +140,34 @@ class SparseMatrix:
         return self._row_map
 
     def get(self, i, j):
-        for jj, v in self.row_map().get(i, ()):
-            if jj == j:
-                return v
+        if 0 <= i < self.rows:
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            k = lo + np.searchsorted(self.indices[lo:hi], j)
+            if k < hi and self.indices[k] == j:
+                return self.data[k : k + 1].tolist()[0]
         return self.ctx.zero_raw()
 
     def to_dense(self):
         zero = self.ctx.zero_raw()
         dense = [[zero] * self.cols for _ in range(self.rows)]
-        for i, j, v in self.entries:
+        for i, j, v in zip(_row_ids(self).tolist(), self.indices.tolist(), self.data.tolist()):
             dense[i][j] = v
         return dense
 
+    def row_block(self, start: int, stop: int) -> "SparseMatrix":
+        """Rows start..stop-1 as a matrix of their own (arrays are shared)."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return SparseMatrix._from_csr(
+            stop - start, self.cols, self.ctx, self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi], self.data[lo:hi],
+        )
+
     def to_csr(self):
-        """scipy int64 CSR of the residues (prime field only)."""
+        """scipy CSR of the residues (prime field only), on the same arrays."""
         if not self.ctx.is_prime_field:
             raise ValueError("csr export requires a prime field")
-        if self.entries:
-            ii, jj, vv = zip(*self.entries)
-        else:
-            ii, jj, vv = (), (), ()
         return _sp.csr_matrix(
-            (np.array(vv, dtype=np.int64), (np.array(ii), np.array(jj))),
-            shape=(self.rows, self.cols),
+            (self.data, self.indices, self.indptr), shape=(self.rows, self.cols)
         )
 
     def __eq__(self, other):
@@ -174,14 +176,124 @@ class SparseMatrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.ctx == other.ctx
-            and self.entries == other.entries
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.data, other.data)
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ctx, self.entries))
+        return hash((self.rows, self.cols, self.ctx, self.indices.tobytes(),
+                     self.indptr.tobytes(), tuple(self.data.tolist())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {self.ctx}, nnz={self.nnz})"
+
+
+# -- array helpers --------------------------------------------------------
+
+
+def _init_csr(m, rows, cols, ctx, indptr, indices, data):
+    m.rows, m.cols, m.ctx = rows, cols, ctx
+    m.indptr, m.indices, m.data = indptr, indices, data
+    m._entries = None
+    m._row_map = None
+
+
+def _value_array(values, ctx):
+    """Raw field values as the data array of a matrix over ctx."""
+    if ctx.is_prime_field:
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _triplet_arrays(entries, ctx):
+    """Index and value arrays of a sequence of (i, j, value) triplets."""
+    entries = list(entries)
+    if ctx.is_prime_field:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(entries), dtype=np.int64, count=3 * len(entries)
+        )
+        return _columns(flat.reshape(-1, 3))
+    return _columns(np.array(entries, dtype=object).reshape(-1, 3))
+
+
+def _columns(table):
+    """The columns of an (n, 3) triplet table as three arrays of their own."""
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2].copy()
+
+
+def _row_ids(m):
+    """Row index of every stored entry, in CSR order."""
+    return np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
+
+
+def _indptr(rows, row_ids):
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids, minlength=rows), out=indptr[1:])
+    return indptr
+
+
+def _csr_from_coo(rows, cols, ctx, i, j, v, check):
+    """(indptr, indices, data) of triplets; with check, reject entries out
+    of bounds, non-canonical or zero values, and repeated positions."""
+    if check and i.size:
+        bad = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise ValueError(f"entry ({i[k]}, {j[k]}) out of bounds")
+        bad = v == 0
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise ValueError(f"explicit zero stored at ({i[k]}, {j[k]})")
+        if ctx.is_prime_field:
+            bad = (v < 0) | (v >= ctx.modulus)
+            if bad.any():
+                k = np.flatnonzero(bad)[0]
+                raise ValueError(f"value {v[k]} at ({i[k]}, {j[k]}) is not a residue")
+    key = i * cols + j
+    if key.size and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        i, j, v, key = i[order], j[order], v[order], key[order]
+        if check:
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                k = dup[0]
+                raise ValueError(f"duplicate entry at ({i[k]}, {j[k]})")
+    return _indptr(rows, i), j, v
+
+
+def _summed(rows, cols, ctx, i, j, v):
+    """Matrix of triplets whose repeated positions are summed; zero sums
+    are dropped."""
+    key = i * cols + j
+    order = np.argsort(key, kind="stable")
+    key, v = key[order], v[order]
+    if key.size:
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, v = key[starts], np.add.reduceat(v, starts)
+    if ctx.is_prime_field:
+        v %= ctx.modulus
+    keep = v != 0
+    key, v = key[keep], v[keep]
+    i, j = np.divmod(key, cols) if cols else (key, key)
+    return SparseMatrix._from_csr(rows, cols, ctx, _indptr(rows, i), j, v)
+
+
+def _empty(rows, cols, ctx):
+    return SparseMatrix._from_csr(
+        rows, cols, ctx, np.zeros(rows + 1, dtype=np.int64),
+        np.zeros(0, dtype=np.int64), _value_array((), ctx),
+    )
+
+
+def _from_scipy(rows, cols, ctx, c):
+    """Matrix of a scipy CSR of residues; explicit zeros are dropped."""
+    c.eliminate_zeros()
+    c.sort_indices()
+    return SparseMatrix._from_csr(
+        rows, cols, ctx, c.indptr.astype(np.int64, copy=False),
+        c.indices.astype(np.int64, copy=False), c.data.astype(np.int64, copy=False),
+    )
 
 
 def _require_ctx(a: SparseMatrix, b: SparseMatrix):
@@ -190,8 +302,9 @@ def _require_ctx(a: SparseMatrix, b: SparseMatrix):
 
 
 def identity(k: int, ctx: FieldCtx) -> SparseMatrix:
-    one = ctx.one_raw()
-    return SparseMatrix(k, k, ctx, [(i, i, one) for i in range(k)], _checked=True)
+    idx = np.arange(k, dtype=np.int64)
+    data = _value_array([ctx.one_raw()] * k, ctx)
+    return SparseMatrix._from_csr(k, k, ctx, np.arange(k + 1, dtype=np.int64), idx, data)
 
 
 def diagonal(values, ctx: FieldCtx) -> SparseMatrix:
@@ -205,8 +318,11 @@ def diagonal(values, ctx: FieldCtx) -> SparseMatrix:
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
-    entries = sorted((j, i, v) for i, j, v in a.entries)
-    return SparseMatrix(a.cols, a.rows, a.ctx, entries, _checked=True)
+    order = np.argsort(a.indices, kind="stable")
+    return SparseMatrix._from_csr(
+        a.cols, a.rows, a.ctx, _indptr(a.cols, a.indices),
+        _row_ids(a)[order], a.data[order],
+    )
 
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -216,16 +332,27 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     cols = a.cols * b.cols
     if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
         raise DimensionCapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
-    ctx = a.ctx
-    mul = ctx.mul_raw
-    entries = []
-    for ia, ja, va in a.entries:
-        ibase = ia * b.rows
-        jbase = ja * b.cols
-        for ib, jb, vb in b.entries:
-            entries.append((ibase + ib, jbase + jb, mul(va, vb)))
-    entries.sort()
-    return SparseMatrix(rows, cols, ctx, entries, _checked=True)
+    na, nb = np.diff(a.indptr), np.diff(b.indptr)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.outer(na, nb).ravel(), out=indptr[1:])
+    # Output row r = ia * b.rows + ib is a run of segments, one per entry ka
+    # of A's row ia in column order: B's row ib, its columns shifted by
+    # a.indices[ka] * b.cols and its values scaled by a.data[ka].
+    segs = np.repeat(na, b.rows)  # segments per output row
+    seg_row = np.repeat(np.arange(rows, dtype=np.int64), segs)
+    ia, ib = np.divmod(seg_row, b.rows)
+    ka = np.arange(len(seg_row), dtype=np.int64)
+    ka += a.indptr[ia] - (np.cumsum(segs) - segs)[seg_row]
+    seg_len = nb[ib]
+    kb = np.repeat(b.indptr[ib] - (np.cumsum(seg_len) - seg_len), seg_len)
+    kb += np.arange(len(kb), dtype=np.int64)
+    indices = np.repeat(a.indices[ka] * b.cols, seg_len)
+    indices += b.indices[kb]
+    data = np.repeat(a.data[ka], seg_len)
+    data *= b.data[kb]
+    if a.ctx.is_prime_field:
+        data %= a.ctx.modulus
+    return SparseMatrix._from_csr(rows, cols, a.ctx, indptr, indices, data)
 
 
 def kron_power(m: SparseMatrix, n: int) -> SparseMatrix:
@@ -244,79 +371,103 @@ def kron_all(mats) -> SparseMatrix:
     return acc
 
 
-def _matmul_py(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+def _mulmod(x, y, p: int, terms: int, bx: int, by: int):
+    """x @ y mod p for scipy int64 CSRs, exactly.
+
+    Entries of x are below bx, entries of y below by, and no output entry
+    sums more than `terms` products.  While such a sum could pass 2^63, the
+    operand with the larger entries is split into 16-bit limbs and the
+    limb products are recombined mod p.  That ends for any terms < 2^31; no
+    row that long fits in memory.
+    """
+    if (bx - 1) * (by - 1) * terms < 2**63:
+        z = x @ y
+        z.data %= p
+        return z
+    lo, hi = (y.copy(), y.copy()) if by >= bx else (x.copy(), x.copy())
+    lo.data &= 0xFFFF
+    hi.data >>= 16
+    if by >= bx:
+        z_lo = _mulmod(x, lo, p, terms, bx, 1 << 16)
+        z_hi = _mulmod(x, hi, p, terms, bx, ((by - 1) >> 16) + 1)
+    else:
+        z_lo = _mulmod(lo, y, p, terms, 1 << 16, by)
+        z_hi = _mulmod(hi, y, p, terms, ((bx - 1) >> 16) + 1, by)
+    z = z_lo + z_hi * (1 << 16)  # both below p < 2^31: no overflow
+    z.data %= p
+    return z
+
+
+def _csr_mulmod(x, y, p: int):
+    """x @ y mod p for scipy CSRs of residues; the result may hold explicit
+    zeros and unsorted column indices."""
+    terms = min(
+        int(np.diff(x.indptr).max()) if x.shape[0] else 0,
+        int(np.bincount(y.indices).max()) if y.nnz else 0,
+    )
+    return _mulmod(x, y, p, terms, p, p)
+
+
+def _matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Row-by-row product with the field's own arithmetic (used for Q)."""
     ctx = a.ctx
     add = ctx.add_raw
     mul = ctx.mul_raw
-    b_rows = b.row_map()
-    entries = []
-    for i, arow in a.row_map().items():
+    a_ptr, a_idx, a_val = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    b_ptr, b_idx, b_val = b.indptr.tolist(), b.indices.tolist(), b.data.tolist()
+    ii, jj, vv = [], [], []
+    for i in range(a.rows):
         acc = {}
-        for k, va in arow:
-            for j, vb in b_rows.get(k, ()):
-                if j in acc:
-                    acc[j] = add(acc[j], mul(va, vb))
-                else:
-                    acc[j] = mul(va, vb)
-        for j, v in acc.items():
-            if v:
-                entries.append((i, j, v))
-    entries.sort()
-    return SparseMatrix(a.rows, b.cols, ctx, entries, _checked=True)
-
-
-def _matmul_scipy(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    p = a.ctx.modulus
-    c = (a.to_csr() @ b.to_csr()).tocoo()
-    vals = np.mod(c.data, p)
-    mask = vals != 0
-    entries = sorted(
-        zip(c.row[mask].tolist(), c.col[mask].tolist(), vals[mask].tolist())
+        for k in range(a_ptr[i], a_ptr[i + 1]):
+            k_col, va = a_idx[k], a_val[k]
+            for kb in range(b_ptr[k_col], b_ptr[k_col + 1]):
+                j = b_idx[kb]
+                prod = mul(va, b_val[kb])
+                acc[j] = add(acc[j], prod) if j in acc else prod
+        for j in sorted(acc):
+            if acc[j]:
+                ii.append(i)
+                jj.append(j)
+                vv.append(acc[j])
+    return SparseMatrix._from_csr(
+        a.rows, b.cols, ctx, _indptr(a.rows, np.array(ii, dtype=np.int64)),
+        np.array(jj, dtype=np.int64), _value_array(vv, ctx),
     )
-    return SparseMatrix(a.rows, b.cols, a.ctx, entries, _checked=True)
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.ctx.is_prime_field:
-        p = a.ctx.modulus
-        # int64 accumulation is exact as long as inner products cannot
-        # overflow: nnz_c(a-row hits) <= b.rows terms of magnitude < p**2.
-        if (
-            a.nnz * max(1, b.nnz) > _SCIPY_MATMUL_THRESHOLD
-            and (p - 1) * (p - 1) * b.rows < 2**62
-        ):
-            return _matmul_scipy(a, b)
-    return _matmul_py(a, b)
+    if not a.ctx.is_prime_field:
+        return _matmul_rows(a, b)
+    return _from_scipy(a.rows, b.cols, a.ctx, _csr_mulmod(a.to_csr(), b.to_csr(), a.ctx.modulus))
 
 
 def add_mat(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionMismatch("shape mismatch in addition")
-    return SparseMatrix.from_triplets(
-        a.rows, a.cols, a.ctx, list(a.entries) + list(b.entries)
+    return _summed(
+        a.rows, a.cols, a.ctx,
+        np.concatenate((_row_ids(a), _row_ids(b))),
+        np.concatenate((a.indices, b.indices)),
+        np.concatenate((a.data, b.data)),
     )
 
 
 def sub_mat(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    neg = a.ctx.neg_raw
-    negb = [(i, j, neg(v)) for i, j, v in b.entries]
-    _require_ctx(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatch("shape mismatch in subtraction")
-    return SparseMatrix.from_triplets(a.rows, a.cols, a.ctx, list(a.entries) + negb)
+    return add_mat(a, scale(b, -1))
 
 
 def scale(a: SparseMatrix, s) -> SparseMatrix:
     sv = a.ctx.coerce(s)
     if not sv:
-        return SparseMatrix(a.rows, a.cols, a.ctx, [], _checked=True)
-    mul = a.ctx.mul_raw
-    entries = [(i, j, mul(v, sv)) for i, j, v in a.entries]
-    return SparseMatrix(a.rows, a.cols, a.ctx, entries, _checked=True)
+        return _empty(a.rows, a.cols, a.ctx)
+    data = a.data * sv
+    if a.ctx.is_prime_field:
+        data %= a.ctx.modulus
+    return SparseMatrix._from_csr(a.rows, a.cols, a.ctx, a.indptr, a.indices, data)
 
 
 def concat_h(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -324,9 +475,18 @@ def concat_h(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ in concat_h")
-    entries = list(a.entries) + [(i, j + a.cols, v) for i, j, v in b.entries]
-    entries.sort()
-    return SparseMatrix(a.rows, a.cols + b.cols, a.ctx, entries, _checked=True)
+    # Row i holds A's row i, then B's row i shifted right by a.cols.
+    pos_a = np.arange(a.nnz, dtype=np.int64) + b.indptr[_row_ids(a)]
+    pos_b = np.arange(b.nnz, dtype=np.int64) + a.indptr[_row_ids(b) + 1]
+    indices = np.empty(a.nnz + b.nnz, dtype=np.int64)
+    indices[pos_a] = a.indices
+    indices[pos_b] = b.indices + a.cols
+    data = np.empty(a.nnz + b.nnz, dtype=a.data.dtype)
+    data[pos_a] = a.data
+    data[pos_b] = b.data
+    return SparseMatrix._from_csr(
+        a.rows, a.cols + b.cols, a.ctx, a.indptr + b.indptr, indices, data
+    )
 
 
 def stack_v(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -334,8 +494,12 @@ def stack_v(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     if a.cols != b.cols:
         raise DimensionMismatch("column counts differ in stack_v")
-    entries = list(a.entries) + [(i + a.rows, j, v) for i, j, v in b.entries]
-    return SparseMatrix(a.rows + b.rows, a.cols, a.ctx, entries, _checked=True)
+    return SparseMatrix._from_csr(
+        a.rows + b.rows, a.cols, a.ctx,
+        np.concatenate((a.indptr, b.indptr[1:] + a.nnz)),
+        np.concatenate((a.indices, b.indices)),
+        np.concatenate((a.data, b.data)),
+    )
 
 
 def apply(a: SparseMatrix, x) -> list:
@@ -343,11 +507,14 @@ def apply(a: SparseMatrix, x) -> list:
     if len(x) != a.cols:
         raise DimensionMismatch(f"vector length {len(x)} != {a.cols}")
     ctx = a.ctx
-    add = ctx.add_raw
-    mul = ctx.mul_raw
+    values = (ctx.coerce(v) for v in x)
+    column = SparseMatrix(
+        a.cols, 1, ctx, [(k, 0, v) for k, v in enumerate(values) if v], _checked=True
+    )
+    y = matmul(a, column)
     out = [ctx.zero_raw()] * a.rows
-    for i, j, v in a.entries:
-        out[i] = add(out[i], mul(v, x[j]))
+    for i, v in zip(_row_ids(y).tolist(), y.data.tolist()):
+        out[i] = v
     return out
 
 
@@ -437,22 +604,75 @@ def _parse_value(s: str, ctx: FieldCtx):
     return ctx.coerce(int(s))
 
 
+def _format_entries(m: SparseMatrix):
+    """The "i j value" lines of m's entries in CSR order, as one string per
+    block of 2^18 entries: whole-block formatting, with a bounded number of
+    Python objects alive at once."""
+    block = 1 << 18
+    rows = _row_ids(m)
+    for lo in range(0, m.nnz, block):
+        hi = min(lo + block, m.nnz)
+        flat = np.empty((hi - lo, 3), dtype=object)
+        flat[:, 0] = rows[lo:hi]
+        flat[:, 1] = m.indices[lo:hi]
+        values = m.data[lo:hi].tolist()
+        flat[:, 2] = values if m.ctx.is_prime_field else [_format_value(v) for v in values]
+        yield ("%d %d %s\n" * (hi - lo)) % tuple(flat.ravel().tolist())
+
+
+def _parse_entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> SparseMatrix:
+    """The matrix of whitespace-separated "i j value" triplets.
+
+    Raises ValueError unless the numbers come in triplets (exactly nnz of
+    them, when nnz is given), all in bounds, with nonzero values at
+    distinct positions.
+    """
+    try:
+        flat = np.fromstring(text, dtype=np.int64, sep=" ")
+        info = np.iinfo(np.int64)
+        exact = not ((flat == info.max) | (flat == info.min)).any()  # saturated
+    except ValueError:  # fractions "num/den", or junk that the loop below rejects
+        exact = False
+    if exact:
+        _check_count(flat.size, nnz)
+        i, j, v = _columns(flat.reshape(-1, 3))
+        v = v % ctx.modulus if ctx.is_prime_field else _value_array(
+            [Fraction(x) for x in v.tolist()], ctx
+        )
+    else:
+        tokens = text.split()
+        _check_count(len(tokens), nnz)
+        try:
+            i = np.array([int(t) for t in tokens[0::3]], dtype=np.int64)
+            j = np.array([int(t) for t in tokens[1::3]], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("entry index out of range") from None
+        v = _value_array([_parse_value(t, ctx) for t in tokens[2::3]], ctx)
+    return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, True))
+
+
+def _check_count(numbers: int, nnz) -> None:
+    if numbers % 3 or (nnz is not None and numbers != 3 * nnz):
+        expected = "triplets" if nnz is None else f"{nnz} entries"
+        raise ValueError(f"expected {expected}, found {numbers} numbers")
+
+
+def _int_fields(line: str, count: int, what: str):
+    fields = line.split()
+    if len(fields) != count:
+        raise ValueError(f"malformed {what}: {line.strip()!r}")
+    return [int(x) for x in fields]
+
+
 def dump_matrix(m: SparseMatrix) -> str:
-    lines = [f"{m.rows} {m.cols} {m.ctx.modulus}"]
-    for i, j, v in m.entries:
-        lines.append(f"{i} {j} {_format_value(v)}")
-    return "\n".join(lines) + "\n"
+    return f"{m.rows} {m.cols} {m.ctx.modulus}\n" + "".join(_format_entries(m))
 
 
 def parse_matrix(text: str) -> SparseMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols, field = lines[0].split()
-    ctx = FieldCtx(int(field))
-    entries = []
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        entries.append((int(i), int(j), _parse_value(v, ctx)))
-    return SparseMatrix(int(rows), int(cols), ctx, entries)
+    header, _, body = text.lstrip().partition("\n")
+    rows, cols, field = _int_fields(header, 3, "matrix header")
+    ctx = FieldCtx(field)
+    return _parse_entries(body, rows, cols, ctx)
 
 
 def save_matrix(m: SparseMatrix, path) -> None:

@@ -20,6 +20,7 @@ from kronrigid.circuits import (
 from kronrigid.disjoint import disjointness_matrix
 from kronrigid.errors import DepthTooSmall, GroupMismatch, UnverifiedInput
 from kronrigid.fields import FieldCtx
+from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 
@@ -284,3 +285,42 @@ def test_hadamard_dense_np():
     assert np.array_equal(
         dense % 5, np.array([[v for v in row] for row in from_sparse.to_dense()])
     )
+
+
+def _dense_chain_product(dense_factors, p):
+    """Pure-Python product of dense residue matrices mod p."""
+    acc = dense_factors[0]
+    for f in dense_factors[1:]:
+        acc = [
+            [sum(row[k] * f[k][j] for k in range(len(f))) % p for j in range(len(f[0]))]
+            for row in acc
+        ]
+    return acc
+
+
+def test_product_exact_at_largest_prime():
+    # at p = 2^31 - 1 one product of residues needs 62 bits, so eight of
+    # them summed overflow int64 unless the kernel splits into limbs
+    import numpy as np
+
+    p = 2**31 - 1
+    ctx = FieldCtx(p)
+    rng = SplitMix64(77)
+    dense = [[[rng.randrange(p) for _ in range(8)] for _ in range(8)] for _ in range(3)]
+    circ = SynchronousCircuit([SparseMatrix.from_dense(d, ctx) for d in dense])
+    expected = _dense_chain_product(dense, p)
+    assert circ.product().to_dense() == expected
+    assert circuits.verify_against_dense(circ, np.array(expected, dtype=np.int64))
+
+
+def test_synth_save_load_verify_build_no_entry_tuples(tmp_path):
+    # the array paths never materialize the per-entry tuple view
+    from kronrigid.cli import _synth_circuit
+
+    circ, _ = _synth_circuit("hadamard", 8, 2, "h4", F5)
+    path = tmp_path / "h8.circ"
+    circuits.save_circuit(circ, path)
+    loaded = circuits.load_circuit(path)
+    assert circuits.verify_against_dense(loaded, circuits.hadamard_dense_np(8))
+    for f in circ.factors + loaded.factors:
+        assert f._entries is None

@@ -166,3 +166,39 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,2,")
+
+
+@pytest.mark.parametrize("prime", [131, 2**31 - 1])
+def test_verify_at_large_primes(tmp_path, capsys, prime):
+    path = str(tmp_path / "h8.circ")
+    argv = ["synth", "--family", "hadamard", "--n", "8", "--depth", "2"]
+    assert main(argv + ["--field", str(prime), "--out", path]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", path, "--family", "hadamard", "--n", "8"])
+    assert rc == 0
+    assert "equal=True" in capsys.readouterr().out
+
+
+def _bad_circuit_texts(tmp_path):
+    path = tmp_path / "h8.circ"
+    assert main(
+        ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", str(path)]
+    ) == 0
+    text = path.read_text()
+    header, rest = text.split("\n", 1)
+    lines = text.splitlines(keepends=True)
+    return {
+        "empty": "",
+        "truncated": "".join(lines[: len(lines) // 2]),
+        "wire_mismatch": " ".join(header.split()[:-1] + ["7"]) + "\n" + rest,
+    }
+
+
+@pytest.mark.parametrize("case", ["empty", "truncated", "wire_mismatch"])
+def test_bad_circuit_file_is_a_usage_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.circ"
+    bad.write_text(_bad_circuit_texts(tmp_path)[case])
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", str(bad), "--family", "hadamard", "--n", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -150,13 +150,12 @@ def test_matmul_against_dense_oracle():
         assert sparse.matmul(a, b) == dense_matmul_oracle(a, b)
 
 
-def test_matmul_scipy_path_matches_python():
-    # drive the matrices over the scipy threshold and compare
+def test_matmul_kernel_matches_row_loop():
+    # the mod-p kernel against the field-generic row loop, on dense-ish input
     rng = SplitMix64(25)
     a = random_matrix(rng, 40, 40, F7, density=700)
     b = random_matrix(rng, 40, 40, F7, density=700)
-    assert a.nnz * b.nnz > sparse._SCIPY_MATMUL_THRESHOLD
-    assert sparse._matmul_scipy(a, b) == sparse._matmul_py(a, b)
+    assert sparse.matmul(a, b) == sparse._matmul_rows(a, b)
 
 
 def test_matmul_dimension_mismatch():
@@ -253,3 +252,15 @@ def test_text_format_header():
     a = sparse.identity(2, F5)
     text = sparse.dump_matrix(a)
     assert text.splitlines()[0] == "2 2 5"
+
+
+def test_matmul_long_inner_product_at_largest_prime():
+    # 70000 terms, each the largest product (p-1)^2 = 1 mod p: the int64 sum
+    # is exact only with both operands split into 16-bit limbs
+    p = 2**31 - 1
+    ctx = FieldCtx(p)
+    n = 70000
+    row = SparseMatrix(1, n, ctx, [(0, k, p - 1) for k in range(n)])
+    col = SparseMatrix(n, 1, ctx, [(k, 0, p - 1) for k in range(n)])
+    assert sparse.matmul(row, col).to_dense() == [[n]]
+    assert sparse.apply(row, [p - 1] * n) == [n]

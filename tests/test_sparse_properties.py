@@ -1,0 +1,207 @@
+"""Property tests of the sparse kernels against a dense pure-Python reference,
+and of the text formats, over F_5, F_(2^31 - 1) and Q."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronrigid import circuits, sparse
+from kronrigid.circuits import SynchronousCircuit
+from kronrigid.fields import RATIONALS, FieldCtx
+from kronrigid.sparse import SparseMatrix
+
+FIELDS = [FieldCtx(5), FieldCtx(2**31 - 1), RATIONALS]
+PROPS = settings(max_examples=60, deadline=None)
+
+
+# -- reference arithmetic, independent of FieldCtx -------------------------
+
+
+def _mul(p, x, y):
+    return x * y % p if p else x * y
+
+
+def _add(p, x, y):
+    return (x + y) % p if p else x + y
+
+
+def _zero(p):
+    return 0 if p else Fraction(0)
+
+
+def ref_matmul(p, a, b, cols):
+    """a times b as dense lists; b has len(a[0]) rows and cols columns."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = _zero(p)
+            for k, x in enumerate(row):
+                acc = _add(p, acc, _mul(p, x, b[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+# -- strategies -------------------------------------------------------------
+
+
+def values(ctx):
+    if ctx.is_prime_field:
+        nonzero = st.integers(1, ctx.modulus - 1)
+        zero = st.just(0)
+    else:
+        nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+        zero = st.just(Fraction(0))
+    return st.one_of(zero, zero, nonzero)  # sparse: zero two times in three
+
+
+@st.composite
+def dense(draw, ctx, rows=None, cols=None):
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    return [[draw(values(ctx)) for _ in range(cols)] for _ in range(rows)]
+
+
+def to_sparse(d, rows, cols, ctx):
+    entries = [(i, j, v) for i, row in enumerate(d) for j, v in enumerate(row) if v]
+    return SparseMatrix(rows, cols, ctx, entries)
+
+
+def assert_canonical(m):
+    """Sorted columns within rows, in bounds, no explicit zeros."""
+    assert m.indptr.dtype == m.indices.dtype == np.int64
+    assert m.data.dtype == (np.int64 if m.ctx.is_prime_field else object)
+    assert len(m.indptr) == m.rows + 1 and m.indptr[0] == 0
+    assert (np.diff(m.indptr) >= 0).all() and m.indptr[-1] == m.nnz
+    for i in range(m.rows):
+        cols = m.indices[m.indptr[i] : m.indptr[i + 1]]
+        assert (np.diff(cols) > 0).all()
+    assert ((m.indices >= 0) & (m.indices < m.cols)).all()
+    assert all(v != 0 for v in m.data.tolist())
+    if m.ctx.is_prime_field:
+        assert ((m.data > 0) & (m.data < m.ctx.modulus)).all()
+
+
+def check(m, ref, rows, cols):
+    assert_canonical(m)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.to_dense() == ref
+
+
+# -- kernels ----------------------------------------------------------------
+
+
+@PROPS
+@given(st.data())
+def test_kron_matches_dense(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    p = ctx.modulus
+    ra, ca, rb, cb = (data.draw(st.integers(0, 4)) for _ in range(4))
+    da = data.draw(dense(ctx, ra, ca))
+    db = data.draw(dense(ctx, rb, cb))
+    ref = [
+        [_mul(p, da[ia][ja], db[ib][jb]) for ja in range(ca) for jb in range(cb)]
+        for ia in range(ra)
+        for ib in range(rb)
+    ]
+    k = sparse.kron(to_sparse(da, ra, ca, ctx), to_sparse(db, rb, cb, ctx))
+    check(k, ref, ra * rb, ca * cb)
+
+
+@PROPS
+@given(st.data())
+def test_matmul_and_apply_match_dense(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    p = ctx.modulus
+    rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    da = data.draw(dense(ctx, rows, inner))
+    db = data.draw(dense(ctx, inner, cols))
+    a = to_sparse(da, rows, inner, ctx)
+    check(sparse.matmul(a, to_sparse(db, inner, cols, ctx)), ref_matmul(p, da, db, cols), rows, cols)
+    x = [data.draw(values(ctx)) for _ in range(inner)]
+    expected = [row[0] for row in ref_matmul(p, da, [[v] for v in x], 1)]
+    assert sparse.apply(a, x) == expected
+
+
+@PROPS
+@given(st.data())
+def test_transpose_and_scale_match_dense(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    p = ctx.modulus
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    d = data.draw(dense(ctx, rows, cols))
+    m = to_sparse(d, rows, cols, ctx)
+    check(sparse.transpose(m), [[d[i][j] for i in range(rows)] for j in range(cols)], cols, rows)
+    s = data.draw(values(ctx))
+    check(sparse.scale(m, s), [[_mul(p, v, s) for v in row] for row in d], rows, cols)
+
+
+@PROPS
+@given(st.data())
+def test_concat_and_stack_match_dense(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, c1, c2 = (data.draw(st.integers(0, 4)) for _ in range(3))
+    d1 = data.draw(dense(ctx, rows, c1))
+    d2 = data.draw(dense(ctx, rows, c2))
+    h = sparse.concat_h(to_sparse(d1, rows, c1, ctx), to_sparse(d2, rows, c2, ctx))
+    check(h, [r1 + r2 for r1, r2 in zip(d1, d2)], rows, c1 + c2)
+    r2 = data.draw(st.integers(0, 4))
+    d3 = data.draw(dense(ctx, r2, c1))
+    v = sparse.stack_v(to_sparse(d1, rows, c1, ctx), to_sparse(d3, r2, c1, ctx))
+    check(v, d1 + d3, rows + r2, c1)
+
+
+@PROPS
+@given(st.data())
+def test_add_sub_cancel_to_canonical(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    p = ctx.modulus
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    d1 = data.draw(dense(ctx, rows, cols))
+    d2 = data.draw(dense(ctx, rows, cols))
+    a, b = to_sparse(d1, rows, cols, ctx), to_sparse(d2, rows, cols, ctx)
+    check(sparse.add_mat(a, b),
+          [[_add(p, x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(d1, d2)], rows, cols)
+    assert sparse.sub_mat(a, a).nnz == 0
+
+
+# -- text formats -------------------------------------------------------------
+
+
+@PROPS
+@given(st.data())
+def test_circuit_dump_parse_roundtrip(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    factors = [
+        to_sparse(data.draw(dense(ctx, r, c)), r, c, ctx) for r, c in zip(dims, dims[1:])
+    ]
+    circ = SynchronousCircuit(factors)
+    text = circuits.dump_circuit(circ)
+    back = circuits.parse_circuit(text)
+    assert back.factors == circ.factors
+    assert circuits.dump_circuit(back) == text
+    m = factors[0]
+    assert sparse.parse_matrix(sparse.dump_matrix(m)) == m
+
+
+def test_text_formats_golden():
+    f5 = FieldCtx(5)
+    circ = SynchronousCircuit(
+        [SparseMatrix.from_dense([[1, 2], [0, 4]], f5), sparse.identity(2, f5)]
+    )
+    assert circuits.dump_circuit(circ) == (
+        "circuit 2 2 2 5 5\n"
+        "factor 0 2 2 3\n"
+        "0 0 1\n"
+        "0 1 2\n"
+        "1 1 4\n"
+        "factor 1 2 2 2\n"
+        "0 0 1\n"
+        "1 1 1\n"
+    )
+    q = SparseMatrix.from_dense([[Fraction(1, 2), 0], [-3, Fraction(-5, 7)]], RATIONALS)
+    assert sparse.dump_matrix(q) == "2 2 0\n0 0 1/2\n1 0 -3\n1 1 -5/7\n"
