@@ -29,6 +29,7 @@ from .circuits import (
     symmetrized_depth_d,
     synth_depth_d,
     synth_unbounded,
+    synthesize,
     two_factor_from_rigidity,
     verify_circuit,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "symmetrized_depth_d",
     "lift_power",
     "synth_depth_d",
+    "synthesize",
     "butterfly_circuit",
     "synth_unbounded",
     "balance_exponents",

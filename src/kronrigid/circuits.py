@@ -2,10 +2,11 @@
 
 A synchronous circuit is an ordered factor chain A_1, ..., A_d whose
 product is the target transform; its cost is the wire count, the sum of
-factor nonzeros.  The constructions here turn a low-rank-plus-sparse
-decomposition of a base matrix into circuits that beat the classical
-butterfly baseline of d * N^(1+1/d) wires, and include the butterfly
-itself, unbounded-depth synthesis, and exponent balancing.
+factor nonzeros.  `synthesize` is the one depth-d builder: it turns a
+two-factorization of a base power (from a low-rank-plus-sparse
+decomposition, or a rectangle partition) into circuits that beat the
+classical butterfly baseline of d * N^(1+1/d) wires.  The butterfly
+itself, unbounded-depth synthesis, and exponent balancing are here too.
 """
 
 from __future__ import annotations
@@ -239,35 +240,49 @@ def pow_raw(ctx, x, k):
     return acc
 
 
-def synth_depth_d(
-    decomp: RigidityDecomposition, n: int, d: int
+def synthesize(
+    tf: TwoFactorization, unit: SparseMatrix, n: int, d: int
 ) -> SynchronousCircuit:
-    """Depth-d circuit for M^{kron n} from a rigidity decomposition of M.
+    """Depth-d circuit for unit^{kron n} from a two-factorization of
+    unit^{kron t}; t is read off the matrix sizes.
 
-    For d | n this is the symmetrized construction lifted by Kronecker
-    powers.  For the remainder k = n mod d, factor j is augmented with a
-    butterfly slot carrying one extra copy of M (factor j gets M in slot
-    j for j <= k, identity otherwise)."""
+    The largest multiple of t*d digits is the symmetrized circuit lifted
+    by Kronecker powers.  The k digits left over ride along in butterfly
+    slots: factor j is widened by I x unit^{kron k_j} x I, the k_j as even
+    as possible and the earlier factors taking the extra copies."""
     if d < 2:
         raise DepthTooSmall("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    m = decomp.target
-    q = m.rows
-    tf = two_factor_from_rigidity(decomp)
-    n_main = d * (n // d)
-    k = n - n_main
-    if n_main:
-        circ = lift_power(symmetrized_depth_d(tf, d), n_main)
-        factors = list(circ.factors)
+    q, ctx = unit.rows, unit.ctx
+    t = max(1, round(math.log(tf.q, q)))
+    if kron_power(unit, t) != tf.target:
+        raise ValueError(
+            f"the two-factorization is not of a Kronecker power of the {q}x{q} unit"
+        )
+    reps, k = divmod(n, t * d)
+    if reps:
+        factors = list(lift_power(symmetrized_depth_d(tf, d), reps * d).factors)
     else:
-        factors = [identity(1, m.ctx)] * d
+        factors = [identity(1, ctx)] * d
     if k:
-        iq = identity(q, m.ctx)
+        before = 0
         for j in range(d):
-            aug = kron_all([m if j == ell else iq for ell in range(k)])
-            factors[j] = kron(factors[j], aug)
-    return SynchronousCircuit(factors, base=m, base_power=n)
+            k_j = k // d + (j < k % d)
+            after = k - before - k_j
+            slot = kron_all(
+                [identity(q**before, ctx)] + [unit] * k_j + [identity(q**after, ctx)]
+            )
+            factors[j] = kron(factors[j], slot)
+            before += k_j
+    return SynchronousCircuit(factors, base=unit, base_power=n)
+
+
+def synth_depth_d(
+    decomp: RigidityDecomposition, n: int, d: int
+) -> SynchronousCircuit:
+    """Depth-d circuit for M^{kron n} from a rigidity decomposition of M."""
+    return synthesize(two_factor_from_rigidity(decomp), decomp.target, n, d)
 
 
 def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
@@ -452,12 +467,15 @@ def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
 
     The fast path for targets too large to hold as coordinate lists.  The
     product is formed one block of rows at a time, so no dense copy of all
-    of it is held beside the target.
+    of it is held beside the target.  A target of another shape raises
+    DimensionMismatch.
     """
     p = circ.ctx.modulus
     dense = np.asarray(dense)
     if dense.shape != (circ.rows, circ.cols):
-        return False
+        raise DimensionMismatch(
+            f"circuit is {circ.rows}x{circ.cols}, the target has shape {dense.shape}"
+        )
     rest = [f.to_csr() for f in circ.factors[1:]]
     step = max(1, (1 << 20) // max(1, circ.cols))  # 8 MB of int64 per block
     for start in range(0, circ.rows, step):

@@ -2,8 +2,7 @@
 batch sums, disjointness stats, matmul cost, and benchmark CSV sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
-exceeded.  Randomized commands take --seed (default 0) and use the
-package's fixed 64-bit PRNG so output is byte-stable across platforms.
+exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import sys
 from . import circuits, disjoint, mmbridge, rigidity, sparse, vf
 from .errors import (
     CapExceeded,
+    DepthTooSmall,
     DimensionCapExceeded,
     ExceedsBound,
     KronRigidError,
@@ -33,7 +33,7 @@ def _base_factorization(name: str, ctx: FieldCtx):
 
     'auto' picks the base with the lowest wire-growth exponent
     c = log_q(nnz(B) nnz(C)) - 2 among the built-in Hadamard bases,
-    which is h4.
+    which is h4 (`synth` resolves 'auto' for disjointness itself).
     """
     if name == "auto":
         name = "h4"
@@ -59,22 +59,23 @@ def c_from_tf(tf) -> float:
 
 
 def _synth_circuit(family: str, n: int, depth: int, base: str, ctx: FieldCtx):
-    if family == "disjointness" and not base.startswith("js"):
+    """The family's circuit from the named base; n must be a whole number
+    of depth-d lifts of the base, and the base must match the family."""
+    if depth < 2:
+        raise DepthTooSmall("depth must be at least 2")
+    if family == "disjointness" and base == "auto":
         base = f"js:{max(1, n // depth)}"
     tf, digits = _base_factorization(base, ctx)
-    if n % digits:
+    if n % (digits * depth):
         raise ValueError(
-            f"base {base} covers {digits} digits; n = {n} is not a multiple"
+            f"base {base} covers {digits} digits; n = {n} is not a multiple "
+            f"of {digits} x depth {depth}"
         )
-    units = n // digits
-    circ = circuits.symmetrized_depth_d(tf, depth)
-    if units != depth:
-        if units % depth:
-            raise ValueError(
-                f"depth {depth} must divide {units} base units for lifting"
-            )
-        circ = circuits.lift_power(circ, units)
-    return circ, tf
+    if family == "hadamard":
+        unit = rigidity.hadamard_matrix(1, ctx)
+    else:
+        unit = disjoint.disjointness_matrix(1, ctx)
+    return circuits.synthesize(tf, unit, n, depth), tf
 
 
 def _family_target_dense(family: str, n: int, ctx: FieldCtx):
@@ -183,9 +184,12 @@ def cmd_bench(args) -> int:
     ctx = FieldCtx(args.field)
     tf, digits = _base_factorization(args.base, ctx)
     c = c_from_tf(tf)
+    depths = _parse_range(args.depth)
+    if any(d < 2 for d in depths):
+        raise DepthTooSmall("depth must be at least 2")
     print("family,n,N,d,base,wires,trivial_wires,formula_bound,ratio_nlogn")
     for n in _parse_range(args.n):
-        for d in _parse_range(args.depth):
+        for d in depths:
             if n % digits or (n // digits) % d:
                 continue
             units = n // digits
@@ -212,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kronrigid",
         description="Sparse circuit synthesis for Kronecker-power transforms",
     )
-    ap.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    ap.add_argument("--workers", type=int, default=1, help="reserved; always 1")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a circuit")

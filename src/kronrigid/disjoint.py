@@ -28,54 +28,28 @@ MATERIALIZE_CAP = 26  # 2^n dimension guard
 LIST_CAP = 14  # coordinate-list materialization guard
 
 
-def disjointness_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
-    """R_n as a coordinate-list matrix; entries 1 where x AND y = 0."""
+def _rn(n: int, ctx: FieldCtx) -> SparseMatrix:
+    """R_n = R_1^{kron n}; R_0 is the 1x1 matrix [1]."""
     if n > MATERIALIZE_CAP:
         raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
-    if n > LIST_CAP:
+    if n == 0:
+        return sparse.identity(1, ctx)
+    return sparse.kron_power(SparseMatrix.from_dense([[1, 1], [1, 0]], ctx), n)
+
+
+def disjointness_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
+    """R_n over ctx; entries 1 where x AND y = 0."""
+    if LIST_CAP < n <= MATERIALIZE_CAP:
         raise CapExceeded(
             f"n = {n} too large for coordinate lists; use disjointness_csr"
         )
-    one = ctx.one_raw()
-    size = 1 << n
-    entries = []
-    for x in range(size):
-        free = (size - 1) ^ x
-        # enumerate submasks of the complement, descending then 0
-        y = free
-        row = []
-        while True:
-            row.append(y)
-            if y == 0:
-                break
-            y = (y - 1) & free
-        for y in sorted(row):
-            entries.append((x, y, one))
-    return SparseMatrix(size, size, ctx, entries, _checked=True)
+    return _rn(n, ctx)
 
 
 def disjointness_csr(n: int) -> _sp.csr_matrix:
     """R_n as a scipy CSR over the integers (for large-n verification)."""
-    if n > MATERIALIZE_CAP:
-        raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
-    size = 1 << n
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    cols = []
-    for x in range(size):
-        free = (size - 1) ^ x
-        row = []
-        y = free
-        while True:
-            row.append(y)
-            if y == 0:
-                break
-            y = (y - 1) & free
-        row.sort()
-        cols.append(np.array(row, dtype=np.int32))
-        indptr[x + 1] = indptr[x] + len(row)
-    indices = np.concatenate(cols)
-    data = np.ones(len(indices), dtype=np.int64)
-    return _sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    # the 0/1 entries are the same residues in every prime field
+    return _rn(n, FieldCtx(3)).to_csr()
 
 
 def _popcounts(arr: np.ndarray) -> np.ndarray:
@@ -100,8 +74,6 @@ def binom_cum(n: int, k: int, inclusive: bool) -> int:
 class RemovalReport:
     n: int
     k: int
-    removed_rows: frozenset
-    removed_cols: frozenset
     residual_row_nnz: int
     residual_col_nnz: int
     removed_count: int
@@ -128,9 +100,6 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         raise ValueError("need 1 <= k <= n/2")
     if method == "auto":
         method = "scan" if n <= 20 else "count"
-    removed = frozenset(
-        x for x in range(1 << n) if bin(x).count("1") < k
-    ) if n <= MATERIALIZE_CAP else frozenset()
     removed_count = binom_cum(n, k, inclusive=False)
     bound = binom_cum(n - k, n - 2 * k, inclusive=True)
     if method == "count":
@@ -160,9 +129,7 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         row_nnz = col_nnz = best
     else:
         raise ValueError(f"unknown method {method!r}")
-    return RemovalReport(
-        n, k, removed, removed, row_nnz, col_nnz, removed_count, bound, method
-    )
+    return RemovalReport(n, k, row_nnz, col_nnz, removed_count, bound, method)
 
 
 def removal_split_csr(n: int, k: int):
@@ -332,27 +299,11 @@ def js_side_sums(n: int):
     return s, r
 
 
-def rn_depth_d(n: int, d: int, ctx: FieldCtx, base_m: int = None):
-    """Depth-d circuit for R_n built from the partition factorization of
-    a base power R_m, symmetrized and lifted; leftover copies of R_1 ride
-    along in butterfly slots."""
-    if base_m is None:
-        base_m = max(1, n // d)
-    tf = js_factorization(base_m, ctx)
-    circ = circuits.symmetrized_depth_d(tf, d)
-    reps = n // (base_m * d)
-    if reps > 1:
-        circ = circuits.lift_power(circ, d * reps)
-    factors = list(circ.factors)
-    k = n - base_m * d * max(reps, 1)
-    if k:
-        r1 = disjointness_matrix(1, ctx)
-        i2 = sparse.identity(2, ctx)
-        for j in range(d):
-            aug = sparse.kron_all([r1 if j == ell else i2 for ell in range(k)])
-            factors[j] = sparse.kron(factors[j], aug)
-    return circuits.SynchronousCircuit(
-        factors, base=disjointness_matrix(1, ctx), base_power=n
+def rn_depth_d(n: int, d: int, ctx: FieldCtx):
+    """Depth-d circuit for R_n from the partition factorization of the
+    base power R_m, m = max(1, n // d); see circuits.synthesize."""
+    return circuits.synthesize(
+        js_factorization(max(1, n // d), ctx), disjointness_matrix(1, ctx), n, d
     )
 
 

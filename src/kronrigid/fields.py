@@ -165,26 +165,6 @@ class Scalar:
         return bool(self.value)
 
 
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def neg(x: Scalar) -> Scalar:
-    return -x
-
-
-def inv(x: Scalar) -> Scalar:
-    return x.inv()
-
-
 def multiplicative_order(ctx: FieldCtx, x: int, bound: int) -> int:
     """Order of x in F_p*, or 0 if it exceeds ``bound``."""
     acc = x

@@ -51,21 +51,16 @@ class NaiveBackend:
         return out
 
 
-class StrassenBackend:
+class StrassenBackend(NaiveBackend):
     """Strassen recursion on power-of-two squares, padding as needed.
 
-    Below the cutover threshold the multiply is schoolbook.  At
+    Below the cutover threshold the multiply is the schoolbook one.  At
     threshold 1 a 2^a square product uses exactly 7^a multiplications.
     """
 
     def __init__(self, threshold: int = 32):
+        super().__init__()
         self.threshold = threshold
-        self.mults = 0
-        self.adds = 0
-
-    def reset(self):
-        self.mults = 0
-        self.adds = 0
 
     def multiply(self, a, b, ctx):
         m = len(a)
@@ -86,26 +81,6 @@ class StrassenBackend:
         cp = self._rec(ap, bp, ctx)
         return [row[:p] for row in cp[:m]]
 
-    def _naive(self, a, b, ctx):
-        size = len(a)
-        zero = ctx.zero_raw()
-        out = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            arow = a[i]
-            orow = out[i]
-            for kk in range(size):
-                av = arow[kk]
-                brow = b[kk]
-                for j in range(size):
-                    self.mults += 1
-                    prod = ctx.mul_raw(av, brow[j])
-                    if kk == 0:
-                        orow[j] = prod
-                    else:
-                        self.adds += 1
-                        orow[j] = ctx.add_raw(orow[j], prod)
-        return out
-
     def _add(self, x, y, ctx):
         self.adds += len(x) * len(x)
         return [
@@ -121,7 +96,7 @@ class StrassenBackend:
     def _rec(self, a, b, ctx):
         size = len(a)
         if size <= self.threshold or size == 1:
-            return self._naive(a, b, ctx)
+            return super().multiply(a, b, ctx)
         h = size // 2
         def quad(x):
             return (

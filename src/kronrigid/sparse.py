@@ -64,7 +64,7 @@ class IndexCodec:
 class SparseMatrix:
     """Immutable exact sparse matrix over a FieldCtx, stored as CSR arrays."""
 
-    __slots__ = ("rows", "cols", "ctx", "indptr", "indices", "data", "_entries", "_row_map")
+    __slots__ = ("rows", "cols", "ctx", "indptr", "indices", "data", "_entries")
 
     def __init__(self, rows, cols, ctx, entries, _checked=False):
         """Build from (i, j, value) triplets of raw field values.
@@ -130,15 +130,6 @@ class SparseMatrix:
             )
         return self._entries
 
-    def row_map(self):
-        """dict row -> list of (col, value); cached."""
-        if self._row_map is None:
-            rm = {}
-            for i, j, v in self.entries:
-                rm.setdefault(i, []).append((j, v))
-            self._row_map = rm
-        return self._row_map
-
     def get(self, i, j):
         if 0 <= i < self.rows:
             lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -196,7 +187,6 @@ def _init_csr(m, rows, cols, ctx, indptr, indices, data):
     m.rows, m.cols, m.ctx = rows, cols, ctx
     m.indptr, m.indices, m.data = indptr, indices, data
     m._entries = None
-    m._row_map = None
 
 
 def _value_array(values, ctx):

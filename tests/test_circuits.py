@@ -17,8 +17,13 @@ from kronrigid.circuits import (
     two_factor_from_rigidity,
     verify_circuit,
 )
-from kronrigid.disjoint import disjointness_matrix
-from kronrigid.errors import DepthTooSmall, GroupMismatch, UnverifiedInput
+from kronrigid.disjoint import disjointness_matrix, js_factorization
+from kronrigid.errors import (
+    DepthTooSmall,
+    DimensionMismatch,
+    GroupMismatch,
+    UnverifiedInput,
+)
 from kronrigid.fields import FieldCtx
 from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
@@ -139,6 +144,27 @@ def test_synth_depth_d_remainder():
     circ = synth_depth_d(d2, 3, 2)  # 3 units of the 4x4 base, depth 2
     assert circ.product() == hadamard_matrix(6, F5)
     assert circ.depth == 2
+
+
+def test_synthesize_remainder_in_butterfly_slots():
+    # n = 10 over the 4-digit h4 base at depth 2: one lifted unit of 8
+    # digits, and the 2 digits left over split one per factor
+    circ = circuits.synthesize(h4_tf(), hadamard_matrix(1, F5), 10, 2)
+    assert circ.depth == 2
+    assert circuits.verify_against_dense(circ, circuits.hadamard_dense_np(10))
+
+
+def test_synthesize_rejects_a_base_of_another_unit():
+    with pytest.raises(ValueError):
+        circuits.synthesize(h4_tf(), disjointness_matrix(1, F5), 8, 2)
+    with pytest.raises(ValueError):
+        circuits.synthesize(js_factorization(4, F5), hadamard_matrix(1, F5), 8, 2)
+
+
+def test_verify_against_dense_shape_mismatch():
+    circ = synth_depth_d(rigidity.h2_rank1_decomposition(F5), 2, 2)
+    with pytest.raises(DimensionMismatch):
+        circuits.verify_against_dense(circ, circuits.hadamard_dense_np(5))
 
 
 def test_butterfly_h8():
@@ -315,9 +341,7 @@ def test_product_exact_at_largest_prime():
 
 def test_synth_save_load_verify_build_no_entry_tuples(tmp_path):
     # the array paths never materialize the per-entry tuple view
-    from kronrigid.cli import _synth_circuit
-
-    circ, _ = _synth_circuit("hadamard", 8, 2, "h4", F5)
+    circ = circuits.synthesize(h4_tf(), hadamard_matrix(1, F5), 8, 2)
     path = tmp_path / "h8.circ"
     circuits.save_circuit(circ, path)
     loaded = circuits.load_circuit(path)

@@ -147,6 +147,33 @@ def test_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,base", [("hadamard", "js:4"), ("disjointness", "h4")])
+def test_base_of_another_family_is_a_usage_error(capsys, family, base):
+    rc = main(["synth", "--family", family, "--n", "8", "--depth", "2", "--base", base])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--family", "hadamard", "--n", "8", "--depth", "0"],
+    ["synth", "--family", "disjointness", "--n", "8", "--depth", "0"],
+])
+def test_depth_below_two_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_against_the_wrong_n_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "h8.circ")
+    assert main(
+        ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", path]
+    ) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--circuit", path, "--family", "hadamard", "--n", "6"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cap_exit_code(tmp_path, capsys):
     path = str(tmp_path / "h8.circ")
     assert main(

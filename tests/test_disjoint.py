@@ -47,7 +47,7 @@ def test_rn_nnz_3_pow_n():
 def test_csr_agrees_with_list():
     import numpy as np
 
-    for n in (1, 3, 6):
+    for n in (0, 1, 3, 6):
         m = disjointness_matrix(n, F5)
         c = disjointness_csr(n)
         dense = np.zeros((2**n, 2**n), dtype=np.int64)
@@ -188,8 +188,18 @@ def test_rn_depth_3():
 
 
 def test_rn_depth_remainder():
-    circ = rn_depth_d(5, 2, F5)
-    assert circ.product() == disjointness_matrix(5, F5)
+    # (1, 2) and (3, 4) have n < d: every digit rides in a butterfly slot
+    for n, d in [(5, 2), (1, 2), (3, 4)]:
+        circ = rn_depth_d(n, d, F5)
+        assert circ.product() == disjointness_matrix(n, F5)
+
+
+def test_synthesize_remainder_of_at_least_depth():
+    # R_7 from the R_2 base at depth 2: one lifted unit of 4 digits, and
+    # the k = 3 >= d digits left over split 2 + 1 over the factors
+    tf = js_factorization(2, F5)
+    circ = circuits.synthesize(tf, disjointness_matrix(1, F5), 7, 2)
+    assert circ.product() == disjointness_matrix(7, F5)
 
 
 def test_entropy_values():
