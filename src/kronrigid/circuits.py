@@ -240,6 +240,17 @@ def pow_raw(ctx, x, k):
     return acc
 
 
+def unit_power(tf: TwoFactorization, unit: SparseMatrix) -> int:
+    """The t with tf.target = unit^{kron t}; ValueError if there is none."""
+    q = unit.rows
+    t = max(1, round(math.log(tf.q, q)))
+    if kron_power(unit, t) != tf.target:
+        raise ValueError(
+            f"the two-factorization is not of a Kronecker power of the {q}x{q} unit"
+        )
+    return t
+
+
 def synthesize(
     tf: TwoFactorization, unit: SparseMatrix, n: int, d: int
 ) -> SynchronousCircuit:
@@ -255,11 +266,7 @@ def synthesize(
     if n < 1:
         raise ValueError("n must be positive")
     q, ctx = unit.rows, unit.ctx
-    t = max(1, round(math.log(tf.q, q)))
-    if kron_power(unit, t) != tf.target:
-        raise ValueError(
-            f"the two-factorization is not of a Kronecker power of the {q}x{q} unit"
-        )
+    t = unit_power(tf, unit)
     reps, k = divmod(n, t * d)
     if reps:
         factors = list(lift_power(symmetrized_depth_d(tf, d), reps * d).factors)

@@ -71,11 +71,14 @@ def _synth_circuit(family: str, n: int, depth: int, base: str, ctx: FieldCtx):
             f"base {base} covers {digits} digits; n = {n} is not a multiple "
             f"of {digits} x depth {depth}"
         )
+    return circuits.synthesize(tf, _family_unit(family, ctx), n, depth), tf
+
+
+def _family_unit(family: str, ctx: FieldCtx):
+    """The 2x2 matrix whose Kronecker powers make up the family."""
     if family == "hadamard":
-        unit = rigidity.hadamard_matrix(1, ctx)
-    else:
-        unit = disjoint.disjointness_matrix(1, ctx)
-    return circuits.synthesize(tf, unit, n, depth), tf
+        return rigidity.hadamard_matrix(1, ctx)
+    return disjoint.disjointness_matrix(1, ctx)
 
 
 def _family_target_dense(family: str, n: int, ctx: FieldCtx):
@@ -183,6 +186,7 @@ def _parse_range(spec: str):
 def cmd_bench(args) -> int:
     ctx = FieldCtx(args.field)
     tf, digits = _base_factorization(args.base, ctx)
+    circuits.unit_power(tf, _family_unit(args.family, ctx))
     c = c_from_tf(tf)
     depths = _parse_range(args.depth)
     if any(d < 2 for d in depths):

@@ -301,9 +301,10 @@ def js_side_sums(n: int):
 
 def rn_depth_d(n: int, d: int, ctx: FieldCtx):
     """Depth-d circuit for R_n from the partition factorization of the
-    base power R_m, m = max(1, n // d); see circuits.synthesize."""
+    base power R_m, m = max(1, n // d); see circuits.synthesize, which
+    rejects d < 2."""
     return circuits.synthesize(
-        js_factorization(max(1, n // d), ctx), disjointness_matrix(1, ctx), n, d
+        js_factorization(max(1, n // max(d, 1)), ctx), disjointness_matrix(1, ctx), n, d
     )
 
 

@@ -40,7 +40,7 @@ class WorkCapExceeded(KronRigidError):
         self.estimated_work = estimated_work
         self.cap = cap
         super().__init__(
-            f"estimated enumeration count {estimated_work} exceeds work cap {cap}"
+            f"estimated work {estimated_work} (candidates x cells) exceeds work cap {cap}"
         )
 
 

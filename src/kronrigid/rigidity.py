@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from . import sparse
 from .errors import (
@@ -26,7 +27,9 @@ from .errors import (
 from .fields import FieldCtx, primitive_root_of_unity
 from .sparse import SparseMatrix
 
-DEFAULT_WORK_CAP = 10_000_000
+# Work is candidates times matrix cells, since every candidate costs one
+# elimination of the whole matrix: 10^7 candidates of a 4x4 matrix.
+DEFAULT_WORK_CAP = 16 * 10_000_000
 
 
 @dataclass(frozen=True)
@@ -70,46 +73,17 @@ def low_rank_factor(m: SparseMatrix, r: int):
     """
     ctx = m.ctx
     dense = m.to_dense()
-    rows, cols = m.rows, m.cols
     rref = [list(row) for row in dense]
-    pivots = []
-    rr = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rr, rows):
-            if rref[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rref[rr], rref[piv] = rref[piv], rref[rr]
-        inv = ctx.inv_raw(rref[rr][c])
-        rref[rr] = [ctx.mul_raw(v, inv) for v in rref[rr]]
-        prow = rref[rr]
-        for i in range(rows):
-            if i != rr and rref[i][c]:
-                f = rref[i][c]
-                rref[i] = [
-                    ctx.sub_raw(v, ctx.mul_raw(f, pv))
-                    for v, pv in zip(rref[i], prow)
-                ]
-        pivots.append(c)
-        rr += 1
-    if rr > r:
-        raise ValueError(f"rank {rr} exceeds requested bound {r}")
-    b_entries = []
-    for k, c in enumerate(pivots):
-        for i in range(rows):
-            if dense[i][c]:
-                b_entries.append((i, k, dense[i][c]))
-    c_entries = []
-    for k in range(rr):
-        for j in range(cols):
-            if rref[k][j]:
-                c_entries.append((k, j, rref[k][j]))
-    b = SparseMatrix(rows, r, ctx, sorted(b_entries), _checked=True)
-    cmat = SparseMatrix(r, cols, ctx, sorted(c_entries), _checked=True)
-    return b, cmat
+    pivots = sparse._eliminate(rref, ctx)
+    rank = len(pivots)
+    if rank > r:
+        raise ValueError(f"rank {rank} exceeds requested bound {r}")
+    b = [(i, k, row[c]) for i, row in enumerate(dense) for k, c in enumerate(pivots)]
+    c = [(k, j, v) for k, row in enumerate(rref[:rank]) for j, v in enumerate(row)]
+    return (
+        SparseMatrix.from_triplets(m.rows, r, ctx, b),
+        SparseMatrix.from_triplets(r, m.cols, ctx, c),
+    )
 
 
 def decomposition_from_low_rank(
@@ -123,42 +97,6 @@ def decomposition_from_low_rank(
 # -- brute-force search -------------------------------------------------
 
 
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
-
-
-def _rank_le(dense, ctx, r) -> bool:
-    """True iff rank <= r; elimination aborts as soon as r is exceeded."""
-    rows = [list(row) for row in dense]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rr = 0
-    for c in range(n):
-        piv = None
-        for i in range(rr, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rr += 1
-        if rr > r:
-            return False
-        rows[rr - 1], rows[piv] = rows[piv], rows[rr - 1]
-        prow = rows[rr - 1]
-        inv = ctx.inv_raw(prow[c])
-        for i in range(rr, m):
-            f = rows[i][c]
-            if f:
-                f = ctx.mul_raw(f, inv)
-                row = rows[i]
-                for j in range(c, n):
-                    row[j] = ctx.sub_raw(row[j], ctx.mul_raw(f, prow[j]))
-    return True
-
-
 def brute_force_rigidity(
     m: SparseMatrix, r: int, max_changes: int, work_cap: int = DEFAULT_WORK_CAP
 ):
@@ -167,14 +105,18 @@ def brute_force_rigidity(
     Enumerates change-support patterns in increasing size (lexicographic
     within a size) and all field values on the changed cells; the first
     hit wins, so output is deterministic.  Returns (minimum, witness);
-    raises ExceedsBound if no pattern of size <= max_changes works.
+    raises ExceedsBound if no pattern of size <= max_changes works, and
+    WorkCapExceeded up front if the candidates times the matrix cells
+    exceed work_cap.
     """
     ctx = m.ctx
     if not ctx.is_prime_field:
         raise RationalUnsupported("brute-force search needs a small prime field")
+    if r < 0 or max_changes < 0:
+        raise ValueError("rank bound and change budget must be non-negative")
     p = ctx.modulus
     cells = m.rows * m.cols
-    est = sum(_binom(cells, k) * (p - 1) ** k for k in range(max_changes + 1))
+    est = cells * sum(comb(cells, k) * (p - 1) ** k for k in range(max_changes + 1))
     if est > work_cap:
         raise WorkCapExceeded(est, work_cap)
     dense = m.to_dense()
@@ -191,8 +133,7 @@ def brute_force_rigidity(
             for assignment in product(*choices):
                 for (i, j), v in zip(coords, assignment):
                     dense[i][j] = v
-                ok = _rank_le(dense, ctx, r)
-                if ok:
+                if len(sparse._eliminate([list(row) for row in dense], ctx, r)) <= r:
                     low = SparseMatrix.from_dense(dense, ctx)
                     for (i, j), v in zip(coords, originals):
                         dense[i][j] = v

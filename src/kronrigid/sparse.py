@@ -23,13 +23,8 @@ import scipy.sparse as _sp
 from .errors import ContextMismatch, DimensionCapExceeded, DimensionMismatch
 from .fields import FieldCtx
 
-# Guardrail against accidental q**n explosion; configurable.
+# Guardrail against accidental q**n explosion.
 DIMENSION_CAP = 2**26
-
-
-def set_dimension_cap(cap: int) -> None:
-    global DIMENSION_CAP
-    DIMENSION_CAP = cap
 
 
 @dataclass(frozen=True)
@@ -510,67 +505,44 @@ def apply(a: SparseMatrix, x) -> list:
 
 def rank(a: SparseMatrix) -> int:
     """Exact rank by Gaussian elimination (modular or over the rationals)."""
-    dense = a.to_dense()
-    if a.ctx.is_prime_field:
-        return _rank_modp(dense, a.ctx.modulus)
-    return _rank_fraction(dense)
+    return len(_eliminate(a.to_dense(), a.ctx))
 
 
-def _rank_modp(dense, p: int) -> int:
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if dense[i][c]:
-                pivot = i
+def _eliminate(rows, ctx: FieldCtx, stop_above=None) -> list:
+    """Reduce dense rows of raw values to reduced row echelon form, in
+    place, and return the pivot columns; the first len(pivots) rows are
+    then the nonzero RREF rows.
+
+    With stop_above=r, return as soon as pivot r + 1 is found (the rows
+    are then only partly reduced), so len(pivots) <= r iff rank <= r.
+    """
+    p = ctx.modulus
+
+    def minus(row, f, prow):  # row - f * prow, entrywise
+        if p:
+            return [(v - f * w) % p for v, w in zip(row, prow)]
+        return [v - f * w for v, w in zip(row, prow)]
+
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        for piv in range(k, len(rows)):
+            if rows[piv][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        inv = pow(dense[r][c], -1, p)
-        prow = dense[r]
-        for i in range(r + 1, m):
-            f = dense[i][c]
-            if f:
-                f = f * inv % p
-                row = dense[i]
-                for j in range(c, n):
-                    row[j] = (row[j] - f * prow[j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_fraction(dense) -> int:
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    dense = [[Fraction(v) for v in row] for row in dense]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if dense[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        prow = dense[r]
-        inv = 1 / prow[c]
-        for i in range(r + 1, m):
-            f = dense[i][c]
-            if f:
-                f = f * inv
-                row = dense[i]
-                for j in range(c, n):
-                    row[j] -= f * prow[j]
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(c)
+        if stop_above is not None and k >= stop_above:
+            return pivots
+        prow, rows[piv] = rows[piv], rows[k]
+        inv = ctx.inv_raw(prow[c])
+        if inv != 1:  # v - (1 - inv) v = inv v: scale to a leading 1
+            prow = minus(prow, ctx.sub_raw(1, inv), prow)
+        rows[k] = prow
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = minus(row, row[c], prow)
+    return pivots
 
 
 # -- text format --------------------------------------------------------
@@ -590,6 +562,8 @@ def _format_value(v) -> str:
 def _parse_value(s: str, ctx: FieldCtx):
     if "/" in s:
         num, den = s.split("/")
+        if not int(den):
+            raise ValueError(f"zero denominator in {s!r}")
         return ctx.coerce(Fraction(int(num), int(den)))
     return ctx.coerce(int(s))
 
@@ -615,8 +589,13 @@ def _parse_entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> 
 
     Raises ValueError unless the numbers come in triplets (exactly nnz of
     them, when nnz is given), all in bounds, with nonzero values at
-    distinct positions.
+    distinct positions.  A shape beyond DIMENSION_CAP raises
+    DimensionCapExceeded before anything of that size is allocated.
     """
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative shape {rows}x{cols}")
+    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
+        raise DimensionCapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
     try:
         flat = np.fromstring(text, dtype=np.int64, sep=" ")
         info = np.iinfo(np.int64)

@@ -370,6 +370,8 @@ def dump_truthtable(f: TruthTable) -> str:
 
 def parse_truthtable(text: str) -> TruthTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty truth-table file")
     tag, q, n, field = lines[0].split()
     if tag != "truthtable":
         raise ValueError("not a truth-table file")

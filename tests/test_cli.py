@@ -86,6 +86,50 @@ def test_rigidity_bound_too_small(tmp_path, capsys):
     assert "no decomposition" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rank,changes", [(-1, 0), (1, -1)])
+def test_rigidity_negative_bounds_are_usage_errors(tmp_path, capsys, rank, changes):
+    mat = tmp_path / "h2.mat"
+    sparse.save_matrix(hadamard_matrix(2, F5), mat)
+    argv = ["rigidity", "--matrix", str(mat), "--rank", str(rank), "--max-changes", str(changes)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rigidity_work_counts_matrix_cells(tmp_path, capsys):
+    # 4 x 4000 has 16001 one-change candidates, each an elimination of
+    # 16000 cells: over the cap, though the candidate count alone is not
+    mat = tmp_path / "wide.mat"
+    text = sparse.dump_matrix(hadamard_matrix(2, F5))
+    mat.write_text("4 4000 5\n" + text.split("\n", 1)[1])
+    rc = main(["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "1"])
+    assert rc == 3
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,rc", [("4294967296 4 5", 3), ("4 -1 5", 2)])
+def test_matrix_shape_out_of_range(tmp_path, capsys, header, rc):
+    mat = tmp_path / "bad.mat"
+    mat.write_text(header + "\n0 0 1\n")
+    assert main(["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "0"]) == rc
+    assert capsys.readouterr().err.startswith(("error:", "cap exceeded:"))
+
+
+@pytest.mark.parametrize("text", ["", "truthtable 2 1 0\n1/0\n3\n"])
+def test_bad_truth_table_is_a_usage_error(tmp_path, capsys, text):
+    ftab, pts = tmp_path / "f.tt", tmp_path / "pts.txt"
+    ftab.write_text(text)
+    pts.write_text("0\n")
+    assert main(["batch", "--f", str(ftab), "--points", str(pts)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_zero_denominator_in_a_matrix_is_a_usage_error(tmp_path, capsys):
+    mat = tmp_path / "q.mat"
+    mat.write_text("2 2 0\n0 0 1/0\n")
+    assert main(["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_batch_command(tmp_path, capsys):
     f = TruthTable(2, 2, F5, (1, 0, 0, 0))
     ftab = tmp_path / "f.tt"
@@ -152,6 +196,16 @@ def test_base_of_another_family_is_a_usage_error(capsys, family, base):
     rc = main(["synth", "--family", family, "--n", "8", "--depth", "2", "--base", base])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "hadamard", "--base", "js:4"],
+    ["--family", "disjointness"],  # the default base, h4
+])
+def test_bench_base_of_another_family_is_a_usage_error(capsys, argv):
+    assert main(["bench", "--n", "8", "--depth", "2"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

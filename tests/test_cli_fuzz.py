@@ -1,0 +1,94 @@
+"""Fuzz the file readers through the CLI: truncated or mutated matrix,
+truth-table and circuit files end with an exit code, never a traceback."""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronrigid import circuits, rigidity, sparse, vf
+from kronrigid.cli import main
+from kronrigid.fields import RATIONALS, FieldCtx
+from kronrigid.sparse import SparseMatrix
+
+F5 = FieldCtx(5)
+EXIT_CODES = {0, 1, 2, 3}
+
+# Edits of a valid file: cut it at a position, delete a short run of
+# characters, or insert characters the formats are made of.  Insertions
+# are short, so a declared shape grows to at most 7 digits and a run stays
+# small; shapes beyond the dimension cap have their own test in test_cli.
+CUT = st.tuples(st.just("cut"), st.integers(0, 2**16))
+DELETE = st.tuples(st.just("del"), st.integers(0, 2**16), st.integers(1, 8))
+INSERT = st.tuples(
+    st.just("ins"), st.integers(0, 2**16), st.text("0123456789 -/\nfx", min_size=1, max_size=2)
+)
+EDITS = st.lists(st.one_of(CUT, DELETE, INSERT), min_size=1, max_size=3)
+
+
+def mutate(text, edits):
+    for edit in edits:
+        at = edit[1] % (len(text) + 1)
+        if edit[0] == "cut":
+            text = text[:at]
+        elif edit[0] == "del":
+            text = text[:at] + text[at + edit[2]:]
+        else:
+            text = text[:at] + edit[2] + text[at:]
+    return text
+
+
+def _valid_files():
+    q_matrix = SparseMatrix.from_dense([[Fraction(1, 2), 0], [-3, Fraction(-5, 7)]], RATIONALS)
+    circ = circuits.synth_depth_d(rigidity.h2_rank1_decomposition(F5), 2, 2)  # H_4
+    return {
+        "matrix": [sparse.dump_matrix(rigidity.hadamard_matrix(2, F5)), sparse.dump_matrix(q_matrix)],
+        "truthtable": [
+            vf.dump_truthtable(vf.TruthTable(2, 2, F5, (1, 0, 3, 4))),
+            vf.dump_truthtable(vf.TruthTable(2, 2, RATIONALS, tuple(
+                Fraction(v) for v in ("1/2", "0", "-3", "5/7")))),
+        ],
+        "circuit": [circuits.dump_circuit(circ)],
+    }
+
+
+VALID = _valid_files()
+
+
+def _argv(kind, path, points):
+    if kind == "matrix":
+        return ["rigidity", "--matrix", path, "--rank", "1", "--max-changes", "1"]
+    if kind == "truthtable":
+        return ["batch", "--f", path, "--points", points]
+    return ["verify", "--circuit", path, "--family", "hadamard", "--n", "4"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "points.txt").write_text("00\n01\n11\n")
+    return d
+
+
+def test_the_unmutated_files_are_valid():
+    for text in VALID["matrix"]:
+        sparse.parse_matrix(text)
+    for text in VALID["truthtable"]:
+        vf.parse_truthtable(text)
+    for text in VALID["circuit"]:
+        circuits.parse_circuit(text)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_file_ends_with_an_exit_code(workdir, kind, data):
+    text = data.draw(st.sampled_from(VALID[kind]))
+    path = workdir / f"fuzz_{kind}"
+    path.write_text(mutate(text, data.draw(EDITS)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(_argv(kind, str(path), str(workdir / "points.txt")))
+    assert rc in EXIT_CODES

@@ -20,7 +20,7 @@ from kronrigid.disjoint import (
     rn_rigidity_decomposition,
     validate_partition,
 )
-from kronrigid.errors import CapExceeded
+from kronrigid.errors import CapExceeded, DepthTooSmall
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix
 
@@ -192,6 +192,12 @@ def test_rn_depth_remainder():
     for n, d in [(5, 2), (1, 2), (3, 4)]:
         circ = rn_depth_d(n, d, F5)
         assert circ.product() == disjointness_matrix(n, F5)
+
+
+@pytest.mark.parametrize("d", [0, 1, -2])
+def test_rn_depth_below_two(d):
+    with pytest.raises(DepthTooSmall):
+        rn_depth_d(4, d, F5)
 
 
 def test_synthesize_remainder_of_at_least_depth():

@@ -102,18 +102,14 @@ def test_kron_nnz_multiplicativity():
         assert k.nnz_c == a.nnz_c * b.nnz_c
 
 
-def test_kron_ctx_mismatch_and_cap():
+def test_kron_ctx_mismatch_and_cap(monkeypatch):
     a = sparse.identity(2, F5)
     b = sparse.identity(2, F7)
     with pytest.raises(ContextMismatch):
         sparse.kron(a, b)
-    old = sparse.DIMENSION_CAP
-    sparse.set_dimension_cap(3)
-    try:
-        with pytest.raises(DimensionCapExceeded):
-            sparse.kron(sparse.identity(2, F5), sparse.identity(2, F5))
-    finally:
-        sparse.set_dimension_cap(old)
+    monkeypatch.setattr(sparse, "DIMENSION_CAP", 3)
+    with pytest.raises(DimensionCapExceeded):
+        sparse.kron(sparse.identity(2, F5), sparse.identity(2, F5))
 
 
 def test_matmul_r1_inverse():

@@ -1,13 +1,15 @@
 """Property tests of the sparse kernels against a dense pure-Python reference,
-and of the text formats, over F_5, F_(2^31 - 1) and Q."""
+of Gaussian elimination, and of the text formats, over F_5, F_(2^31 - 1)
+and Q."""
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronrigid import circuits, sparse
+from kronrigid import circuits, rigidity, sparse
 from kronrigid.circuits import SynchronousCircuit
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
@@ -166,6 +168,73 @@ def test_add_sub_cancel_to_canonical(data):
     check(sparse.add_mat(a, b),
           [[_add(p, x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(d1, d2)], rows, cols)
     assert sparse.sub_mat(a, a).nnz == 0
+
+
+# -- elimination ------------------------------------------------------------
+
+
+@PROPS
+@given(st.data())
+def test_rank_of_transpose(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = to_sparse(data.draw(dense(ctx, rows, cols)), rows, cols, ctx)
+    assert sparse.rank(m) == sparse.rank(sparse.transpose(m)) <= min(rows, cols)
+
+
+@PROPS
+@given(st.data())
+def test_rank_of_product_at_most_inner_dimension(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, inner, cols = (data.draw(st.integers(0, n)) for n in (5, 3, 5))
+    x = to_sparse(data.draw(dense(ctx, rows, inner)), rows, inner, ctx)
+    y = to_sparse(data.draw(dense(ctx, inner, cols)), inner, cols, ctx)
+    assert sparse.rank(sparse.matmul(x, y)) <= inner
+
+
+@PROPS
+@given(st.data())
+def test_low_rank_factor_at_the_rank(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = to_sparse(data.draw(dense(ctx, rows, cols)), rows, cols, ctx)
+    r = sparse.rank(m)
+    for bound in (r, r + data.draw(st.integers(1, 2))):
+        b, c = rigidity.low_rank_factor(m, bound)
+        assert (b.rows, b.cols, c.rows, c.cols) == (rows, bound, bound, cols)
+        assert sparse.matmul(b, c) == m
+    if r:
+        with pytest.raises(ValueError):
+            rigidity.low_rank_factor(m, r - 1)
+
+
+@PROPS
+@given(st.data())
+def test_eliminate_leaves_the_rref(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    reduced = [list(row) for row in data.draw(dense(ctx, rows, cols))]
+    pivots = sparse._eliminate(reduced, ctx)
+    assert pivots == sorted(set(pivots))
+    for k, row in enumerate(reduced):
+        if k >= len(pivots):
+            assert not any(row)
+            continue
+        assert not any(row[: pivots[k]]) and row[pivots[k]] == 1
+        assert [reduced[i][pivots[k]] for i in range(len(pivots)) if i != k] == [0] * (len(pivots) - 1)
+
+
+@PROPS
+@given(st.data())
+def test_eliminate_stops_above_the_bound(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    d = data.draw(dense(ctx, rows, cols))
+    rank = sparse.rank(to_sparse(d, rows, cols, ctx))
+    r = data.draw(st.integers(0, 5))
+    pivots = sparse._eliminate([list(row) for row in d], ctx, stop_above=r)
+    assert (len(pivots) == r + 1) == (rank > r)
+    assert len(pivots) == min(rank, r + 1)
 
 
 # -- text formats -------------------------------------------------------------
