@@ -470,12 +470,13 @@ def verify_circuit(circ: SynchronousCircuit, target: SparseMatrix) -> dict:
 
 
 def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
-    """Compare the circuit product with a dense int array, both mod p.
+    """Compare the circuit product with a dense int array, mod p over F_p
+    and exactly over Q.
 
-    The fast path for targets too large to hold as coordinate lists.  The
-    product is formed one block of rows at a time, so no dense copy of all
-    of it is held beside the target.  A target of another shape raises
-    DimensionMismatch.
+    The fast path for targets too large to hold as coordinate lists.  Over
+    F_p the product is formed one block of rows at a time, so no dense copy
+    of all of it is held beside the target.  A target of another shape
+    raises DimensionMismatch.
     """
     p = circ.ctx.modulus
     dense = np.asarray(dense)
@@ -483,6 +484,8 @@ def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
         raise DimensionMismatch(
             f"circuit is {circ.rows}x{circ.cols}, the target has shape {dense.shape}"
         )
+    if not p:
+        return circ.product().to_dense() == dense.tolist()
     rest = [f.to_csr() for f in circ.factors[1:]]
     step = max(1, (1 << 20) // max(1, circ.cols))  # 8 MB of int64 per block
     for start in range(0, circ.rows, step):
@@ -531,21 +534,19 @@ def parse_circuit(text: str) -> SynchronousCircuit:
     Each factor block must hold exactly its sub-header's nnz entries, and
     the header's depth, shape and wire count must match the factors.
     """
-    header, *blocks = text.split("\nfactor")
-    fields = header.split()
-    if len(fields) != 6 or fields[0] != "circuit":
-        raise ValueError("not a circuit file")
-    depth, rows, cols, field, wires = (int(x) for x in fields[1:])
+    head, *blocks = sparse._blocks(text.lstrip(), "factor")
+    (depth, rows, cols, field, wires), rest = sparse._header(head, "circuit", 5)
+    if rest.strip():
+        raise ValueError("text between the header and the first factor")
     ctx = FieldCtx(field)
     if len(blocks) != depth:
         raise ValueError(f"header says {depth} factors, the file has {len(blocks)}")
     factors = []
     for idx, block in enumerate(blocks):
-        sub, _, body = block.partition("\n")
-        fidx, frows, fcols, fnnz = sparse._int_fields(sub, 4, "factor sub-header")
+        (fidx, frows, fcols, fnnz), body = sparse._header(block, None, 4)
         if fidx != idx:
             raise ValueError(f"factor {fidx} found where factor {idx} belongs")
-        factors.append(sparse._parse_entries(body, frows, fcols, ctx, fnnz))
+        factors.append(sparse._entries(body, frows, fcols, ctx, fnnz))
     circ = SynchronousCircuit(factors)
     if (circ.rows, circ.cols) != (rows, cols):
         raise ValueError("header shape does not match factors")

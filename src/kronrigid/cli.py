@@ -28,15 +28,18 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _base_factorization(name: str, ctx: FieldCtx):
-    """Resolve a base name to (two-factorization, digits it covers).
+def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCtx):
+    """Resolve --base to (two-factorization, digits it covers) for the
+    family's depth-d circuit on n digits.
 
-    'auto' picks the base with the lowest wire-growth exponent
-    c = log_q(nnz(B) nnz(C)) - 2 among the built-in Hadamard bases,
-    which is h4 (`synth` resolves 'auto' for disjointness itself).
+    'auto' is h4 for hadamard, the built-in Hadamard base with the lowest
+    wire-growth exponent c, and js:max(1, n // d) for disjointness.
+    Whether the base fits the family is checked by circuits.unit_power.
     """
+    if depth < 2:
+        raise DepthTooSmall("depth must be at least 2")
     if name == "auto":
-        name = "h4"
+        name = "h4" if family == "hadamard" else f"js:{max(1, n // depth)}"
     if name == "h2":
         dec = rigidity.h2_rank1_decomposition(ctx)
         return circuits.two_factor_from_rigidity(dec), 2
@@ -53,25 +56,12 @@ def _base_factorization(name: str, ctx: FieldCtx):
     raise ValueError(f"unknown base {name!r}")
 
 
-def c_from_tf(tf) -> float:
-    q = tf.q
-    return math.log(tf.B.nnz * tf.C.nnz, q) - 2
-
-
-def _synth_circuit(family: str, n: int, depth: int, base: str, ctx: FieldCtx):
-    """The family's circuit from the named base; n must be a whole number
-    of depth-d lifts of the base, and the base must match the family."""
-    if depth < 2:
-        raise DepthTooSmall("depth must be at least 2")
-    if family == "disjointness" and base == "auto":
-        base = f"js:{max(1, n // depth)}"
-    tf, digits = _base_factorization(base, ctx)
-    if n % (digits * depth):
-        raise ValueError(
-            f"base {base} covers {digits} digits; n = {n} is not a multiple "
-            f"of {digits} x depth {depth}"
-        )
-    return circuits.synthesize(tf, _family_unit(family, ctx), n, depth), tf
+def _wire_numbers(tf, n: int, depth: int):
+    """(trivial, bound) for a depth-d circuit of N = 2^n, d | n: the wires
+    of the depth-d butterfly and the formula bound d N^(1 + c/d), where
+    c = log_q(nnz(B) nnz(C)) - 2 is the base's wire-growth exponent."""
+    c = math.log(tf.B.nnz * tf.C.nnz, tf.q) - 2
+    return circuits.butterfly_wire_count(2, n, depth), depth * (2**n) ** (1 + c / depth)
 
 
 def _family_unit(family: str, ctx: FieldCtx):
@@ -93,14 +83,14 @@ def _family_target_dense(family: str, n: int, ctx: FieldCtx):
 
 def cmd_synth(args) -> int:
     ctx = FieldCtx(args.field)
-    circ, tf = _synth_circuit(args.family, args.n, args.depth, args.base, ctx)
-    n2 = int(math.log2(circ.rows))
-    if n2 % args.depth == 0:
-        trivial = circuits.butterfly_wire_count(2, n2, args.depth)
-    else:
-        trivial = round(args.depth * circ.rows * 2 ** (n2 / args.depth))
-    c = c_from_tf(tf)
-    bound = args.depth * circ.rows ** (1 + c / args.depth)
+    tf, digits = _base_factorization(args.family, args.base, args.n, args.depth, ctx)
+    if args.n % (digits * args.depth):
+        raise ValueError(
+            f"base {args.base} covers {digits} digits; n = {args.n} is not a multiple "
+            f"of {digits} x depth {args.depth}"
+        )
+    circ = circuits.synthesize(tf, _family_unit(args.family, ctx), args.n, args.depth)
+    trivial, bound = _wire_numbers(tf, args.n, args.depth)
     print(
         f"family={args.family} n={args.n} d={args.depth} wires={circ.wires} "
         f"trivial={trivial} bound={bound:.1f}"
@@ -140,7 +130,7 @@ def cmd_batch(args) -> int:
     answers, ops = vf.batch_sums(table, points, convention=args.convention)
     width = table.n
     for p in points:
-        print(f"{p:0{width}b} {sparse._format_value(answers[p].value)}")
+        print(f"{p:0{width}b} {answers[p].value}")
     print(f"adds={ops['adds']} mults={ops['mults']}", file=sys.stderr)
     return EXIT_OK
 
@@ -185,33 +175,23 @@ def _parse_range(spec: str):
 
 def cmd_bench(args) -> int:
     ctx = FieldCtx(args.field)
-    tf, digits = _base_factorization(args.base, ctx)
-    circuits.unit_power(tf, _family_unit(args.family, ctx))
-    c = c_from_tf(tf)
-    depths = _parse_range(args.depth)
-    if any(d < 2 for d in depths):
-        raise DepthTooSmall("depth must be at least 2")
-    print("family,n,N,d,base,wires,trivial_wires,formula_bound,ratio_nlogn")
+    unit = _family_unit(args.family, ctx)
+    rows = []
     for n in _parse_range(args.n):
-        for d in depths:
-            if n % digits or (n // digits) % d:
+        for d in _parse_range(args.depth):
+            tf, digits = _base_factorization(args.family, args.base, n, d, ctx)
+            circuits.unit_power(tf, unit)
+            if n % (digits * d):
                 continue
-            units = n // digits
             per = circuits.symmetrized_factor_nnz(tf, d)
-            wires = sum(b ** (units // d) for b in per)
-            big_n = tf.q**units
-            n2 = int(math.log2(big_n))
-            trivial = (
-                circuits.butterfly_wire_count(2, n2, d)
-                if n2 % d == 0
-                else d * big_n * 2 ** (n2 / d)
-            )
-            bound = d * big_n ** (1 + c / d)
-            ratio = wires / (big_n * math.log2(big_n))
-            print(
-                f"{args.family},{n},{big_n},{d},{args.base},{wires},"
+            wires = sum(b ** (n // digits // d) for b in per)
+            trivial, bound = _wire_numbers(tf, n, d)
+            ratio = wires / (2**n * n)
+            rows.append(
+                f"{args.family},{n},{2**n},{d},{args.base},{wires},"
                 f"{trivial},{bound:.1f},{ratio:.6f}"
             )
+    print("\n".join(["family,n,N,d,base,wires,trivial_wires,formula_bound,ratio_nlogn", *rows]))
     return EXIT_OK
 
 

@@ -287,6 +287,8 @@ def dft_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
 
 
 def dump_witness(d: RigidityDecomposition) -> str:
+    if not d.target.is_square:  # the header states one size
+        raise NotSquare(f"a witness file holds a square target, not {d.target.rows}x{d.target.cols}")
     header = (
         f"rigidity {d.target.rows} {d.rank_bound} {d.changes} "
         f"{d.target.ctx.modulus}"
@@ -296,25 +298,29 @@ def dump_witness(d: RigidityDecomposition) -> str:
 
 
 def parse_witness(text: str) -> RigidityDecomposition:
-    head, rest = text.split("\n", 1)
-    tag, q, r, changes, field = head.split()
-    if tag != "rigidity":
-        raise ValueError("not a rigidity witness file")
-    parts = rest.split("---")
-    if len(parts) != 3:
+    """Read a witness back; ValueError unless B_lr is q x r, C_lr r x q and
+    S q x q with `changes` entries, all over the header's field."""
+    head, *blocks = sparse._blocks(text.lstrip(), "---")
+    (q, r, changes, field), first = sparse._header(head, "rigidity", 4)
+    if len(blocks) != 2:
         raise ValueError("expected three blocks separated by ---")
-    b, c, s = (sparse.parse_matrix(p) for p in parts)
-    if s.nnz != int(changes):
+    ctx = FieldCtx(field)
+    b, c, s = (sparse.parse_matrix(block) for block in (first, *blocks))
+    if any(m.ctx != ctx for m in (b, c, s)):
+        raise ValueError(f"a block is not over the header's field {field}")
+    shapes = [(m.rows, m.cols) for m in (b, c, s)]
+    if shapes != [(q, r), (r, q), (q, q)]:
+        raise ValueError(f"blocks of shapes {shapes} do not fit q = {q}, r = {r}")
+    if s.nnz != changes:
         raise ValueError("header change count does not match sparse block")
     target = sparse.add_mat(sparse.matmul(b, c), s)
-    if target.rows != int(q):
-        raise ValueError("header dimension does not match blocks")
-    return RigidityDecomposition(target, int(r), b, c, s)
+    return RigidityDecomposition(target, r, b, c, s)
 
 
 def save_witness(d: RigidityDecomposition, path) -> None:
+    text = dump_witness(d)  # before open(), so a refused witness leaves no file
     with open(path, "w") as fh:
-        fh.write(dump_witness(d))
+        fh.write(text)
 
 
 def load_witness(path) -> RigidityDecomposition:

@@ -14,6 +14,7 @@ left operand occupies the high digits.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,15 +196,10 @@ def _triplet_arrays(entries, ctx):
     """Index and value arrays of a sequence of (i, j, value) triplets."""
     entries = list(entries)
     if ctx.is_prime_field:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(entries), dtype=np.int64, count=3 * len(entries)
-        )
-        return _columns(flat.reshape(-1, 3))
-    return _columns(np.array(entries, dtype=object).reshape(-1, 3))
-
-
-def _columns(table):
-    """The columns of an (n, 3) triplet table as three arrays of their own."""
+        flat = itertools.chain.from_iterable(entries)
+        table = np.fromiter(flat, dtype=np.int64, count=3 * len(entries)).reshape(-1, 3)
+    else:
+        table = np.array(entries, dtype=object).reshape(-1, 3)
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2].copy()
 
 
@@ -545,27 +541,91 @@ def _eliminate(rows, ctx: FieldCtx, stop_above=None) -> list:
     return pivots
 
 
-# -- text format --------------------------------------------------------
+# -- text formats -------------------------------------------------------
 #
-# Line 1: "rows cols field" where field is p for F_p or 0 for rationals.
-# Then one "i j value" line per nonzero, values as residues or "num/den".
+# Every artifact file is a header line (an optional tag, then integers)
+# and blocks of whitespace-separated numbers.  A matrix is the header
+# "rows cols field" (p for F_p, 0 for Q) and one "i j value" line per
+# nonzero, values as integers or "num/den".  The circuit, witness and
+# truth-table readers are made of the same parts: _header, _blocks and
+# _numbers.
 
 
-def _format_value(v) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+def _header(text: str, tag, count: int):
+    """The count integers on text's first line, after tag unless tag is
+    None, and the text after that line; ValueError for anything else."""
+    line, _, rest = text.partition("\n")
+    fields = line.split()
+    if tag is not None and fields[:1] != [tag]:
+        raise ValueError(f"not a {tag} file: the header is {line.strip()!r}")
+    numbers = fields if tag is None else fields[1:]
+    if len(numbers) != count or not all(x.lstrip("-").isdigit() for x in numbers):
+        raise ValueError(f"malformed header {line.strip()!r}: expected {count} integers")
+    return [int(x) for x in numbers], rest
 
 
-def _parse_value(s: str, ctx: FieldCtx):
-    if "/" in s:
-        num, den = s.split("/")
-        if not int(den):
-            raise ValueError(f"zero denominator in {s!r}")
-        return ctx.coerce(Fraction(int(num), int(den)))
-    return ctx.coerce(int(s))
+def _blocks(text: str, marker: str) -> list:
+    """text cut at the lines that begin with the word marker: the text
+    before the first, then the rest of each such line with the lines up
+    to the next one."""
+    pieces = text.split("\n" + marker)
+    if any(piece and not piece[0].isspace() for piece in pieces[1:]):
+        raise ValueError(f"malformed {marker!r} line")
+    return pieces
+
+
+def _check_dims(*dims) -> None:
+    """Sizes a file declares, checked before anything that large is built."""
+    if min(dims) < 0:
+        raise ValueError(f"negative size in {dims}")
+    if max(dims) > DIMENSION_CAP:
+        raise DimensionCapExceeded(f"size {max(dims)} exceeds cap {DIMENSION_CAP}")
+
+
+def _numbers(text: str, ctx: FieldCtx, width: int, count=None) -> list:
+    """The numbers of text as rows of width, returned as width - 1 int64
+    index columns and a data column over ctx.  Values are integers or
+    "num/den".  ValueError unless the numbers fill whole rows (count rows,
+    when given), every index fits int64 and no denominator is zero."""
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.3 only warned on data such as "1/2", and
+            # returned the numbers read so far
+            warnings.simplefilter("error", DeprecationWarning)
+            # (a blank text would read as [0])
+            table = np.zeros(0, np.int64) if text.isspace() else np.fromstring(text, np.int64, sep=" ")
+        info = np.iinfo(np.int64)
+        if ((table == info.max) | (table == info.min)).any():  # saturated
+            raise ValueError
+    except (ValueError, DeprecationWarning):  # "num/den", or junk that int() rejects
+        table = np.array(text.split(), dtype=object)
+    if table.size % width or (count is not None and table.size != width * count):
+        rows = "whole rows" if count is None else f"{count} rows"
+        raise ValueError(f"expected {rows} of {width} numbers, found {table.size} numbers")
+    table = table.reshape(-1, width)
+    if table.dtype != object:
+        last = table[:, -1]
+        values = last % ctx.modulus if ctx.is_prime_field else [Fraction(x) for x in last.tolist()]
+    else:
+        values = []
+        for token in table[:, -1]:
+            num, slash, den = token.partition("/")
+            if slash and not int(den):
+                raise ValueError(f"zero denominator in {token!r}")
+            values.append(ctx.coerce(Fraction(int(num), int(den)) if slash else int(token)))
+    try:
+        index = [np.array(table[:, k], dtype=np.int64) for k in range(width - 1)]
+    except OverflowError:
+        raise ValueError("index out of range") from None
+    return [*index, _value_array(values, ctx)]
+
+
+def _entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> SparseMatrix:
+    """The rows x cols matrix of "i j value" triplets (nnz of them, when
+    given); ValueError unless all are in bounds, nonzero and distinct."""
+    _check_dims(rows, cols)
+    i, j, v = _numbers(text, ctx, 3, nnz)
+    return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, True))
 
 
 def _format_entries(m: SparseMatrix):
@@ -579,58 +639,8 @@ def _format_entries(m: SparseMatrix):
         flat = np.empty((hi - lo, 3), dtype=object)
         flat[:, 0] = rows[lo:hi]
         flat[:, 1] = m.indices[lo:hi]
-        values = m.data[lo:hi].tolist()
-        flat[:, 2] = values if m.ctx.is_prime_field else [_format_value(v) for v in values]
+        flat[:, 2] = m.data[lo:hi].tolist()  # str() of a Fraction is "num/den" or "num"
         yield ("%d %d %s\n" * (hi - lo)) % tuple(flat.ravel().tolist())
-
-
-def _parse_entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> SparseMatrix:
-    """The matrix of whitespace-separated "i j value" triplets.
-
-    Raises ValueError unless the numbers come in triplets (exactly nnz of
-    them, when nnz is given), all in bounds, with nonzero values at
-    distinct positions.  A shape beyond DIMENSION_CAP raises
-    DimensionCapExceeded before anything of that size is allocated.
-    """
-    if rows < 0 or cols < 0:
-        raise ValueError(f"negative shape {rows}x{cols}")
-    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
-    try:
-        flat = np.fromstring(text, dtype=np.int64, sep=" ")
-        info = np.iinfo(np.int64)
-        exact = not ((flat == info.max) | (flat == info.min)).any()  # saturated
-    except ValueError:  # fractions "num/den", or junk that the loop below rejects
-        exact = False
-    if exact:
-        _check_count(flat.size, nnz)
-        i, j, v = _columns(flat.reshape(-1, 3))
-        v = v % ctx.modulus if ctx.is_prime_field else _value_array(
-            [Fraction(x) for x in v.tolist()], ctx
-        )
-    else:
-        tokens = text.split()
-        _check_count(len(tokens), nnz)
-        try:
-            i = np.array([int(t) for t in tokens[0::3]], dtype=np.int64)
-            j = np.array([int(t) for t in tokens[1::3]], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("entry index out of range") from None
-        v = _value_array([_parse_value(t, ctx) for t in tokens[2::3]], ctx)
-    return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, True))
-
-
-def _check_count(numbers: int, nnz) -> None:
-    if numbers % 3 or (nnz is not None and numbers != 3 * nnz):
-        expected = "triplets" if nnz is None else f"{nnz} entries"
-        raise ValueError(f"expected {expected}, found {numbers} numbers")
-
-
-def _int_fields(line: str, count: int, what: str):
-    fields = line.split()
-    if len(fields) != count:
-        raise ValueError(f"malformed {what}: {line.strip()!r}")
-    return [int(x) for x in fields]
 
 
 def dump_matrix(m: SparseMatrix) -> str:
@@ -638,10 +648,8 @@ def dump_matrix(m: SparseMatrix) -> str:
 
 
 def parse_matrix(text: str) -> SparseMatrix:
-    header, _, body = text.lstrip().partition("\n")
-    rows, cols, field = _int_fields(header, 3, "matrix header")
-    ctx = FieldCtx(field)
-    return _parse_entries(body, rows, cols, ctx)
+    (rows, cols, field), body = _header(text.lstrip(), None, 3)
+    return _entries(body, rows, cols, FieldCtx(field))
 
 
 def save_matrix(m: SparseMatrix, path) -> None:

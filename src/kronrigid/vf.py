@@ -362,22 +362,21 @@ def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
 
 
 def dump_truthtable(f: TruthTable) -> str:
-    lines = [f"truthtable {f.q} {f.n} {f.ctx.modulus}"]
-    for v in f.values:
-        lines.append(sparse._format_value(v))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"truthtable {f.q} {f.n} {f.ctx.modulus}", *map(str, f.values)]) + "\n"
 
 
 def parse_truthtable(text: str) -> TruthTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty truth-table file")
-    tag, q, n, field = lines[0].split()
-    if tag != "truthtable":
-        raise ValueError("not a truth-table file")
-    ctx = FieldCtx(int(field))
-    values = tuple(sparse._parse_value(v, ctx) for v in lines[1:])
-    return TruthTable(int(q), int(n), ctx, values)
+    """Read a truth table back from its text; ValueError if it is
+    malformed, DimensionCapExceeded if q^n passes sparse.DIMENSION_CAP."""
+    (q, n, field), body = sparse._header(text.lstrip(), "truthtable", 3)
+    if q < 1 or n < 0:
+        raise ValueError(f"a truth table needs q >= 1 and n >= 0, not q = {q}, n = {n}")
+    # q >= 2 makes q^n >= 2^n, so n is cut at the cap's bit length first
+    size = q ** min(n, sparse.DIMENSION_CAP.bit_length())
+    sparse._check_dims(size)
+    ctx = FieldCtx(field)
+    (values,) = sparse._numbers(body, ctx, 1, size)
+    return TruthTable(q, n, ctx, tuple(values.tolist()))
 
 
 def save_truthtable(f: TruthTable, path) -> None:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -114,13 +115,26 @@ def test_matrix_shape_out_of_range(tmp_path, capsys, header, rc):
     assert capsys.readouterr().err.startswith(("error:", "cap exceeded:"))
 
 
-@pytest.mark.parametrize("text", ["", "truthtable 2 1 0\n1/0\n3\n"])
+@pytest.mark.parametrize("text", [
+    "", "truthtable 2 1 0\n1/0\n3\n", "truthtable 0 2 5\n1\n", "truthtable 2 -1 5\n1\n",
+])
 def test_bad_truth_table_is_a_usage_error(tmp_path, capsys, text):
     ftab, pts = tmp_path / "f.tt", tmp_path / "pts.txt"
     ftab.write_text(text)
     pts.write_text("0\n")
     assert main(["batch", "--f", str(ftab), "--points", str(pts)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truth_table_beyond_the_cap_exits_at_once(tmp_path, capsys):
+    # 3^40000000 values: the header alone must end the run
+    ftab, pts = tmp_path / "f.tt", tmp_path / "pts.txt"
+    ftab.write_text("truthtable 3 40000000 5\n1\n")
+    pts.write_text("0\n")
+    start = time.perf_counter()
+    assert main(["batch", "--f", str(ftab), "--points", str(pts)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("cap exceeded:")
 
 
 def test_zero_denominator_in_a_matrix_is_a_usage_error(tmp_path, capsys):
@@ -183,6 +197,16 @@ def test_bench_rows(capsys):
     # at fixed n, extra depth trades wires for rounds: d=3 beats d=2
     by_key = {(r[1], r[3]): float(r[8]) for r in rows}
     assert by_key[("24", "3")] < by_key[("24", "2")]
+
+
+def test_bench_auto_base_of_disjointness(capsys):
+    # auto is js:max(1, n // d) for disjointness, resolved per row as in synth
+    argv = ["--family", "disjointness", "--n", "8", "--depth", "2"]
+    assert main(["bench"] + argv + ["--base", "auto"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "disjointness,8,256,2,auto,2378,8192,2378.0,1.161133"
+    assert main(["synth"] + argv) == 0
+    assert "wires=2378 trivial=8192 bound=2378.0" in capsys.readouterr().out
 
 
 def test_usage_error(capsys):
@@ -258,6 +282,22 @@ def test_verify_at_large_primes(tmp_path, capsys, prime):
     rc = main(["verify", "--circuit", path, "--family", "hadamard", "--n", "8"])
     assert rc == 0
     assert "equal=True" in capsys.readouterr().out
+
+
+def test_verify_over_the_rationals(tmp_path, capsys):
+    good, bad = tmp_path / "h4.circ", tmp_path / "tampered.circ"
+    argv = ["synth", "--family", "hadamard", "--n", "4", "--depth", "2", "--base", "h2"]
+    assert main(argv + ["--field", "0", "--out", str(good)]) == 0
+    lines = good.read_text().splitlines(keepends=True)
+    assert lines[2] == "0 0 2\n"
+    lines[2] = "0 0 1/2\n"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    verify = ["verify", "--family", "hadamard", "--n", "4", "--circuit"]
+    assert main(verify + [str(good)]) == 0
+    assert "equal=True" in capsys.readouterr().out
+    assert main(verify + [str(bad)]) == 1
+    assert "equal=False" in capsys.readouterr().out
 
 
 def _bad_circuit_texts(tmp_path):

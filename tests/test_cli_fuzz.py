@@ -1,5 +1,7 @@
-"""Fuzz the file readers through the CLI: truncated or mutated matrix,
-truth-table and circuit files end with an exit code, never a traceback."""
+"""Fuzz the file readers: truncated or mutated matrix, truth-table and
+circuit files end the CLI with an exit code, never a traceback, and
+mutated witness files (which no command reads) are read or rejected with
+ValueError or KronRigidError."""
 
 import contextlib
 import io
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from kronrigid import circuits, rigidity, sparse, vf
 from kronrigid.cli import main
+from kronrigid.errors import KronRigidError
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
@@ -58,6 +61,19 @@ def _valid_files():
 VALID = _valid_files()
 
 
+def _witness(ctx, b, c, s):
+    b, c, s = (SparseMatrix.from_dense(x, ctx) for x in (b, c, s))
+    return rigidity.dump_witness(
+        rigidity.RigidityDecomposition(sparse.add_mat(sparse.matmul(b, c), s), 1, b, c, s)
+    )
+
+
+WITNESSES = [
+    rigidity.dump_witness(rigidity.h2_rank1_decomposition(F5)),
+    _witness(RATIONALS, [[1], [Fraction(1, 2)]], [[2, Fraction(-1, 3)]], [[0, 0], [0, Fraction(5, 7)]]),
+]
+
+
 def _argv(kind, path, points):
     if kind == "matrix":
         return ["rigidity", "--matrix", path, "--rank", "1", "--max-changes", "1"]
@@ -80,6 +96,8 @@ def test_the_unmutated_files_are_valid():
         vf.parse_truthtable(text)
     for text in VALID["circuit"]:
         circuits.parse_circuit(text)
+    for text in WITNESSES:
+        rigidity.parse_witness(text)
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))
@@ -92,3 +110,12 @@ def test_mutated_file_ends_with_an_exit_code(workdir, kind, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(_argv(kind, str(path), str(workdir / "points.txt")))
     assert rc in EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.sampled_from(WITNESSES), edits=EDITS)
+def test_mutated_witness_is_read_or_rejected(text, edits):
+    try:
+        rigidity.parse_witness(mutate(text, edits))
+    except (ValueError, KronRigidError):
+        pass

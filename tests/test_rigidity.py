@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from kronrigid import rigidity, sparse
-from kronrigid.errors import ExceedsBound, OmegaZero, OuterZero, WorkCapExceeded
+from kronrigid import disjoint, rigidity, sparse
+from kronrigid.errors import ExceedsBound, NotSquare, OmegaZero, OuterZero, WorkCapExceeded
 from kronrigid.fields import FieldCtx
 from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
@@ -225,6 +227,42 @@ def test_witness_file_roundtrip(tmp_path):
     assert loaded.verify()
     head = path.read_text().splitlines()[0]
     assert head == "rigidity 4 1 4 5"
+
+
+def test_every_witness_the_code_writes_reads_back():
+    h2 = rigidity.h2_rank1_decomposition(F5)
+    witnesses = [
+        h2,
+        rigidity.h4_rank1_decomposition(F5),
+        rigidity.cube_rank1_decomposition(hadamard_matrix(1, F5)),
+        rigidity.compose_nonrigid(h2, sparse.diagonal([1, 2, 3, 4], F5), h2),
+        rigidity.brute_force_rigidity(hadamard_matrix(2, F3), 2, 4)[1],
+        disjoint.rn_rigidity_decomposition(4, Fraction(1, 2), F5),
+    ]
+    for w in witnesses:
+        assert rigidity.parse_witness(rigidity.dump_witness(w)) == w
+
+
+@pytest.mark.parametrize("at,line,match", [
+    (0, "rigidity 4 1 4 7", "field"),  # the blocks are over F_5
+    (0, "rigidity 4 0 4 5", "shapes"),  # B_lr is 4 x 1, not q x r
+    (7, "1 5 5", "shapes"),  # C_lr is not r x q
+    (13, "4 5 5", "shapes"),  # S is not q x q
+])
+def test_witness_blocks_must_fit_the_header(at, line, match):
+    lines = rigidity.dump_witness(rigidity.h2_rank1_decomposition(F5)).splitlines()
+    assert [lines[k] for k in (0, 1, 7, 13)] == ["rigidity 4 1 4 5", "4 1 5", "1 4 5", "4 4 5"]
+    lines[at] = line
+    with pytest.raises(ValueError, match=match):
+        rigidity.parse_witness("\n".join(lines) + "\n")
+
+
+def test_witness_of_a_non_square_matrix_is_not_written(tmp_path):
+    m = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 1]], F5)
+    _, w = rigidity.brute_force_rigidity(m, 1, 1)
+    with pytest.raises(NotSquare):
+        rigidity.save_witness(w, tmp_path / "w.rig")
+    assert not (tmp_path / "w.rig").exists()
 
 
 def test_low_rank_factor_padding():

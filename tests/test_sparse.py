@@ -1,8 +1,10 @@
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from kronrigid import sparse
+from kronrigid import sparse, vf
 from kronrigid.disjoint import disjointness_matrix
 from kronrigid.errors import (
     ContextMismatch,
@@ -248,6 +250,24 @@ def test_text_format_header():
     a = sparse.identity(2, F5)
     text = sparse.dump_matrix(a)
     assert text.splitlines()[0] == "2 2 5"
+
+
+def test_blank_entry_block_is_an_empty_matrix():
+    # numpy reads a blank string as [0]
+    assert sparse.parse_matrix("2 2 5\n\n") == SparseMatrix(2, 2, F5, [])
+    with pytest.raises(ValueError):
+        vf.parse_truthtable("truthtable 2 0 5\n \n")
+
+
+def test_numbers_fall_back_when_numpy_only_warns(monkeypatch):
+    # numpy before 2.3 warned on "1/2" and returned the numbers read so far
+    def fromstring(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([0, 0], dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    m = sparse.parse_matrix("1 1 0\n0 0 1/2\n")
+    assert m.to_dense() == [[Fraction(1, 2)]]
 
 
 def test_matmul_long_inner_product_at_largest_prime():

@@ -1,6 +1,6 @@
 """Property tests of the sparse kernels against a dense pure-Python reference,
-of Gaussian elimination, and of the text formats, over F_5, F_(2^31 - 1)
-and Q."""
+of Gaussian elimination, and of the four text formats (matrix, circuit,
+witness, truth table), over F_5, F_(2^31 - 1) and Q."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronrigid import circuits, rigidity, sparse
+from kronrigid import circuits, rigidity, sparse, vf
 from kronrigid.circuits import SynchronousCircuit
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
@@ -257,6 +257,33 @@ def test_circuit_dump_parse_roundtrip(data):
     assert sparse.parse_matrix(sparse.dump_matrix(m)) == m
 
 
+@PROPS
+@given(st.data())
+def test_witness_dump_parse_roundtrip(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    q, r = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+    b, c, s = (
+        to_sparse(data.draw(dense(ctx, rows, cols)), rows, cols, ctx)
+        for rows, cols in ((q, r), (r, q), (q, q))
+    )
+    w = rigidity.RigidityDecomposition(sparse.add_mat(sparse.matmul(b, c), s), r, b, c, s)
+    text = rigidity.dump_witness(w)
+    assert rigidity.parse_witness(text) == w
+
+
+@PROPS
+@given(st.data())
+def test_truthtable_dump_parse_roundtrip(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    q, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    size = q**n
+    table = vf.TruthTable(
+        q, n, ctx, tuple(data.draw(st.lists(values(ctx), min_size=size, max_size=size)))
+    )
+    text = vf.dump_truthtable(table)
+    assert vf.parse_truthtable(text) == table
+
+
 def test_text_formats_golden():
     f5 = FieldCtx(5)
     circ = SynchronousCircuit(
@@ -274,3 +301,28 @@ def test_text_formats_golden():
     )
     q = SparseMatrix.from_dense([[Fraction(1, 2), 0], [-3, Fraction(-5, 7)]], RATIONALS)
     assert sparse.dump_matrix(q) == "2 2 0\n0 0 1/2\n1 0 -3\n1 1 -5/7\n"
+    assert sparse.parse_matrix(sparse.dump_matrix(q)) == q
+    witnesses = [
+        (
+            f5, [[1], [3]], [[2, 4]], [[0, 0], [0, 1]],
+            "rigidity 2 1 1 5\n2 1 5\n0 0 1\n1 0 3\n---\n"
+            "1 2 5\n0 0 2\n0 1 4\n---\n2 2 5\n1 1 1\n",
+        ),
+        (
+            RATIONALS, [[1], [Fraction(1, 2)]], [[2, Fraction(-1, 3)]], [[0, 0], [0, Fraction(5, 7)]],
+            "rigidity 2 1 1 0\n2 1 0\n0 0 1\n1 0 1/2\n---\n"
+            "1 2 0\n0 0 2\n0 1 -1/3\n---\n2 2 0\n1 1 5/7\n",
+        ),
+    ]
+    for ctx, b, c, s, text in witnesses:
+        b, c, s = (SparseMatrix.from_dense(x, ctx) for x in (b, c, s))
+        w = rigidity.RigidityDecomposition(sparse.add_mat(sparse.matmul(b, c), s), 1, b, c, s)
+        assert rigidity.dump_witness(w) == text
+        assert rigidity.parse_witness(text) == w
+    tables = [
+        (vf.TruthTable(2, 1, f5, (1, 4)), "truthtable 2 1 5\n1\n4\n"),
+        (vf.TruthTable(2, 1, RATIONALS, (Fraction(-1, 2), Fraction(3))), "truthtable 2 1 0\n-1/2\n3\n"),
+    ]
+    for table, text in tables:
+        assert vf.dump_truthtable(table) == text
+        assert vf.parse_truthtable(text) == table
