@@ -11,6 +11,7 @@ itself, unbounded-depth synthesis, and exponent balancing are here too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,9 @@ import numpy as np
 
 from . import sparse
 from .errors import (
+    CapExceeded,
     DepthTooSmall,
+    DimensionCapExceeded,
     DimensionMismatch,
     GroupMismatch,
     NotSquare,
@@ -31,57 +34,88 @@ from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix, identity, kron, kron_all, kron_power, matmul
 
 
+# Most wires a circuit may have to be built as explicit factors: building
+# takes about 25 B of peak memory per wire, so 2^27 wires is about 3.4 GB.
+WIRE_CAP = 2**27
+
+
 class SynchronousCircuit:
     """Factor chain A_1 x ... x A_d with exact wire accounting.
+
+    Each layer is kept as its list of small Kronecker operands, left
+    operand on the high digits; a plain SparseMatrix is a one-operand
+    layer.  Kron multiplies shapes and nnz, so shapes and wires are
+    products over the operands, and a layer is built as one explicit
+    matrix only when `factor`, `factors` or `product` asks for it.
 
     base/base_power record that the circuit computes base^{kron base_power}
     when known, which lets lift_power raise it to higher powers.
     """
 
-    def __init__(self, factors, base=None, base_power=None):
-        if not factors:
-            raise ValueError("a circuit needs at least one factor")
-        ctx = factors[0].ctx
-        for a, b in zip(factors, factors[1:]):
-            if a.cols != b.rows:
+    def __init__(self, layers, base=None, base_power=None):
+        self.layers = [list(x) if isinstance(x, (list, tuple)) else [x] for x in layers]
+        if not self.layers or not all(self.layers):
+            raise ValueError("a circuit needs at least one factor, and a factor an operand")
+        ctx = self.layers[0][0].ctx
+        if any(m.ctx != ctx for ops in self.layers for m in ops):
+            raise DimensionMismatch("factors in different fields")
+        self.shapes = [
+            (math.prod(m.rows for m in ops), math.prod(m.cols for m in ops))
+            for ops in self.layers
+        ]
+        for (_, a_cols), (b_rows, _) in zip(self.shapes, self.shapes[1:]):
+            if a_cols != b_rows:
                 raise DimensionMismatch(
-                    f"factor chain breaks: {a.cols} cols vs {b.rows} rows"
+                    f"factor chain breaks: {a_cols} cols vs {b_rows} rows"
                 )
-            if b.ctx != ctx:
-                raise DimensionMismatch("factors in different fields")
-        self.factors = list(factors)
         self.base = base
         self.base_power = base_power
 
     @property
     def depth(self) -> int:
-        return len(self.factors)
+        return len(self.layers)
 
     @property
     def rows(self) -> int:
-        return self.factors[0].rows
+        return self.shapes[0][0]
 
     @property
     def cols(self) -> int:
-        return self.factors[-1].cols
+        return self.shapes[-1][1]
 
     @property
     def ctx(self):
-        return self.factors[0].ctx
+        return self.layers[0][0].ctx
 
     @property
     def wires(self) -> int:
-        return sum(f.nnz for f in self.factors)
+        return sum(self.per_factor_nnz)
 
     @property
     def per_factor_nnz(self):
-        return [f.nnz for f in self.factors]
+        return [math.prod(m.nnz for m in ops) for ops in self.layers]
+
+    def check_caps(self) -> None:
+        """Raise before building a circuit too large to hold: a factor side
+        above sparse.DIMENSION_CAP, or more than WIRE_CAP wires."""
+        side = max(max(shape) for shape in self.shapes)
+        if side > sparse.DIMENSION_CAP:
+            raise DimensionCapExceeded(f"size {side} exceeds cap {sparse.DIMENSION_CAP}")
+        if self.wires > WIRE_CAP:
+            raise CapExceeded(f"{self.wires} wires exceed the cap {WIRE_CAP} for explicit factors")
+
+    def factor(self, j: int) -> SparseMatrix:
+        """Layer j as an explicit matrix, after check_caps."""
+        self.check_caps()
+        return kron_all(self.layers[j])
+
+    @property
+    def factors(self):
+        """Every layer as an explicit matrix, built anew on each access."""
+        return [self.factor(j) for j in range(self.depth)]
 
     def product(self) -> SparseMatrix:
-        acc = self.factors[0]
-        for f in self.factors[1:]:
-            acc = matmul(acc, f)
-        return acc
+        return functools.reduce(matmul, (self.factor(j) for j in range(self.depth)))
 
     def __repr__(self):
         return (
@@ -160,84 +194,23 @@ def symmetrized_depth_d(tf: TwoFactorization, d: int) -> SynchronousCircuit:
     if d < 2:
         raise DepthTooSmall("depth must be at least 2")
     exprs = _expressions(tf, d)
-    factors = [kron_all([e[j] for e in exprs]) for j in range(d)]
-    return SynchronousCircuit(factors, base=tf.target, base_power=d)
-
-
-def symmetrized_factor_nnz(tf: TwoFactorization, d: int):
-    """Per-factor nnz of symmetrized_depth_d without materializing it."""
-    if d < 2:
-        raise DepthTooSmall("depth must be at least 2")
-    exprs = _expressions(tf, d)
-    counts = []
-    for j in range(d):
-        total = 1
-        for e in exprs:
-            total *= e[j].nnz
-        counts.append(total)
-    return counts
-
-
-def _restrict_rows(m: SparseMatrix, stride: int) -> SparseMatrix:
-    """Keep rows whose index is a multiple of stride, renumbered by /stride."""
-    keep = np.repeat(np.arange(m.rows) % stride == 0, np.diff(m.indptr))
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    # dropped rows add no entries, so each kept row ends where the next starts
-    indptr = np.append(kept[m.indptr[0 : m.rows : stride]], kept[-1])
-    return SparseMatrix._from_csr(
-        m.rows // stride, m.cols, m.ctx, indptr, m.indices[keep], m.data[keep]
-    )
-
-
-def _restrict_cols(m: SparseMatrix, stride: int) -> SparseMatrix:
-    """Keep columns whose index is a multiple of stride, renumbered by /stride."""
-    keep = m.indices % stride == 0
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    return SparseMatrix._from_csr(
-        m.rows, m.cols // stride, m.ctx, kept[m.indptr],
-        m.indices[keep] // stride, m.data[keep],
-    )
+    layers = [[e[j] for e in exprs] for j in range(d)]
+    return SynchronousCircuit(layers, base=tf.target, base_power=d)
 
 
 def lift_power(circ: SynchronousCircuit, n: int) -> SynchronousCircuit:
-    """Raise a circuit for M^{kron t} to one for M^{kron n}.
-
-    When t | n each factor is replaced by its (n/t)-th Kronecker power,
-    so per-factor nnz is exactly b_j^{n/t}.  Otherwise the circuit for
-    the next multiple n' of t is restricted to the principal block
-    (low Kronecker digits zero), which computes M[0,0]^{n'-n} times
-    M^{kron n}; the leading factor is rescaled to cancel the constant.
-    """
+    """Raise a circuit for M^{kron t} to one for M^{kron n}, t | n: each
+    layer's operand list is repeated n/t times, so per-factor nnz is
+    exactly b_j^{n/t}.  ValueError when n is not a multiple of t."""
     if circ.base is None or circ.base_power is None:
         raise ValueError("circuit does not record its base power")
     t = circ.base_power
     if n == t:
         return circ
-    if n % t == 0:
-        k = n // t
-        factors = [kron_power(f, k) for f in circ.factors]
-        return SynchronousCircuit(factors, base=circ.base, base_power=n)
-    n_up = t * (n // t + 1)
-    lifted = lift_power(circ, n_up)
-    q = circ.base.rows
-    extra = n_up - n
-    stride = q**extra
-    corner = circ.base.get(0, 0)
-    if not corner:
-        raise ValueError("principal-block restriction needs M[0,0] != 0")
-    factors = list(lifted.factors)
-    factors[0] = _restrict_rows(factors[0], stride)
-    factors[-1] = _restrict_cols(factors[-1], stride)
-    ctx = circ.ctx
-    factors[0] = sparse.scale(factors[0], ctx.inv_raw(pow_raw(ctx, corner, extra)))
-    return SynchronousCircuit(factors, base=circ.base, base_power=n)
-
-
-def pow_raw(ctx, x, k):
-    acc = ctx.one_raw()
-    for _ in range(k):
-        acc = ctx.mul_raw(acc, x)
-    return acc
+    if n < 1 or n % t:
+        raise ValueError(f"n = {n} is not a positive multiple of the base power {t}")
+    layers = [ops * (n // t) for ops in circ.layers]
+    return SynchronousCircuit(layers, base=circ.base, base_power=n)
 
 
 def unit_power(tf: TwoFactorization, unit: SparseMatrix) -> int:
@@ -258,31 +231,24 @@ def synthesize(
     unit^{kron t}; t is read off the matrix sizes.
 
     The largest multiple of t*d digits is the symmetrized circuit lifted
-    by Kronecker powers.  The k digits left over ride along in butterfly
-    slots: factor j is widened by I x unit^{kron k_j} x I, the k_j as even
-    as possible and the earlier factors taking the extra copies."""
+    by Kronecker powers.  The k digits left over ride along in k one-digit
+    butterfly slots at the end of every layer: factor j is widened by
+    I x unit^{kron k_j} x I, the k_j as even as possible and the earlier
+    factors taking the extra copies."""
     if d < 2:
         raise DepthTooSmall("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    q, ctx = unit.rows, unit.ctx
+    iq = identity(unit.rows, unit.ctx)
     t = unit_power(tf, unit)
     reps, k = divmod(n, t * d)
-    if reps:
-        factors = list(lift_power(symmetrized_depth_d(tf, d), reps * d).factors)
-    else:
-        factors = [identity(1, ctx)] * d
-    if k:
-        before = 0
-        for j in range(d):
-            k_j = k // d + (j < k % d)
-            after = k - before - k_j
-            slot = kron_all(
-                [identity(q**before, ctx)] + [unit] * k_j + [identity(q**after, ctx)]
-            )
-            factors[j] = kron(factors[j], slot)
-            before += k_j
-    return SynchronousCircuit(factors, base=unit, base_power=n)
+    sym = lift_power(symmetrized_depth_d(tf, d), reps * d).layers if reps else [[]] * d
+    layers, before = [], 0
+    for j, ops in enumerate(sym):
+        k_j = k // d + (j < k % d)
+        layers.append(ops + [iq] * before + [unit] * k_j + [iq] * (k - before - k_j))
+        before += k_j
+    return SynchronousCircuit(layers, base=unit, base_power=n)
 
 
 def synth_depth_d(
@@ -306,18 +272,11 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     for m in m_list:
         if not m.is_square or m.rows != q or m.ctx != ctx:
             raise DimensionMismatch("all inputs must be square, same size, same field")
-    factors = []
-    for ell in range(n // group):
-        block = kron_all(m_list[ell * group : (ell + 1) * group])
-        left = q ** (ell * group)
-        right = q ** (n - (ell + 1) * group)
-        f = block
-        if left > 1:
-            f = kron(identity(left, ctx), f)
-        if right > 1:
-            f = kron(f, identity(right, ctx))
-        factors.append(f)
-    return SynchronousCircuit(factors)
+    iq = identity(q, ctx)
+    return SynchronousCircuit([
+        [iq] * lo + list(m_list[lo : lo + group]) + [iq] * (n - lo - group)
+        for lo in range(0, n, group)
+    ])
 
 
 def butterfly_wire_count(q: int, n: int, d: int) -> int:
@@ -358,20 +317,10 @@ def synth_unbounded(decomp: RigidityDecomposition, n: int):
     d = max(2, min(n, d))
     n_main = d * (n // d)
     k = n - n_main
-    circ = synth_depth_d(decomp, n_main, d)
-    factors = list(circ.factors)
-    ctx = m.ctx
-    if k:
-        pad = identity(q**k, ctx)
-        factors = [kron(f, pad) for f in factors]
-        left = identity(q**n_main, ctx)
-        for ell in range(k):
-            tail = kron_all(
-                [left]
-                + [m if j == ell else identity(q, ctx) for j in range(k)]
-            )
-            factors.append(tail)
-    out = SynchronousCircuit(factors, base=m, base_power=n)
+    iq = identity(q, m.ctx)
+    layers = [ops + [iq] * k for ops in synth_depth_d(decomp, n_main, d).layers]
+    layers += [[iq] * n_main + [m if j == ell else iq for j in range(k)] for ell in range(k)]
+    out = SynchronousCircuit(layers, base=m, base_power=n)
     big_n = q**n
     ratio = out.wires / (big_n * math.log2(big_n))
     report = {
@@ -442,18 +391,13 @@ def balance_exponents(
         m0 -= 1
         ms[a.index(astar)] += 1
     core = builder(m0) if m0 else [identity(1, base.ctx)] * d
-    factors = []
+    iq = identity(q, base.ctx)
+    layers = []
     for j in range(d):
-        parts = [core[j]]
+        layers.append([core[j]])
         for ell in range(d):
-            if ms[ell] == 0:
-                continue
-            if ell == j:
-                parts.append(kron_power(base, ms[ell]))
-            else:
-                parts.append(identity(q ** ms[ell], base.ctx))
-        factors.append(kron_all(parts))
-    return SynchronousCircuit(factors, base=base, base_power=n)
+            layers[j] += [base if ell == j else iq] * ms[ell]
+    return SynchronousCircuit(layers, base=base, base_power=n)
 
 
 def verify_circuit(circ: SynchronousCircuit, target: SparseMatrix) -> dict:
@@ -486,10 +430,11 @@ def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
         )
     if not p:
         return circ.product().to_dense() == dense.tolist()
-    rest = [f.to_csr() for f in circ.factors[1:]]
+    first, *rest = circ.factors
+    rest = [f.to_csr() for f in rest]
     step = max(1, (1 << 20) // max(1, circ.cols))  # 8 MB of int64 per block
     for start in range(0, circ.rows, step):
-        block = circ.factors[0].row_block(start, min(start + step, circ.rows)).to_csr()
+        block = first.row_block(start, min(start + step, circ.rows)).to_csr()
         for f in rest:
             block = sparse._csr_mulmod(block, f, p)
         want = dense[start : start + step].astype(np.int64) % p
@@ -519,9 +464,11 @@ def _circuit_text(circ: SynchronousCircuit):
         f"circuit {circ.depth} {circ.rows} {circ.cols} "
         f"{circ.ctx.modulus} {circ.wires}\n"
     )
-    for idx, f in enumerate(circ.factors):
+    for idx in range(circ.depth):
+        f = circ.factor(idx)
         yield f"factor {idx} {f.rows} {f.cols} {f.nnz}\n"
         yield from sparse._format_entries(f)
+        del f  # built one layer at a time: drop it before the next is built
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:
@@ -556,6 +503,7 @@ def parse_circuit(text: str) -> SynchronousCircuit:
 
 
 def save_circuit(circ: SynchronousCircuit, path) -> None:
+    circ.check_caps()  # before the file is created
     with open(path, "w") as fh:
         fh.writelines(_circuit_text(circ))
 

@@ -18,6 +18,7 @@ from .errors import (
     DimensionCapExceeded,
     ExceedsBound,
     KronRigidError,
+    NotSquare,
     WorkCapExceeded,
 )
 from .fields import FieldCtx
@@ -61,7 +62,13 @@ def _wire_numbers(tf, n: int, depth: int):
     of the depth-d butterfly and the formula bound d N^(1 + c/d), where
     c = log_q(nnz(B) nnz(C)) - 2 is the base's wire-growth exponent."""
     c = math.log(tf.B.nnz * tf.C.nnz, tf.q) - 2
-    return circuits.butterfly_wire_count(2, n, depth), depth * (2**n) ** (1 + c / depth)
+    try:
+        bound = depth * (2**n) ** (1 + c / depth)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise CapExceeded(f"the formula bound for n = {n} is beyond float range")
+    return circuits.butterfly_wire_count(2, n, depth), bound
 
 
 def _family_unit(family: str, ctx: FieldCtx):
@@ -91,6 +98,8 @@ def cmd_synth(args) -> int:
         )
     circ = circuits.synthesize(tf, _family_unit(args.family, ctx), args.n, args.depth)
     trivial, bound = _wire_numbers(tf, args.n, args.depth)
+    if args.out:
+        circ.check_caps()  # before anything is printed or built
     print(
         f"family={args.family} n={args.n} d={args.depth} wires={circ.wires} "
         f"trivial={trivial} bound={bound:.1f}"
@@ -110,6 +119,8 @@ def cmd_verify(args) -> int:
 
 def cmd_rigidity(args) -> int:
     m = sparse.load_matrix(args.matrix)
+    if args.out and not m.is_square:  # before the search: the witness could not be written
+        raise NotSquare(f"a witness file holds a square matrix, not {m.rows}x{m.cols}")
     try:
         minimum, witness = rigidity.brute_force_rigidity(
             m, args.rank, args.max_changes
@@ -183,8 +194,7 @@ def cmd_bench(args) -> int:
             circuits.unit_power(tf, unit)
             if n % (digits * d):
                 continue
-            per = circuits.symmetrized_factor_nnz(tf, d)
-            wires = sum(b ** (n // digits // d) for b in per)
+            wires = circuits.synthesize(tf, unit, n, d).wires
             trivial, bound = _wire_numbers(tf, n, d)
             ratio = wires / (2**n * n)
             rows.append(

@@ -339,17 +339,17 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 def kron_power(m: SparseMatrix, n: int) -> SparseMatrix:
     if n < 1:
         raise ValueError("n must be positive")
-    acc = m
-    for _ in range(n - 1):
-        acc = kron(acc, m)
-    return acc
+    return kron_all([m] * n)
 
 
 def kron_all(mats) -> SparseMatrix:
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = kron(acc, m)
-    return acc
+    """Kronecker product of a non-empty list, folded as a balanced tree:
+    kron is associative, so the result is the same as a left fold, with
+    far fewer entries in the intermediate products."""
+    if len(mats) == 1:
+        return mats[0]
+    half = len(mats) // 2
+    return kron(kron_all(mats[:half]), kron_all(mats[half:]))
 
 
 def _mulmod(x, y, p: int, terms: int, bx: int, by: int):

@@ -18,8 +18,8 @@ from kronrigid.circuits import (
     balance_exponents,
     balanced_exponent,
     butterfly_wire_count,
+    lift_power,
     symmetrized_depth_d,
-    symmetrized_factor_nnz,
     two_factor_from_rigidity,
 )
 from kronrigid.disjoint import (
@@ -117,22 +117,21 @@ def test_criterion_04_h12_depth3_beats_butterfly():
 
 
 def test_criterion_05_wire_scaling():
-    # the closed-form wire counts shrink relative to the generic
+    # the structural wire counts shrink relative to the generic
     # d * N^(1+1/d) butterfly envelope as the instance grows
     tf = two_factor_from_rigidity(rigidity.h4_rank1_decomposition(F5))
     ratios = []
     for m in (2, 4, 6):
         d = 2
-        per = symmetrized_factor_nnz(tf, d)
-        wires = sum(b ** (m // d) for b in per)
+        wires = lift_power(symmetrized_depth_d(tf, d), m).wires
         big_n = 16**m
         envelope = d * big_n ** (1 + 1 / d)
         assert wires < envelope
         ratios.append(wires / envelope)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    # small cross-check: the m = 2 closed form is the materialized count
+    # small cross-check: the m = 2 structural count is the materialized count
     circ = symmetrized_depth_d(tf, 2)
-    assert sum(b for b in symmetrized_factor_nnz(tf, 2)) == circ.wires
+    assert sum(f.nnz for f in circ.factors) == circ.wires
     _ok(5, f"wires / (d N^(1+1/d)) strictly decreasing: {[f'{r:.4f}' for r in ratios]}")
 
 

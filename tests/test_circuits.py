@@ -11,7 +11,6 @@ from kronrigid.circuits import (
     butterfly_wire_count,
     lift_power,
     symmetrized_depth_d,
-    symmetrized_factor_nnz,
     synth_depth_d,
     synth_unbounded,
     two_factor_from_rigidity,
@@ -67,11 +66,30 @@ def test_symmetrized_depth3_counts():
     assert 60928 == 57344 * 17 // 16  # inner-dimension slack on the middle factor
 
 
-def test_symmetrized_formula_matches_materialized():
-    tf = h4_tf()
+def _circuits_of_every_builder():
+    tf, h1, r1 = h4_tf(), hadamard_matrix(1, F5), disjointness_matrix(1, F5)
+    d2 = rigidity.h2_rank1_decomposition(F5)
     for d in (2, 3, 4):
-        circ = symmetrized_depth_d(tf, d)
-        assert symmetrized_factor_nnz(tf, d) == circ.per_factor_nnz
+        yield symmetrized_depth_d(tf, d)
+    yield lift_power(symmetrized_depth_d(two_factor_from_rigidity(d2), 2), 4)
+    yield circuits.synthesize(tf, h1, 10, 2)  # two leftover digits
+    yield circuits.synthesize(js_factorization(2, F5), r1, 7, 2)  # R_7 from R_2
+    yield butterfly_circuit([h1] * 8, group=4)
+    yield butterfly_circuit([h1, r1, h1], group=1)
+    yield synth_unbounded(d2, 3)[0]  # padded, with a butterfly tail
+    build = _trivial_builder(h1, F5)
+    yield balance_exponents(h1, build, 4)
+    yield balance_exponents(h1, build, 4, sym=True)
+
+
+def test_structural_counts_match_materialized():
+    # shapes and nnz are products over each layer's operands; building
+    # the layers must give the same numbers
+    for circ in _circuits_of_every_builder():
+        factors = circ.factors
+        assert circ.per_factor_nnz == [f.nnz for f in factors]
+        assert circ.wires == sum(f.nnz for f in factors)
+        assert circ.shapes == [(f.rows, f.cols) for f in factors]
 
 
 def test_symmetrized_depth_too_small():
@@ -105,15 +123,12 @@ def test_lift_power_identity_and_divisible():
     assert big.product() == hadamard_matrix(8, F5)
 
 
-def test_lift_power_non_divisible():
+def test_lift_power_to_a_non_multiple_is_a_value_error():
     tf = two_factor_from_rigidity(rigidity.h2_rank1_decomposition(F5))
     base = symmetrized_depth_d(tf, 2)
-    lifted = lift_power(base, 3)
-    assert lifted.product() == hadamard_matrix(6, F5)
-    # restriction only removes entries: below the next-multiple count
-    assert all(
-        w <= x**2 for w, x in zip(lifted.per_factor_nnz, base.per_factor_nnz)
-    )
+    for n in (3, 0):
+        with pytest.raises(ValueError):
+            lift_power(base, n)
 
 
 def test_synth_depth_d_divisible():

@@ -79,6 +79,16 @@ def test_rigidity_command(tmp_path, capsys):
     assert wit.read_text().startswith("rigidity 4 1 4 5")
 
 
+def test_rigidity_witness_of_a_non_square_matrix_is_refused_first(tmp_path, capsys):
+    mat, wit = tmp_path / "wide.mat", tmp_path / "wide.rig"
+    mat.write_text("2 3 5\n0 0 1\n0 1 2\n1 2 3\n")
+    argv = ["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "2"]
+    assert main(argv + ["--out", str(wit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not wit.exists()
+
+
 def test_rigidity_bound_too_small(tmp_path, capsys):
     mat = tmp_path / "h2.mat"
     sparse.save_matrix(hadamard_matrix(2, F5), mat)
@@ -197,6 +207,40 @@ def test_bench_rows(capsys):
     # at fixed n, extra depth trades wires for rounds: d=3 beats d=2
     by_key = {(r[1], r[3]): float(r[8]) for r in rows}
     assert by_key[("24", "3")] < by_key[("24", "2")]
+
+
+@pytest.mark.parametrize("family,n,d,base", [
+    ("hadamard", 16, 2, "h4"), ("hadamard", 12, 3, "h2"), ("hadamard", 9, 3, "h3cube"),
+    ("disjointness", 12, 3, "js:4"), ("disjointness", 10, 2, "auto"),
+])
+def test_bench_wires_are_the_synth_wires(capsys, family, n, d, base):
+    argv = ["--family", family, "--n", str(n), "--depth", str(d), "--base", base]
+    assert main(["bench"] + argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(["synth"] + argv) == 0
+    assert f" wires={row[5]} " in capsys.readouterr().out
+
+
+def test_synth_counts_wires_without_building(tmp_path, capsys):
+    # 10^10 wires: counted from the operands, never built
+    argv = ["synth", "--family", "hadamard", "--n", "24", "--depth", "3"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert " wires=10288889856 " in capsys.readouterr().out
+    # building it is refused before anything is printed or written
+    out = tmp_path / "h24.circ"
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cap exceeded:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_formula_bound_beyond_float_range_is_a_cap(capsys, command):
+    assert main([command, "--family", "hadamard", "--n", "1024", "--depth", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cap exceeded:")
 
 
 def test_bench_auto_base_of_disjointness(capsys):

@@ -33,6 +33,15 @@ def _zero(p):
     return 0 if p else Fraction(0)
 
 
+def ref_kron(p, a, b, ca, cb):
+    """a kron b as dense lists; a has ca columns and b has cb."""
+    return [
+        [_mul(p, ra[ja], rb[jb]) for ja in range(ca) for jb in range(cb)]
+        for ra in a
+        for rb in b
+    ]
+
+
 def ref_matmul(p, a, b, cols):
     """a times b as dense lists; b has len(a[0]) rows and cols columns."""
     out = []
@@ -104,13 +113,17 @@ def test_kron_matches_dense(data):
     ra, ca, rb, cb = (data.draw(st.integers(0, 4)) for _ in range(4))
     da = data.draw(dense(ctx, ra, ca))
     db = data.draw(dense(ctx, rb, cb))
-    ref = [
-        [_mul(p, da[ia][ja], db[ib][jb]) for ja in range(ca) for jb in range(cb)]
-        for ia in range(ra)
-        for ib in range(rb)
-    ]
     k = sparse.kron(to_sparse(da, ra, ca, ctx), to_sparse(db, rb, cb, ctx))
-    check(k, ref, ra * rb, ca * cb)
+    check(k, ref_kron(p, da, db, ca, cb), ra * rb, ca * cb)
+    # kron_all of 1 to 5 operands (a balanced fold) against the left fold
+    shapes = [(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+              for _ in range(data.draw(st.integers(1, 5)))]
+    mats = [data.draw(dense(ctx, r, c)) for r, c in shapes]
+    ref, rows, cols = mats[0], *shapes[0]
+    for m, (r, c) in zip(mats[1:], shapes[1:]):
+        ref, rows, cols = ref_kron(p, ref, m, cols, c), rows * r, cols * c
+    got = sparse.kron_all([to_sparse(m, r, c, ctx) for m, (r, c) in zip(mats, shapes)])
+    check(got, ref, rows, cols)
 
 
 @PROPS
