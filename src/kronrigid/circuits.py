@@ -12,6 +12,7 @@ itself, unbounded-depth synthesis, and exponent balancing are here too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ import numpy as np
 from . import sparse
 from .errors import (
     CapExceeded,
+    ContextMismatch,
     DepthTooSmall,
     DimensionCapExceeded,
     DimensionMismatch,
@@ -279,13 +281,6 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     ])
 
 
-def butterfly_wire_count(q: int, n: int, d: int) -> int:
-    """Exact wires of the grouped butterfly: d * q^n * q^(n/d), d | n."""
-    if n % d:
-        raise GroupMismatch(f"depth {d} does not divide {n}")
-    return d * q**n * q ** (n // d)
-
-
 def c_exponent(decomp: RigidityDecomposition) -> mpmath.mpf:
     """c = log_q((r+1) * (r + changes/q)), the wire-growth exponent the
     decomposition yields at depth d: wires about d * N^(1+c/d)."""
@@ -321,8 +316,7 @@ def synth_unbounded(decomp: RigidityDecomposition, n: int):
     layers = [ops + [iq] * k for ops in synth_depth_d(decomp, n_main, d).layers]
     layers += [[iq] * n_main + [m if j == ell else iq for j in range(k)] for ell in range(k)]
     out = SynchronousCircuit(layers, base=m, base_power=n)
-    big_n = q**n
-    ratio = out.wires / (big_n * math.log2(big_n))
+    ratio = out.wires / (q**n * n) / math.log2(q)  # ints first: q^n may pass float range
     report = {
         "depth": out.depth,
         "wires": out.wires,
@@ -372,8 +366,7 @@ def balance_exponents(
 
     input_factors = builder(n)
     d = len(input_factors)
-    target = kron_power(base, n)
-    if SynchronousCircuit(input_factors).product() != target:
+    if not verify_circuit(SynchronousCircuit(input_factors), [base] * n):
         raise UnverifiedInput("input factorization does not multiply to the target")
     if exponents is None:
         exponents = [
@@ -400,56 +393,48 @@ def balance_exponents(
     return SynchronousCircuit(layers, base=base, base_power=n)
 
 
-def verify_circuit(circ: SynchronousCircuit, target: SparseMatrix) -> dict:
-    """Exact product comparison plus the wire accounting."""
-    if circ.rows != target.rows or circ.cols != target.cols:
-        raise DimensionMismatch("circuit and target dimensions differ")
-    equal = circ.product() == target
-    return {
-        "equal": equal,
-        "wires": circ.wires,
-        "per_factor_nnz": circ.per_factor_nnz,
-        "depth": circ.depth,
-    }
+def verify_circuit(circ: SynchronousCircuit, target) -> bool:
+    """Whether the circuit's product equals target, compared exactly.
 
-
-def verify_against_dense(circ: SynchronousCircuit, dense: np.ndarray) -> bool:
-    """Compare the circuit product with a dense int array, mod p over F_p
-    and exactly over Q.
-
-    The fast path for targets too large to hold as coordinate lists.  Over
-    F_p the product is formed one block of rows at a time, so no dense copy
-    of all of it is held beside the target.  A target of another shape
-    raises DimensionMismatch.
+    target is a matrix or, like a layer, a list of Kronecker operands.  Its
+    sides are checked against sparse.DIMENSION_CAP, then against the
+    circuit's shape, before anything is built.  Over Q the whole product is
+    compared.  Over F_p no N x N array is built: the trailing operands form
+    a dense `tail`, the longest suffix whose row block keeps at most 2^20
+    entries (8 MB of int64).  The product is walked in aligned row blocks
+    lead_a x tail, lead_a the Kronecker product of one row of each leading
+    operand, and each column group is compared with v * tail mod p.
     """
+    one = identity(1, circ.ctx)  # keeps the leading operands and the tail non-empty
+    ops = [one, *(target if isinstance(target, (list, tuple)) else [target])]
+    rows, cols = math.prod(m.rows for m in ops), math.prod(m.cols for m in ops)
+    if max(rows, cols) > sparse.DIMENSION_CAP:
+        raise DimensionCapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
+    if (circ.rows, circ.cols) != (rows, cols):
+        raise DimensionMismatch(f"circuit is {circ.rows}x{circ.cols}, the target {rows}x{cols}")
+    if any(m.ctx != circ.ctx for m in ops):
+        raise ContextMismatch("circuit and target are over different fields")
     p = circ.ctx.modulus
-    dense = np.asarray(dense)
-    if dense.shape != (circ.rows, circ.cols):
-        raise DimensionMismatch(
-            f"circuit is {circ.rows}x{circ.cols}, the target has shape {dense.shape}"
-        )
     if not p:
-        return circ.product().to_dense() == dense.tolist()
+        return circ.product() == kron_all(ops)
     first, *rest = circ.factors
     rest = [f.to_csr() for f in rest]
-    step = max(1, (1 << 20) // max(1, circ.cols))  # 8 MB of int64 per block
-    for start in range(0, circ.rows, step):
-        block = first.row_block(start, min(start + step, circ.rows)).to_csr()
+    k = len(ops)
+    while k > 1 and math.prod(m.rows for m in ops[k - 1 :]) * cols <= 1 << 20:
+        k -= 1
+    tail = kron_all([one, *ops[k:]]).to_csr().toarray()
+    step, width = tail.shape
+    for a, digits in enumerate(itertools.product(*(range(m.rows) for m in ops[:k]))):
+        block = first.row_block(a * step, (a + 1) * step).to_csr()
         for f in rest:
             block = sparse._csr_mulmod(block, f, p)
-        want = dense[start : start + step].astype(np.int64) % p
-        if not np.array_equal(block.toarray(), want):
+        lead_a = kron_all([m.row_block(i, i + 1) for m, i in zip(ops, digits)])
+        values, groups = np.unique(lead_a.to_csr().toarray(), return_inverse=True)
+        want = values[:, None, None] * tail % p  # one reduction per distinct value
+        got = block.toarray().reshape(step, -1, width)
+        if not np.array_equal(got, want[groups.ravel()].swapaxes(0, 1)):
             return False
     return True
-
-
-def hadamard_dense_np(n: int) -> np.ndarray:
-    """2^n-point Hadamard matrix as a dense int8 +-1 numpy array."""
-    h1 = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    h = np.ones((1, 1), dtype=np.int8)
-    for _ in range(n):
-        h = np.kron(h, h1)
-    return h
 
 
 # -- circuit file format ------------------------------------------------

@@ -57,9 +57,10 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     raise ValueError(f"unknown base {name!r}")
 
 
-def _wire_numbers(tf, n: int, depth: int):
-    """(trivial, bound) for a depth-d circuit of N = 2^n, d | n: the wires
-    of the depth-d butterfly and the formula bound d N^(1 + c/d), where
+def _wire_numbers(tf, unit, n: int, depth: int):
+    """(trivial, bound) for a depth-d circuit of unit^{kron n}, d | n: the
+    wires of the family's depth-d butterfly, counted on its structure,
+    and the formula bound d N^(1 + c/d), where
     c = log_q(nnz(B) nnz(C)) - 2 is the base's wire-growth exponent."""
     c = math.log(tf.B.nnz * tf.C.nnz, tf.q) - 2
     try:
@@ -68,7 +69,7 @@ def _wire_numbers(tf, n: int, depth: int):
         bound = math.inf
     if math.isinf(bound):
         raise CapExceeded(f"the formula bound for n = {n} is beyond float range")
-    return circuits.butterfly_wire_count(2, n, depth), bound
+    return circuits.butterfly_circuit([unit] * n, n // depth).wires, bound
 
 
 def _family_unit(family: str, ctx: FieldCtx):
@@ -76,16 +77,6 @@ def _family_unit(family: str, ctx: FieldCtx):
     if family == "hadamard":
         return rigidity.hadamard_matrix(1, ctx)
     return disjoint.disjointness_matrix(1, ctx)
-
-
-def _family_target_dense(family: str, n: int, ctx: FieldCtx):
-    import numpy as np
-
-    if family == "hadamard":
-        return circuits.hadamard_dense_np(n)
-    if family == "disjointness":
-        return np.asarray(disjoint.disjointness_csr(n).todense())
-    raise ValueError(f"unknown family {family!r}")
 
 
 def cmd_synth(args) -> int:
@@ -96,8 +87,9 @@ def cmd_synth(args) -> int:
             f"base {args.base} covers {digits} digits; n = {args.n} is not a multiple "
             f"of {digits} x depth {args.depth}"
         )
-    circ = circuits.synthesize(tf, _family_unit(args.family, ctx), args.n, args.depth)
-    trivial, bound = _wire_numbers(tf, args.n, args.depth)
+    unit = _family_unit(args.family, ctx)
+    circ = circuits.synthesize(tf, unit, args.n, args.depth)
+    trivial, bound = _wire_numbers(tf, unit, args.n, args.depth)
     if args.out:
         circ.check_caps()  # before anything is printed or built
     print(
@@ -111,8 +103,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     circ = circuits.load_circuit(args.circuit)
-    dense = _family_target_dense(args.family, args.n, circ.ctx)
-    ok = circuits.verify_against_dense(circ, dense)
+    ok = circuits.verify_circuit(circ, [_family_unit(args.family, circ.ctx)] * args.n)
     print(f"equal={ok} wires={circ.wires} depth={circ.depth}")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -195,7 +186,7 @@ def cmd_bench(args) -> int:
             if n % (digits * d):
                 continue
             wires = circuits.synthesize(tf, unit, n, d).wires
-            trivial, bound = _wire_numbers(tf, n, d)
+            trivial, bound = _wire_numbers(tf, unit, n, d)
             ratio = wires / (2**n * n)
             rows.append(
                 f"{args.family},{n},{2**n},{d},{args.base},{wires},"

@@ -17,7 +17,7 @@ from kronrigid import circuits, disjoint, mmbridge, rigidity, sparse, vf
 from kronrigid.circuits import (
     balance_exponents,
     balanced_exponent,
-    butterfly_wire_count,
+    butterfly_circuit,
     lift_power,
     symmetrized_depth_d,
     two_factor_from_rigidity,
@@ -99,20 +99,22 @@ def test_criterion_02_cube_and_h4_rank1():
 def test_criterion_03_h8_depth2_beats_butterfly():
     tf = two_factor_from_rigidity(rigidity.h4_rank1_decomposition(F5))
     circ = symmetrized_depth_d(tf, 2)
+    h1 = hadamard_matrix(1, F5)
     assert circ.wires == 7168
-    assert butterfly_wire_count(2, 8, 2) == 8192
+    assert butterfly_circuit([h1] * 8, 4).wires == 8192
     assert circ.wires < 8192
-    assert circuits.verify_against_dense(circ, circuits.hadamard_dense_np(8))
+    assert circuits.verify_circuit(circ, [h1] * 8)
     _ok(3, "H_8 depth-2 circuit: 7168 wires < 8192 butterfly, product verified")
 
 
 def test_criterion_04_h12_depth3_beats_butterfly():
     tf = two_factor_from_rigidity(rigidity.h4_rank1_decomposition(F5))
     circ = symmetrized_depth_d(tf, 3)
+    h1 = hadamard_matrix(1, F5)
     assert circ.wires == 175616
-    assert butterfly_wire_count(2, 12, 3) == 196608
+    assert butterfly_circuit([h1] * 12, 4).wires == 196608
     assert circ.wires < 196608
-    assert circuits.verify_against_dense(circ, circuits.hadamard_dense_np(12))
+    assert circuits.verify_circuit(circ, [h1] * 12)
     _ok(4, "H_12 depth-3 circuit: 175616 wires < 196608 butterfly, product verified")
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from kronrigid.circuits import (
     balance_exponents,
     balanced_exponent,
     butterfly_circuit,
-    butterfly_wire_count,
     lift_power,
     symmetrized_depth_d,
     synth_depth_d,
@@ -56,7 +56,7 @@ def test_symmetrized_depth2_h8():
     assert circ.per_factor_nnz == [3584, 3584]
     assert circ.wires == 7168
     assert circ.product() == hadamard_matrix(8, F5)
-    assert circ.wires < butterfly_wire_count(2, 8, 2) == 8192
+    assert circ.wires < butterfly_circuit([hadamard_matrix(1, F5)] * 8, 4).wires == 8192
 
 
 def test_symmetrized_depth3_counts():
@@ -166,7 +166,7 @@ def test_synthesize_remainder_in_butterfly_slots():
     # digits, and the 2 digits left over split one per factor
     circ = circuits.synthesize(h4_tf(), hadamard_matrix(1, F5), 10, 2)
     assert circ.depth == 2
-    assert circuits.verify_against_dense(circ, circuits.hadamard_dense_np(10))
+    assert verify_circuit(circ, [hadamard_matrix(1, F5)] * 10)
 
 
 def test_synthesize_rejects_a_base_of_another_unit():
@@ -176,10 +176,10 @@ def test_synthesize_rejects_a_base_of_another_unit():
         circuits.synthesize(js_factorization(4, F5), hadamard_matrix(1, F5), 8, 2)
 
 
-def test_verify_against_dense_shape_mismatch():
+def test_verify_circuit_shape_mismatch():
     circ = synth_depth_d(rigidity.h2_rank1_decomposition(F5), 2, 2)
     with pytest.raises(DimensionMismatch):
-        circuits.verify_against_dense(circ, circuits.hadamard_dense_np(5))
+        verify_circuit(circ, [hadamard_matrix(1, F5)] * 5)
 
 
 def test_butterfly_h8():
@@ -215,7 +215,7 @@ def test_synth_unbounded_pure_depth():
     d4 = rigidity.h4_rank1_decomposition(F5)
     circ, report = synth_unbounded(d4, 2)
     assert report["depth"] == 2  # round(c * ln N) clamps to [2, n]
-    assert circuits.verify_against_dense(circ, circuits.hadamard_dense_np(8))
+    assert verify_circuit(circ, [hadamard_matrix(1, F5)] * 8)
 
 
 def test_synth_unbounded_gadget():
@@ -224,6 +224,13 @@ def test_synth_unbounded_gadget():
     assert circ.product() == hadamard_matrix(6, F5)
     assert report["wires"] == circ.wires
     assert report["ratio_nlogn"] > 0
+
+
+def test_synth_unbounded_ratio_beyond_float_range():
+    # N = 16^300 is beyond float range; the circuit is only counted
+    circ, report = synth_unbounded(rigidity.h4_rank1_decomposition(F5), 300)
+    assert math.isfinite(report["ratio_nlogn"]) and report["ratio_nlogn"] > 0
+    assert report["wires"] == circ.wires
 
 
 def test_c_exponent_ordering():
@@ -297,12 +304,31 @@ def test_balance_unverified_input():
 
 def test_verify_circuit_report_and_tamper():
     circ = symmetrized_depth_d(h4_tf(), 2)
-    rep = verify_circuit(circ, hadamard_matrix(8, F5))
-    assert rep["equal"] and rep["wires"] == 7168 and rep["depth"] == 2
+    assert verify_circuit(circ, hadamard_matrix(8, F5)) is True
+    assert circ.wires == 7168 and circ.depth == 2
     tampered = SynchronousCircuit(
         [circ.factors[0], sparse.scale(circ.factors[1], 2)]
     )
-    assert not verify_circuit(tampered, hadamard_matrix(8, F5))["equal"]
+    assert verify_circuit(tampered, hadamard_matrix(8, F5)) is False
+
+
+@pytest.mark.parametrize("unit_of,p", [(hadamard_matrix, 7), (disjointness_matrix, 2**31 - 1)])
+def test_verify_circuit_finds_one_changed_entry_in_the_last_row_block(unit_of, p):
+    # At N = 4096 the rows are compared in blocks of 2^20 / 4096 = 256, in
+    # column groups of 256.  Adding 1 at (4095, 2431) of the first factor
+    # of unit_6 x I_64, I_64 x unit_6 changes only row 4095 of the product,
+    # in the columns of the second factor's row 2431: the last row block,
+    # column group 9.
+    ctx = FieldCtx(p)
+    unit = unit_of(1, ctx)
+    circ = butterfly_circuit([unit] * 12, 6)
+    assert verify_circuit(circ, [unit] * 12) is True
+    first, second = circ.factors
+    changed = second.row_block(2431, 2432).indices
+    assert changed.size and (changed // 256 == 9).all()
+    one = SparseMatrix(4096, 4096, ctx, [(4095, 2431, 1)])
+    tampered = SynchronousCircuit([sparse.add_mat(first, one), second])
+    assert verify_circuit(tampered, [unit] * 12) is False
 
 
 def test_circuit_file_roundtrip(tmp_path):
@@ -316,16 +342,6 @@ def test_circuit_file_roundtrip(tmp_path):
     assert loaded.product() == circ.product()
     head = path.read_text().splitlines()[0]
     assert head.startswith("circuit 2 16 16 5 ")
-
-
-def test_hadamard_dense_np():
-    import numpy as np
-
-    dense = circuits.hadamard_dense_np(3)
-    from_sparse = hadamard_matrix(3, F5)
-    assert np.array_equal(
-        dense % 5, np.array([[v for v in row] for row in from_sparse.to_dense()])
-    )
 
 
 def _dense_chain_product(dense_factors, p):
@@ -342,8 +358,6 @@ def _dense_chain_product(dense_factors, p):
 def test_product_exact_at_largest_prime():
     # at p = 2^31 - 1 one product of residues needs 62 bits, so eight of
     # them summed overflow int64 unless the kernel splits into limbs
-    import numpy as np
-
     p = 2**31 - 1
     ctx = FieldCtx(p)
     rng = SplitMix64(77)
@@ -351,7 +365,7 @@ def test_product_exact_at_largest_prime():
     circ = SynchronousCircuit([SparseMatrix.from_dense(d, ctx) for d in dense])
     expected = _dense_chain_product(dense, p)
     assert circ.product().to_dense() == expected
-    assert circuits.verify_against_dense(circ, np.array(expected, dtype=np.int64))
+    assert verify_circuit(circ, SparseMatrix.from_dense(expected, ctx))
 
 
 def test_synth_save_load_verify_build_no_entry_tuples(tmp_path):
@@ -360,6 +374,6 @@ def test_synth_save_load_verify_build_no_entry_tuples(tmp_path):
     path = tmp_path / "h8.circ"
     circuits.save_circuit(circ, path)
     loaded = circuits.load_circuit(path)
-    assert circuits.verify_against_dense(loaded, circuits.hadamard_dense_np(8))
+    assert verify_circuit(loaded, [hadamard_matrix(1, F5)] * 8)
     for f in circ.factors + loaded.factors:
         assert f._entries is None

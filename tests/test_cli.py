@@ -5,7 +5,9 @@ import time
 import pytest
 
 from kronrigid import sparse, vf
+from kronrigid.circuits import butterfly_circuit
 from kronrigid.cli import main
+from kronrigid.disjoint import disjointness_matrix
 from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.vf import TruthTable
@@ -248,9 +250,21 @@ def test_bench_auto_base_of_disjointness(capsys):
     argv = ["--family", "disjointness", "--n", "8", "--depth", "2"]
     assert main(["bench"] + argv + ["--base", "auto"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1] == "disjointness,8,256,2,auto,2378,8192,2378.0,1.161133"
+    assert rows[1] == "disjointness,8,256,2,auto,2378,2592,2378.0,1.161133"
     assert main(["synth"] + argv) == 0
-    assert "wires=2378 trivial=8192 bound=2378.0" in capsys.readouterr().out
+    assert "wires=2378 trivial=2592 bound=2378.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (12, 2), (12, 3)])
+def test_disjointness_trivial_is_the_wires_of_its_butterfly(capsys, n, d):
+    # R_1 has 3 nonzeros, so R_n's butterfly is not the Hadamard one
+    want = butterfly_circuit([disjointness_matrix(1, F5)] * n, n // d).wires
+    assert want == d * 3 ** (n // d) * 2 ** (n - n // d)
+    argv = ["--family", "disjointness", "--n", str(n), "--depth", str(d)]
+    assert main(["bench"] + argv + ["--base", "auto"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[6] == str(want)
+    assert main(["synth"] + argv) == 0
+    assert f" trivial={want} " in capsys.readouterr().out
 
 
 def test_usage_error(capsys):
@@ -294,6 +308,23 @@ def test_verify_against_the_wrong_n_is_a_usage_error(tmp_path, capsys):
     rc = main(["verify", "--circuit", path, "--family", "hadamard", "--n", "6"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("n,rc,err", [(20, 2, "error:"), (20000, 3, "cap exceeded:")])
+def test_verify_against_a_far_larger_n_exits_at_once(tmp_path, capsys, n, rc, err):
+    # the target is refused before anything is built: 2^20 x 2^20 is within
+    # the dimension cap but not the circuit's shape; 2^20000 is beyond the
+    # cap, with more digits than an int may print by default
+    path = str(tmp_path / "h8.circ")
+    assert main(
+        ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", path]
+    ) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--circuit", path, "--family", "hadamard", "--n", str(n)]) == rc
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err)
 
 
 def test_cap_exit_code(tmp_path, capsys):
