@@ -27,8 +27,6 @@ from .circuits import (
     butterfly_circuit,
     lift_power,
     symmetrized_depth_d,
-    synth_depth_d,
-    synth_unbounded,
     synthesize,
     two_factor_from_rigidity,
     verify_circuit,
@@ -40,7 +38,6 @@ from .disjoint import (
     disjointness_matrix,
     js_factorization,
     js_partition,
-    rn_depth_d,
     rn_rigidity_decomposition,
 )
 from .vf import (
@@ -84,10 +81,8 @@ __all__ = [
     "two_factor_from_rigidity",
     "symmetrized_depth_d",
     "lift_power",
-    "synth_depth_d",
     "synthesize",
     "butterfly_circuit",
-    "synth_unbounded",
     "balance_exponents",
     "balanced_exponent",
     "verify_circuit",
@@ -98,7 +93,6 @@ __all__ = [
     "rn_rigidity_decomposition",
     "js_partition",
     "js_factorization",
-    "rn_depth_d",
     "TruthTable",
     "VfWitness",
     "vf_matrix",

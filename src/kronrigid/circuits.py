@@ -6,7 +6,7 @@ factor nonzeros.  `synthesize` is the one depth-d builder: it turns a
 two-factorization of a base power (from a low-rank-plus-sparse
 decomposition, or a rectangle partition) into circuits that beat the
 classical butterfly baseline of d * N^(1+1/d) wires.  The butterfly
-itself, unbounded-depth synthesis, and exponent balancing are here too.
+itself and exponent balancing are here too.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import sparse
@@ -144,6 +143,12 @@ class TwoFactorization:
     def h(self) -> int:
         return self.B.cols
 
+    @property
+    def exponent(self) -> float:
+        """The wire-growth exponent c = log_q(nnz(B) nnz(C)) - 2: the
+        depth-d circuit has about d * N^(1+c/d) wires."""
+        return math.log(self.B.nnz * self.C.nnz, self.q) - 2
+
     def verify(self) -> bool:
         return (
             matmul(self.B, self.C) == self.target
@@ -253,13 +258,6 @@ def synthesize(
     return SynchronousCircuit(layers, base=unit, base_power=n)
 
 
-def synth_depth_d(
-    decomp: RigidityDecomposition, n: int, d: int
-) -> SynchronousCircuit:
-    """Depth-d circuit for M^{kron n} from a rigidity decomposition of M."""
-    return synthesize(two_factor_from_rigidity(decomp), decomp.target, n, d)
-
-
 def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     """Classical fast-transform factorization of a Kronecker product.
 
@@ -279,51 +277,6 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
         [iq] * lo + list(m_list[lo : lo + group]) + [iq] * (n - lo - group)
         for lo in range(0, n, group)
     ])
-
-
-def c_exponent(decomp: RigidityDecomposition) -> mpmath.mpf:
-    """c = log_q((r+1) * (r + changes/q)), the wire-growth exponent the
-    decomposition yields at depth d: wires about d * N^(1+c/d)."""
-    q = decomp.target.rows
-    r = decomp.rank_bound
-    with mpmath.workprec(80):
-        val = (r + 1) * (mpmath.mpf(r) + mpmath.mpf(decomp.changes) / q)
-        return mpmath.log(val) / mpmath.log(q)
-
-
-def synth_unbounded(decomp: RigidityDecomposition, n: int):
-    """Near-linear-size circuit: depth chosen as round(c ln N), ties down.
-
-    Splits n = n' + k with d | n'; the depth-d circuit for M^{kron n'}
-    is padded by I_{q^k} and followed by a k-level butterfly computing
-    I x M^{kron k}.  Returns (circuit, report) where the report carries
-    the wire count and the wires / (N log2 N) ratio.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    m = decomp.target
-    q = m.rows
-    c = c_exponent(decomp)
-    with mpmath.workprec(80):
-        target_d = c * n * mpmath.log(q)
-        d = int(mpmath.floor(target_d))
-        if target_d - d > mpmath.mpf(1) / 2:  # ties round down
-            d += 1
-    d = max(2, min(n, d))
-    n_main = d * (n // d)
-    k = n - n_main
-    iq = identity(q, m.ctx)
-    layers = [ops + [iq] * k for ops in synth_depth_d(decomp, n_main, d).layers]
-    layers += [[iq] * n_main + [m if j == ell else iq for j in range(k)] for ell in range(k)]
-    out = SynchronousCircuit(layers, base=m, base_power=n)
-    ratio = out.wires / (q**n * n) / math.log2(q)  # ints first: q^n may pass float range
-    report = {
-        "depth": out.depth,
-        "wires": out.wires,
-        "c": float(c),
-        "ratio_nlogn": ratio,
-    }
-    return out, report
 
 
 def balanced_exponent(exponents) -> Fraction:
@@ -407,9 +360,11 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     """
     one = identity(1, circ.ctx)  # keeps the leading operands and the tail non-empty
     ops = [one, *(target if isinstance(target, (list, tuple)) else [target])]
-    rows, cols = math.prod(m.rows for m in ops), math.prod(m.cols for m in ops)
-    if max(rows, cols) > sparse.DIMENSION_CAP:
-        raise DimensionCapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
+    rows = cols = 1
+    for m in ops:  # one operand at a time: a side far above the cap stops at once
+        rows, cols = rows * m.rows, cols * m.cols
+        if max(rows, cols) > sparse.DIMENSION_CAP:
+            raise DimensionCapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
     if (circ.rows, circ.cols) != (rows, cols):
         raise DimensionMismatch(f"circuit is {circ.rows}x{circ.cols}, the target {rows}x{cols}")
     if any(m.ctx != circ.ctx for m in ops):

@@ -29,9 +29,18 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+# The built-in Hadamard bases, each a rigidity decomposition of H_1^{kron t};
+# "js:m" names the disjointness base R_m.
+_HADAMARD_BASES = {
+    "h2": rigidity.h2_rank1_decomposition,
+    "h3cube": lambda ctx: rigidity.cube_rank1_decomposition(rigidity.hadamard_matrix(1, ctx)),
+    "h4": rigidity.h4_rank1_decomposition,
+}
+
+
 def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCtx):
-    """Resolve --base to (two-factorization, digits it covers) for the
-    family's depth-d circuit on n digits.
+    """Resolve --base to the two-factorization of its base power; the
+    digits it covers are read off its size by circuits.synthesize.
 
     'auto' is h4 for hadamard, the built-in Hadamard base with the lowest
     wire-growth exponent c, and js:max(1, n // d) for disjointness.
@@ -41,30 +50,19 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
         raise DepthTooSmall("depth must be at least 2")
     if name == "auto":
         name = "h4" if family == "hadamard" else f"js:{max(1, n // depth)}"
-    if name == "h2":
-        dec = rigidity.h2_rank1_decomposition(ctx)
-        return circuits.two_factor_from_rigidity(dec), 2
-    if name == "h3cube":
-        h1 = rigidity.hadamard_matrix(1, ctx)
-        dec = rigidity.cube_rank1_decomposition(h1)
-        return circuits.two_factor_from_rigidity(dec), 3
-    if name == "h4":
-        dec = rigidity.h4_rank1_decomposition(ctx)
-        return circuits.two_factor_from_rigidity(dec), 4
     if name.startswith("js:"):
-        m = int(name.split(":", 1)[1])
-        return disjoint.js_factorization(m, ctx), m
-    raise ValueError(f"unknown base {name!r}")
+        return disjoint.js_factorization(int(name[3:]), ctx)
+    if name not in _HADAMARD_BASES:
+        raise ValueError(f"unknown base {name!r}")
+    return circuits.two_factor_from_rigidity(_HADAMARD_BASES[name](ctx))
 
 
 def _wire_numbers(tf, unit, n: int, depth: int):
     """(trivial, bound) for a depth-d circuit of unit^{kron n}, d | n: the
     wires of the family's depth-d butterfly, counted on its structure,
-    and the formula bound d N^(1 + c/d), where
-    c = log_q(nnz(B) nnz(C)) - 2 is the base's wire-growth exponent."""
-    c = math.log(tf.B.nnz * tf.C.nnz, tf.q) - 2
+    and the formula bound d N^(1 + c/d), c the base's tf.exponent."""
     try:
-        bound = depth * (2**n) ** (1 + c / depth)
+        bound = depth * (2**n) ** (1 + tf.exponent / depth)
     except OverflowError:
         bound = math.inf
     if math.isinf(bound):
@@ -81,12 +79,9 @@ def _family_unit(family: str, ctx: FieldCtx):
 
 def cmd_synth(args) -> int:
     ctx = FieldCtx(args.field)
-    tf, digits = _base_factorization(args.family, args.base, args.n, args.depth, ctx)
-    if args.n % (digits * args.depth):
-        raise ValueError(
-            f"base {args.base} covers {digits} digits; n = {args.n} is not a multiple "
-            f"of {digits} x depth {args.depth}"
-        )
+    tf = _base_factorization(args.family, args.base, args.n, args.depth, ctx)
+    if args.n % args.depth:  # the butterfly of trivial= has n / depth digits per layer
+        raise ValueError(f"n = {args.n} is not a multiple of depth {args.depth}")
     unit = _family_unit(args.family, ctx)
     circ = circuits.synthesize(tf, unit, args.n, args.depth)
     trivial, bound = _wire_numbers(tf, unit, args.n, args.depth)
@@ -146,8 +141,6 @@ def cmd_disjoint_stats(args) -> int:
 
 def cmd_mmcost(args) -> int:
     ctx = FieldCtx(args.field)
-    if args.q != 2:
-        raise ValueError("only q = 2 bases are wired up in the CLI")
     h1 = rigidity.hadamard_matrix(1, ctx)
     backend = (
         mmbridge.NaiveBackend()
@@ -157,7 +150,7 @@ def cmd_mmcost(args) -> int:
     report = mmbridge.mm_cost_report([h1] * args.n, args.k, backend)
     print("q,n,k,backend,mults,adds,dense_mults")
     print(
-        f"{args.q},{args.n},{args.k},{args.backend},"
+        f"{h1.rows},{args.n},{args.k},{args.backend},"
         f"{report['mults']},{report['adds']},{report['dense_mults']}"
     )
     if args.k >= 3:
@@ -181,9 +174,9 @@ def cmd_bench(args) -> int:
     rows = []
     for n in _parse_range(args.n):
         for d in _parse_range(args.depth):
-            tf, digits = _base_factorization(args.family, args.base, n, d, ctx)
-            circuits.unit_power(tf, unit)
-            if n % (digits * d):
+            tf = _base_factorization(args.family, args.base, n, d, ctx)
+            circuits.unit_power(tf, unit)  # a base of the other family fails on any grid
+            if n % d:
                 continue
             wires = circuits.synthesize(tf, unit, n, d).wires
             trivial, bound = _wire_numbers(tf, unit, n, d)
@@ -238,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disjoint_stats)
 
     p = sub.add_parser("mmcost", help="matmul-round evaluation cost")
-    p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--backend", choices=["naive", "strassen"], default="naive")

@@ -4,8 +4,8 @@ R_n is the 2^n x 2^n 0/1 matrix with a 1 exactly where the two index
 strings have disjoint supports (nnz = 3^n).  This module provides its
 generation, the dense row/column removal argument (low rank + sparse
 residual), the recursive all-ones partition into squares and 2:1
-rectangles with its induced two-factorization, depth-d circuits, and the
-entropy/binomial calculators the parameter analysis relies on.
+rectangles with its induced two-factorization, and the entropy/binomial
+calculators the parameter analysis relies on.
 """
 
 from __future__ import annotations
@@ -299,23 +299,17 @@ def js_side_sums(n: int):
     return s, r
 
 
-def rn_depth_d(n: int, d: int, ctx: FieldCtx):
-    """Depth-d circuit for R_n from the partition factorization of the
-    base power R_m, m = max(1, n // d); see circuits.synthesize, which
-    rejects d < 2."""
-    return circuits.synthesize(
-        js_factorization(max(1, n // max(d, 1)), ctx), disjointness_matrix(1, ctx), n, d
-    )
-
-
 # -- entropy calculators ------------------------------------------------
 
 
-def entropy(p) -> mpmath.mpf:
-    """Binary entropy at >= 50 bits of working precision."""
-    with mpmath.workprec(64):
-        x = mpmath.mpf(Fraction(p).numerator) / Fraction(p).denominator
-        if x == 0 or x == 1:
+def entropy(x) -> mpmath.mpf:
+    """Binary entropy of a Fraction or mpf, at max(64, mpmath.mp.prec)
+    bits of working precision; 0 outside (0, 1)."""
+    with mpmath.workprec(max(64, mpmath.mp.prec)):
+        if isinstance(x, Fraction):  # mpmath.mpf does not take a Fraction
+            x = mpmath.mpf(x.numerator) / x.denominator
+        x = mpmath.mpf(x)
+        if x <= 0 or x >= 1:
             return mpmath.mpf(0)
         return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
 
@@ -344,7 +338,7 @@ def critical_fraction(bits: int = 40):
     """
     with mpmath.workprec(bits + 24):
         def g(a):
-            return (1 - a) * entropy_mpf((1 - 2 * a) / (1 - a)) - mpmath.mpf(1) / 2
+            return (1 - a) * entropy((1 - 2 * a) / (1 - a)) - mpmath.mpf(1) / 2
 
         # g is positive at a = 1/4 and negative near a = 1/2; we want the
         # upper crossing (the lower one sits near a = 0).
@@ -356,11 +350,4 @@ def critical_fraction(bits: int = 40):
             else:
                 hi = mid
         a_star = (lo + hi) / 2
-        return a_star, entropy_mpf(a_star)
-
-
-def entropy_mpf(x) -> mpmath.mpf:
-    x = mpmath.mpf(x)
-    if x <= 0 or x >= 1:
-        return mpmath.mpf(0)
-    return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+        return a_star, entropy(a_star)

@@ -11,8 +11,6 @@ from kronrigid.circuits import (
     butterfly_circuit,
     lift_power,
     symmetrized_depth_d,
-    synth_depth_d,
-    synth_unbounded,
     two_factor_from_rigidity,
     verify_circuit,
 )
@@ -76,7 +74,6 @@ def _circuits_of_every_builder():
     yield circuits.synthesize(js_factorization(2, F5), r1, 7, 2)  # R_7 from R_2
     yield butterfly_circuit([h1] * 8, group=4)
     yield butterfly_circuit([h1, r1, h1], group=1)
-    yield synth_unbounded(d2, 3)[0]  # padded, with a butterfly tail
     build = _trivial_builder(h1, F5)
     yield balance_exponents(h1, build, 4)
     yield balance_exponents(h1, build, 4, sym=True)
@@ -133,7 +130,7 @@ def test_lift_power_to_a_non_multiple_is_a_value_error():
 
 def test_synth_depth_d_divisible():
     d4 = rigidity.h4_rank1_decomposition(F5)
-    circ = synth_depth_d(d4, 2, 2)
+    circ = circuits.synthesize(two_factor_from_rigidity(d4), d4.target, 2, 2)
     assert circ.wires == 7168
     assert circ.product() == hadamard_matrix(8, F5)
 
@@ -141,7 +138,8 @@ def test_synth_depth_d_divisible():
 def test_synth_depth_d_cube_base():
     h1 = hadamard_matrix(1, F5)
     dec = rigidity.cube_rank1_decomposition(h1)
-    circ = synth_depth_d(dec, 2, 2)  # two units of the 8x8 base
+    # two units of the 8x8 base
+    circ = circuits.synthesize(two_factor_from_rigidity(dec), dec.target, 2, 2)
     assert circ.product() == hadamard_matrix(6, F5)
 
 
@@ -149,14 +147,15 @@ def test_synth_depth_d_equals_symmetrized_at_n_eq_d():
     d4 = rigidity.h4_rank1_decomposition(F5)
     tf = two_factor_from_rigidity(d4)
     assert (
-        synth_depth_d(d4, 3, 3).per_factor_nnz
+        circuits.synthesize(tf, d4.target, 3, 3).per_factor_nnz
         == symmetrized_depth_d(tf, 3).per_factor_nnz
     )
 
 
 def test_synth_depth_d_remainder():
     d2 = rigidity.h2_rank1_decomposition(F5)
-    circ = synth_depth_d(d2, 3, 2)  # 3 units of the 4x4 base, depth 2
+    # 3 units of the 4x4 base, depth 2
+    circ = circuits.synthesize(two_factor_from_rigidity(d2), d2.target, 3, 2)
     assert circ.product() == hadamard_matrix(6, F5)
     assert circ.depth == 2
 
@@ -177,7 +176,8 @@ def test_synthesize_rejects_a_base_of_another_unit():
 
 
 def test_verify_circuit_shape_mismatch():
-    circ = synth_depth_d(rigidity.h2_rank1_decomposition(F5), 2, 2)
+    d2 = rigidity.h2_rank1_decomposition(F5)
+    circ = circuits.synthesize(two_factor_from_rigidity(d2), d2.target, 2, 2)
     with pytest.raises(DimensionMismatch):
         verify_circuit(circ, [hadamard_matrix(1, F5)] * 5)
 
@@ -211,36 +211,19 @@ def test_butterfly_group_mismatch():
         butterfly_circuit([h1] * 5, group=2)
 
 
-def test_synth_unbounded_pure_depth():
-    d4 = rigidity.h4_rank1_decomposition(F5)
-    circ, report = synth_unbounded(d4, 2)
-    assert report["depth"] == 2  # round(c * ln N) clamps to [2, n]
-    assert verify_circuit(circ, [hadamard_matrix(1, F5)] * 8)
-
-
-def test_synth_unbounded_gadget():
-    d2 = rigidity.h2_rank1_decomposition(F5)
-    circ, report = synth_unbounded(d2, 3)
-    assert circ.product() == hadamard_matrix(6, F5)
-    assert report["wires"] == circ.wires
-    assert report["ratio_nlogn"] > 0
-
-
-def test_synth_unbounded_ratio_beyond_float_range():
-    # N = 16^300 is beyond float range; the circuit is only counted
-    circ, report = synth_unbounded(rigidity.h4_rank1_decomposition(F5), 300)
-    assert math.isfinite(report["ratio_nlogn"]) and report["ratio_nlogn"] > 0
-    assert report["wires"] == circ.wires
-
-
 def test_c_exponent_ordering():
     # h4 beats the cube beats the plain 4x4 base
-    c_h4 = circuits.c_exponent(rigidity.h4_rank1_decomposition(F5))
-    c_cube = circuits.c_exponent(
-        rigidity.cube_rank1_decomposition(hadamard_matrix(1, F5))
-    )
-    c_h2 = circuits.c_exponent(rigidity.h2_rank1_decomposition(F5))
-    assert float(c_h4) < float(c_cube) < float(c_h2) == 1.0
+    decs = [
+        rigidity.h4_rank1_decomposition(F5),
+        rigidity.cube_rank1_decomposition(hadamard_matrix(1, F5)),
+        rigidity.h2_rank1_decomposition(F5),
+    ]
+    c_h4, c_cube, c_h2 = (two_factor_from_rigidity(dec).exponent for dec in decs)
+    assert c_h4 < c_cube < c_h2 == 1.0
+    # the closed form log_q((r+1)(r + changes/q)) of a rank-r decomposition
+    for dec, c in zip(decs, (c_h4, c_cube, c_h2)):
+        q, r = dec.target.rows, dec.rank_bound
+        assert abs(c - math.log((r + 1) * (r + dec.changes / q), q)) < 1e-12
 
 
 def test_balanced_exponent_formula():

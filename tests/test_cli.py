@@ -199,7 +199,7 @@ def test_bench_rows(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("family,n,N,d,base,")
-    # h4 base covers 4 digits; rows appear when depth divides n/4
+    # rows appear when depth divides n
     rows = [ln.split(",") for ln in lines[1:]]
     assert [(r[1], r[3]) for r in rows] == [
         ("8", "2"), ("16", "2"), ("24", "2"), ("24", "3"),
@@ -221,6 +221,25 @@ def test_bench_wires_are_the_synth_wires(capsys, family, n, d, base):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert main(["synth"] + argv) == 0
     assert f" wires={row[5]} " in capsys.readouterr().out
+
+
+def test_digits_the_base_does_not_cover_go_into_butterfly_slots(tmp_path, capsys):
+    # h4 covers 4 digits: n = 10 at depth 2 is one lifted unit of 8 digits
+    # and one butterfly digit per layer; n = 8 at depth 4 is all butterfly
+    path = str(tmp_path / "h10.circ")
+    argv = ["--family", "hadamard", "--n", "10", "--depth", "2"]
+    assert main(["synth"] + argv + ["--out", path]) == 0
+    assert " wires=57344 trivial=65536 " in capsys.readouterr().out
+    assert main(["verify", "--circuit", path, "--family", "hadamard", "--n", "10"]) == 0
+    assert capsys.readouterr().out == "equal=True wires=57344 depth=2\n"
+    assert main(["bench", "--family", "hadamard", "--n", "8,10", "--depth", "2,4"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[1], r[3], r[5]) for r in rows] == [
+        ("8", "2", "7168"), ("8", "4", "4096"), ("10", "2", "57344"),
+    ]
+    # a base of the other family is refused on a grid with no row
+    argv = ["--family", "hadamard", "--base", "js:4", "--n", "9", "--depth", "2"]
+    assert main(["bench"] + argv) == 2
 
 
 def test_synth_counts_wires_without_building(tmp_path, capsys):
@@ -268,7 +287,7 @@ def test_disjointness_trivial_is_the_wires_of_its_butterfly(capsys, n, d):
 
 
 def test_usage_error(capsys):
-    rc = main(["synth", "--family", "hadamard", "--n", "6", "--depth", "2"])
+    rc = main(["synth", "--family", "hadamard", "--n", "9", "--depth", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
@@ -310,7 +329,9 @@ def test_verify_against_the_wrong_n_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("n,rc,err", [(20, 2, "error:"), (20000, 3, "cap exceeded:")])
+@pytest.mark.parametrize("n,rc,err", [
+    (20, 2, "error:"), (20000, 3, "cap exceeded:"), (400000, 3, "cap exceeded:"),
+])
 def test_verify_against_a_far_larger_n_exits_at_once(tmp_path, capsys, n, rc, err):
     # the target is refused before anything is built: 2^20 x 2^20 is within
     # the dimension cap but not the circuit's shape; 2^20000 is beyond the

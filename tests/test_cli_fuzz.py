@@ -46,7 +46,8 @@ def mutate(text, edits):
 
 def _valid_files():
     q_matrix = SparseMatrix.from_dense([[Fraction(1, 2), 0], [-3, Fraction(-5, 7)]], RATIONALS)
-    circ = circuits.synth_depth_d(rigidity.h2_rank1_decomposition(F5), 2, 2)  # H_4
+    d2 = rigidity.h2_rank1_decomposition(F5)
+    circ = circuits.synthesize(circuits.two_factor_from_rigidity(d2), d2.target, 2, 2)  # H_4
     return {
         "matrix": [sparse.dump_matrix(rigidity.hadamard_matrix(2, F5)), sparse.dump_matrix(q_matrix)],
         "truthtable": [

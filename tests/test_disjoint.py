@@ -16,7 +16,6 @@ from kronrigid.disjoint import (
     js_partition,
     js_side_sums,
     removal_split_csr,
-    rn_depth_d,
     rn_rigidity_decomposition,
     validate_partition,
 )
@@ -25,6 +24,13 @@ from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix
 
 F5 = FieldCtx(5)
+
+
+def rn_circuit(n, d):
+    """Depth-d circuit for R_n from the R_m base, m = max(1, n // d)."""
+    return circuits.synthesize(
+        js_factorization(max(1, n // d), F5), disjointness_matrix(1, F5), n, d
+    )
 
 
 def test_r1_definition():
@@ -175,7 +181,7 @@ def test_js_factorization_product():
 
 
 def test_rn_depth_2():
-    circ = rn_depth_d(8, 2, F5)
+    circ = rn_circuit(8, 2)
     assert circ.wires < 2 * 2**12  # butterfly baseline 8192
     assert circ.product() == disjointness_matrix(8, F5)
     # exact count: 2 * nnz(A_4 kron B_4') pattern = 2 * 41 * 29
@@ -183,21 +189,21 @@ def test_rn_depth_2():
 
 
 def test_rn_depth_3():
-    circ = rn_depth_d(12, 3, F5)
+    circ = rn_circuit(12, 3)
     assert circuits.verify_circuit(circ, [disjointness_matrix(1, F5)] * 12)
 
 
 def test_rn_depth_remainder():
     # (1, 2) and (3, 4) have n < d: every digit rides in a butterfly slot
     for n, d in [(5, 2), (1, 2), (3, 4)]:
-        circ = rn_depth_d(n, d, F5)
+        circ = rn_circuit(n, d)
         assert circ.product() == disjointness_matrix(n, F5)
 
 
 @pytest.mark.parametrize("d", [0, 1, -2])
 def test_rn_depth_below_two(d):
     with pytest.raises(DepthTooSmall):
-        rn_depth_d(4, d, F5)
+        circuits.synthesize(js_factorization(4, F5), disjointness_matrix(1, F5), 4, d)
 
 
 def test_synthesize_remainder_of_at_least_depth():
@@ -226,7 +232,7 @@ def test_entropy_identities():
 def test_critical_fraction():
     a_star, h_val = critical_fraction(bits=40)
     with mpmath.workprec(64):
-        lhs = (1 - a_star) * disjoint.entropy_mpf((1 - 2 * a_star) / (1 - a_star))
+        lhs = (1 - a_star) * disjoint.entropy((1 - 2 * a_star) / (1 - a_star))
         assert abs(lhs - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -38
     assert abs(float(a_star) - 0.41777) < 1e-4
     assert abs(float(h_val) - 0.9804) < 1e-3
