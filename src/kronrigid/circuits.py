@@ -399,20 +399,17 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
 
 
 def _circuit_text(circ: SynchronousCircuit):
-    """The circuit file as a sequence of strings, one whole block each."""
-    yield (
-        f"circuit {circ.depth} {circ.rows} {circ.cols} "
-        f"{circ.ctx.modulus} {circ.wires}\n"
-    )
+    """The circuit file as a sequence of ASCII bytes, one whole block each."""
+    yield f"circuit {circ.depth} {circ.rows} {circ.cols} {circ.ctx.modulus} {circ.wires}\n".encode()
     for idx in range(circ.depth):
         f = circ.factor(idx)
-        yield f"factor {idx} {f.rows} {f.cols} {f.nnz}\n"
+        yield f"factor {idx} {f.rows} {f.cols} {f.nnz}\n".encode()
         yield from sparse._format_entries(f)
         del f  # built one layer at a time: drop it before the next is built
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:
-    return "".join(_circuit_text(circ))
+    return b"".join(_circuit_text(circ)).decode()
 
 
 def parse_circuit(text: str) -> SynchronousCircuit:
@@ -444,7 +441,7 @@ def parse_circuit(text: str) -> SynchronousCircuit:
 
 def save_circuit(circ: SynchronousCircuit, path) -> None:
     circ.check_caps()  # before the file is created
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_circuit_text(circ))
 
 

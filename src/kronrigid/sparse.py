@@ -345,11 +345,12 @@ def kron_power(m: SparseMatrix, n: int) -> SparseMatrix:
 def kron_all(mats) -> SparseMatrix:
     """Kronecker product of a non-empty list, folded as a balanced tree:
     kron is associative, so the result is the same as a left fold, with
-    far fewer entries in the intermediate products."""
+    far fewer entries in the intermediate products; equal halves are built once."""
     if len(mats) == 1:
         return mats[0]
     half = len(mats) // 2
-    return kron(kron_all(mats[:half]), kron_all(mats[half:]))
+    left = kron_all(mats[:half])
+    return kron(left, left if mats[:half] == mats[half:] else kron_all(mats[half:]))
 
 
 def _mulmod(x, y, p: int, terms: int, bx: int, by: int):
@@ -546,9 +547,9 @@ def _eliminate(rows, ctx: FieldCtx, stop_above=None) -> list:
 # Every artifact file is a header line (an optional tag, then integers)
 # and blocks of whitespace-separated numbers.  A matrix is the header
 # "rows cols field" (p for F_p, 0 for Q) and one "i j value" line per
-# nonzero, values as integers or "num/den".  The circuit, witness and
-# truth-table readers are made of the same parts: _header, _blocks and
-# _numbers.
+# nonzero, values as integers or "num/den".  The four readers are made of
+# the same parts (_header, _blocks, _numbers), and one writer, _text_lines,
+# makes the lines of numbers of all four.
 
 
 def _header(text: str, tag, count: int):
@@ -628,23 +629,54 @@ def _entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> Sparse
     return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, True))
 
 
+def _digit_table(width: int) -> np.ndarray:
+    """ASCII digits of k < 10**width: row k with NUL for leading zeros (0
+    keeps one digit), row 10**width + k zero-padded."""
+    text = np.indices((10,) * width, np.uint8).reshape(width, -1).T + np.uint8(ord("0"))
+    k, place = np.arange(10**width)[:, None], 10 ** np.arange(width - 1, -1, -1)
+    return np.vstack([text * ((k >= place) | (place == 1)), text])
+
+
+# A number's 4-byte words: _LOW its last three digits and a NUL, _HIGH four above.
+_LOW = np.hstack([_digit_table(3), np.zeros((2000, 1), np.uint8)]).view(np.uint32).ravel()
+_HIGH = _digit_table(4).view(np.uint32).ravel()
+_HIGH[0] = 0  # no digits above
+
+
+def _text_lines(*columns: np.ndarray) -> bytes:
+    """Lines of the (non-empty) columns' values joined by spaces, each as str() writes it."""
+    columns = [np.array([str(v) for v in c.tolist()], "S") if c.dtype == object or c.min() < 0 else c
+               for c in columns]
+    widths = [(c.itemsize if c.dtype.kind == "S" else len(str(c.max()))) // 4 + 1 for c in columns]
+    words = np.empty((columns[0].size, sum(widths)), np.uint32)
+    for column, end, width in zip(columns, np.cumsum(widths), widths):
+        if column.dtype.kind == "S":  # the last byte of each row stays NUL
+            words[:, end - width : end] = column.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width)
+            continue
+        above = column // 1000
+        words[:, end - 1] = _LOW[np.minimum(column, column - 1000 * above + 1000)]
+        for j in range(end - 2, end - width - 1, -1):
+            words[:, j] = _HIGH[np.minimum(above, above % 10**4 + 10**4)]
+            above //= 10**4
+    text = words.view(np.uint8)
+    text[:, 4 * np.cumsum(widths) - 1] = list(b" " * (len(widths) - 1) + b"\n")
+    return text.tobytes().translate(None, b"\0")
+
+
 def _format_entries(m: SparseMatrix):
-    """The "i j value" lines of m's entries in CSR order, as one string per
-    block of 2^18 entries: whole-block formatting, with a bounded number of
-    Python objects alive at once."""
-    block = 1 << 18
-    rows = _row_ids(m)
-    for lo in range(0, m.nnz, block):
-        hi = min(lo + block, m.nnz)
-        flat = np.empty((hi - lo, 3), dtype=object)
-        flat[:, 0] = rows[lo:hi]
-        flat[:, 1] = m.indices[lo:hi]
-        flat[:, 2] = m.data[lo:hi].tolist()  # str() of a Fraction is "num/den" or "num"
-        yield ("%d %d %s\n" * (hi - lo)) % tuple(flat.ravel().tolist())
+    """m's "i j value" lines as bytes, a block of at most 2^14 entries and rows at a time."""
+    lo = 0
+    while lo < m.nnz:
+        first = int(np.searchsorted(m.indptr, lo, side="right")) - 1
+        stop = min(first + (1 << 14), m.rows)
+        hi = min(lo + (1 << 14), int(m.indptr[stop]))
+        rows = np.repeat(np.arange(first, stop), np.diff(np.clip(m.indptr[first : stop + 1], lo, hi)))
+        yield _text_lines(rows, m.indices[lo:hi], m.data[lo:hi])
+        lo = hi
 
 
 def dump_matrix(m: SparseMatrix) -> str:
-    return f"{m.rows} {m.cols} {m.ctx.modulus}\n" + "".join(_format_entries(m))
+    return f"{m.rows} {m.cols} {m.ctx.modulus}\n" + b"".join(_format_entries(m)).decode()
 
 
 def parse_matrix(text: str) -> SparseMatrix:

@@ -362,7 +362,8 @@ def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
 
 
 def dump_truthtable(f: TruthTable) -> str:
-    return "\n".join([f"truthtable {f.q} {f.n} {f.ctx.modulus}", *map(str, f.values)]) + "\n"
+    values = sparse._value_array(f.values, f.ctx)
+    return f"truthtable {f.q} {f.n} {f.ctx.modulus}\n" + sparse._text_lines(values).decode()
 
 
 def parse_truthtable(text: str) -> TruthTable:

@@ -1,0 +1,206 @@
+"""Byte identity of the table-driven text writer with the %-formatter it
+replaced, over F_5, F_(2^31 - 1) and Q; its memory bound; the sha256 of
+`synth --out` files; and the reuse of repeated operands in kron_all."""
+
+import hashlib
+import time
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronrigid import sparse, vf
+from kronrigid.cli import main
+from kronrigid.fields import RATIONALS, FieldCtx
+from kronrigid.sparse import SparseMatrix
+
+P31 = 2**31 - 1
+FIELDS = [FieldCtx(5), FieldCtx(P31), RATIONALS]
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def percent_lines(m):
+    """The "i j value" lines as the writer made them before the digit
+    tables: the reference the new writer must match byte for byte."""
+    block = 1 << 18
+    rows = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
+    out = []
+    for lo in range(0, m.nnz, block):
+        hi = min(lo + block, m.nnz)
+        flat = np.empty((hi - lo, 3), dtype=object)
+        flat[:, 0] = rows[lo:hi]
+        flat[:, 1] = m.indices[lo:hi]
+        flat[:, 2] = m.data[lo:hi].tolist()
+        out.append(("%d %d %s\n" * (hi - lo)) % tuple(flat.ravel().tolist()))
+    return "".join(out)
+
+
+def reference_dump(m):
+    return f"{m.rows} {m.cols} {m.ctx.modulus}\n" + percent_lines(m)
+
+
+# Numbers at the edges of a digit count, and of the 3- and 4-digit words.
+EDGES = [1, 9, 10, 11, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 9999999, 10000000]
+
+
+def values(ctx):
+    if ctx.is_prime_field:
+        p = ctx.modulus
+        return st.one_of(
+            st.integers(1, p - 1), st.sampled_from([e % p for e in EDGES if e % p] + [p - 1])
+        )
+    return st.one_of(
+        st.fractions(max_denominator=10**6).filter(bool),
+        st.sampled_from([Fraction(e) for e in EDGES] + [Fraction(-e, e + 1) for e in EDGES]),
+    )
+
+
+@st.composite
+def matrices(draw):
+    ctx = draw(st.sampled_from(FIELDS))
+    rows, cols = (draw(st.sampled_from([0, 1, 3, 10, 11, 1001, 100001])) for _ in range(2))
+    count = draw(st.integers(0, 30)) if rows and cols else 0
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                         max_size=count)) if count else set()
+    return SparseMatrix(rows, cols, ctx, [(i, j, draw(values(ctx))) for i, j in cells])
+
+
+@PROPS
+@given(matrices())
+def test_dump_matrix_matches_the_percent_formatter(m):
+    assert sparse.dump_matrix(m) == reference_dump(m)
+
+
+def test_dump_matrix_golden_edges():
+    f31 = FieldCtx(P31)
+    m = SparseMatrix(100001, 100001, f31, [
+        (9, 10, 9), (10, 9, 10), (99999, 100000, 99999), (100000, 99999, 100000),
+        (0, 0, P31 - 1), (100000, 100000, 1),
+    ])
+    assert sparse.dump_matrix(m) == (
+        "100001 100001 2147483647\n0 0 2147483646\n9 10 9\n10 9 10\n"
+        "99999 100000 99999\n100000 99999 100000\n100000 100000 1\n"
+    )
+    q = SparseMatrix(2, 3, RATIONALS, [(0, 2, Fraction(-5, 7)), (1, 0, Fraction(-10)),
+                                       (1, 1, Fraction(99999, 100000))])
+    assert sparse.dump_matrix(q) == "2 3 0\n0 2 -5/7\n1 0 -10\n1 1 99999/100000\n"
+    for rows, cols in ((0, 4), (4, 0), (0, 0), (2, 2)):
+        for ctx in FIELDS:
+            empty = SparseMatrix(rows, cols, ctx, [])
+            assert sparse.dump_matrix(empty) == f"{rows} {cols} {ctx.modulus}\n"
+
+
+@pytest.mark.parametrize("shape", ["long rows", "scattered rows"])
+def test_dump_matrix_across_blocks(shape):
+    """More than 2^18 entries: a row that crosses the block boundary, and
+    rows far apart with empty rows between them."""
+    rng = np.random.default_rng(7)
+    count = (1 << 18) + 1000
+    if shape == "long rows":
+        rows, cols = 3, 100_000
+        keys = np.arange(rows * cols)[: count]
+    else:
+        rows = cols = 1 << 21
+        keys = np.unique(rng.integers(0, rows * cols, count))
+    i, j = np.divmod(keys, cols)
+    v = rng.integers(1, P31, keys.size)
+    m = SparseMatrix(rows, cols, FieldCtx(P31), zip(i.tolist(), j.tolist(), v.tolist()))
+    assert m.nnz > 1 << 18
+    assert sparse.dump_matrix(m) == reference_dump(m)
+
+
+def test_text_lines_is_str_of_every_int64():
+    column = np.array([0, 7, 10**18, 2**63 - 1, 999, 1000, 9999, 10000], dtype=np.int64)
+    expect = "".join(f"{v}\n" for v in column.tolist()).encode()
+    assert sparse._text_lines(column) == expect
+    signed = np.array([-1, 0, -(2**63), 12], dtype=np.int64)
+    assert sparse._text_lines(signed, column[:4]) == (
+        b"-1 0\n0 7\n-9223372036854775808 1000000000000000000\n12 9223372036854775807\n"
+    )
+
+
+@pytest.mark.parametrize("n, rows", [
+    (sparse.DIMENSION_CAP, "last three"),  # 2^26: no table of 2^26 rows
+    (1 << 22, "far apart"),  # a block spans no more rows than entries
+])
+def test_dump_matrix_memory_is_bounded_by_the_block(n, rows):
+    """An n x n matrix with three entries."""
+    at = [n - 3, n - 2, n - 1] if rows == "last three" else [0, n // 2, n - 1]
+    indptr = np.zeros(n + 1, dtype=np.int64)  # pages never written stay unmapped
+    for i in at:
+        indptr[i + 1:] += 1
+    cols = [0, n // 2, n - 1]
+    m = SparseMatrix._from_csr(n, n, FieldCtx(5), indptr, np.array(cols, dtype=np.int64),
+                               np.array([1, 4, 2], dtype=np.int64))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        text = sparse.dump_matrix(m)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"{n} {n} 5\n" + "".join(f"{i} {j} {v}\n" for i, j, v in zip(at, cols, [1, 4, 2]))
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
+
+
+@PROPS
+@given(st.data())
+def test_dump_truthtable_matches_str(data):
+    ctx = data.draw(st.sampled_from(FIELDS))
+    q, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    zero = st.just(0 if ctx.is_prime_field else Fraction(0))
+    vals = data.draw(st.lists(st.one_of(zero, values(ctx)), min_size=q**n, max_size=q**n))
+    table = vf.TruthTable(q, n, ctx, tuple(vals))
+    expect = "\n".join([f"truthtable {q} {n} {ctx.modulus}", *map(str, vals)]) + "\n"
+    assert vf.dump_truthtable(table) == expect
+
+
+def test_dump_truthtable_writes_values_as_given():
+    table = vf.TruthTable(2, 1, FieldCtx(5), (-1, 7))  # not canonical residues
+    assert vf.dump_truthtable(table) == "truthtable 2 1 5\n-1\n7\n"
+
+
+# sha256 of `synth --out` files, taken before the table-driven writer.
+SYNTH_DIGESTS = {
+    ("hadamard", "h4", "131"): "7f545cd63af21077f8265c9e5c6d0e4e923e26165f234dc74700ae293b88d59c",
+    ("disjointness", "js:4", "131"): "40478b974b1b4600ce6a12aaebec9c8e5029f5d262045879152039f92df29db6",
+    ("hadamard", "h4", "2147483629"): "f7b7e4df87ff4369a0d4c7425ca08512cba5093a8de2b42280a47007ba7364fd",
+    ("disjointness", "js:4", "2147483629"): "ebf11c6fa0987176e67eee5ec7c005f9e2a14d0b34846ba2987d0a37449faa86",
+    ("hadamard", "h4", "0"): "639b4af48478438b1b2126eb8661e89009fd81174d95889ffeadedd55696aeb9",
+    ("disjointness", "js:4", "0"): "92c29379338fdbaa9c9c9b79c7a8a11b3f2315c84d9a90710dfb98d7aae3fd79",
+}
+
+
+@pytest.mark.parametrize("config", sorted(SYNTH_DIGESTS))
+def test_synth_out_bytes_are_pinned(tmp_path, capsys, config):
+    family, base, field = config
+    path = tmp_path / "c.circ"
+    argv = ["synth", "--family", family, "--n", "8", "--depth", "2", "--base", base,
+            "--field", field, "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_DIGESTS[config]
+
+
+def test_kron_all_builds_a_repeated_half_once(monkeypatch):
+    m = SparseMatrix.from_dense([[1, 2], [3, 0]], FieldCtx(5))
+    calls = []
+    kron = sparse.kron
+
+    def counted(a, b):
+        calls.append((a.rows, b.rows))
+        return kron(a, b)
+
+    monkeypatch.setattr(sparse, "kron", counted)
+    power = sparse.kron_power(m, 8)
+    assert calls == [(2, 2), (4, 4), (16, 16)]  # by squaring
+    folded = m
+    for n in range(2, 9):  # odd lengths split into unequal halves
+        folded = kron(folded, m)
+        assert sparse.kron_power(m, n) == folded
+    assert power == folded
