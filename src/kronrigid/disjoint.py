@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import scipy.sparse as _sp
 
-from . import circuits, sparse
+from . import circuits, sparse, vf
 from .errors import CapExceeded
 from .fields import FieldCtx
 from .rigidity import RigidityDecomposition
@@ -52,13 +52,13 @@ def disjointness_csr(n: int) -> _sp.csr_matrix:
     return _rn(n, FieldCtx(3)).to_csr()
 
 
-def _popcounts(arr: np.ndarray) -> np.ndarray:
-    v = arr.astype(np.int64).copy()
-    total = np.zeros_like(v)
-    while v.any():
-        total += v & 1
-        v >>= 1
-    return total
+def _popcount_table(n: int) -> np.ndarray:
+    """popcount(x) for every x < 2^n, doubled one bit at a time: the
+    upper half is the lower half plus one."""
+    table = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        table = np.concatenate([table, table + 1])
+    return table
 
 
 # -- dense row/column removal -------------------------------------------
@@ -91,10 +91,13 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     """Remove the dense rows/columns of R_n (popcount < k) and report the
     residual sparsity.
 
-    The scan path enumerates actual surviving entries; the count path
-    evaluates the closed-form maximum sum of C(n-w, j) over j in
-    [k, n-w] at the sparsest surviving weight w = k.  Both are exact and
-    must agree where both run.
+    Two exact paths, which must agree where both run.  The scan counts
+    actual entries: row x keeps every y disjoint from x with |y| >= k,
+    so its length is (R_n 1[|y| >= k])[x], one forward butterfly over
+    the integers, maximized over the surviving rows |x| >= k; it holds
+    2^n entries, so n > MATERIALIZE_CAP raises CapExceeded.  The count
+    path evaluates the closed-form maximum sum of C(n-w, j) over j in
+    [k, n-w] at the sparsest surviving weight w = k.
     """
     if not 1 <= k <= n / 2:
         raise ValueError("need 1 <= k <= n/2")
@@ -107,28 +110,16 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
             sum(comb(n - w, j) for j in range(k, n - w + 1))
             for w in range(k, n - k + 1)
         )
-        row_nnz = col_nnz = best
     elif method == "scan":
-        size = 1 << n
-        best = 0
-        for x in range(size):
-            if bin(x).count("1") < k:
-                continue
-            free = (size - 1) ^ x
-            cnt = 0
-            y = free
-            while True:
-                if bin(y).count("1") >= k:
-                    cnt += 1
-                if y == 0:
-                    break
-                y = (y - 1) & free
-            if cnt > best:
-                best = cnt
-        # R_n is symmetric, so columns mirror rows.
-        row_nnz = col_nnz = best
+        if n > MATERIALIZE_CAP:
+            raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
+        heavy = _popcount_table(n) >= k
+        # row lengths are at most 2^n <= 2^26, so int32 is exact
+        best = int(vf._rn_butterfly(heavy.astype(np.int32))[heavy].max())
     else:
         raise ValueError(f"unknown method {method!r}")
+    # R_n is symmetric, so columns mirror rows.
+    row_nnz = col_nnz = best
     return RemovalReport(n, k, row_nnz, col_nnz, removed_count, bound, method)
 
 
@@ -140,8 +131,9 @@ def removal_split_csr(n: int, k: int):
     Returns (R, L, S, structural_rank_bound) as scipy CSR matrices.
     """
     r = disjointness_csr(n).tocoo()
-    rowpop = _popcounts(r.row)
-    colpop = _popcounts(r.col)
+    pop = _popcount_table(n)
+    rowpop = pop[r.row]
+    colpop = pop[r.col]
     in_l = (rowpop < k) | ((rowpop >= k) & (colpop < k))
     size = 1 << n
     lmat = _sp.csr_matrix(

@@ -4,17 +4,22 @@ V_f factors as R_n x D_f x R_n where R_n is the disjointness transform
 and D_f holds the coefficients of f in the R_n basis.  Since R_n has a
 butterfly circuit with (N/2) log2 N additions, batch sums of the form
 sum_t f(s OR t) cost N log2 N additions and N multiplications instead of
-quadratic work.  The module also covers the weighted-permutation
-conjugation turning any Kronecker product of 2x2 matrices into a V_f,
-and the inclusion-exclusion expansion of f for bases q > 2 (where OR
-becomes entrywise max).
+quadratic work.  One array kernel applies R_n or its inverse: on int64
+residues over F_p, on integers over one common denominator over Q.  The
+module also covers the weighted-permutation conjugation turning any
+Kronecker product of 2x2 matrices into a V_f, and the inclusion-exclusion
+expansion of f for bases q > 2 (where OR becomes entrywise max).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from . import sparse
 from .errors import (
@@ -91,35 +96,44 @@ def vf_matrix_general(f: TruthTable) -> SparseMatrix:
     return SparseMatrix(size, size, f.ctx, entries, _checked=True)
 
 
-def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
-    """Butterfly application of R_n (or its inverse) to a raw vector.
+def _rn_butterfly(u: np.ndarray, inverse: bool = False, p: int = 0) -> np.ndarray:
+    """Apply R_n (or its inverse) in place to the contiguous length-2^n
+    array u, one bit b per level: u0/u1 are the entries with bit b clear/
+    set, forward (u0, u1) -> (u0 + u1, u0), inverse (u0, u1) -> (u1,
+    u0 - u1).  p > 0 reduces each new value mod p; on int64 residues of
+    an odd p < 2^31 sums and differences stay below 2^32 in size.
+    """
+    for bit in range(u.size.bit_length() - 1):
+        u0, u1 = u.reshape(-1, 2, 1 << bit).swapaxes(0, 1)
+        new = u0 - u1 if inverse else u0 + u1
+        if p:
+            np.remainder(new, p, out=new)
+        # left to right, so each side is read before it is overwritten
+        if inverse:
+            u0[...], u1[...] = u1, new
+        else:
+            u1[...], u0[...] = u0, new
+    return u
 
-    Forward level: (u0, u1) -> (u0 + u1, u0); inverse: (u0, u1) ->
-    (u1, u0 - u1), one bit position per level.  Exactly N/2 operations
-    per level.  Returns (result, {"adds": a, "subs": s}).
+
+def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
+    """Butterfly application of R_n (or its inverse) to a raw vector,
+    one `_rn_butterfly` pass of N/2 operations per level; over Q on the
+    numerators over the common denominator.  Returns (result list,
+    {"adds": a, "subs": s}).
     """
     size = len(x)
     n = size.bit_length() - 1
-    if size != 1 << n or size < 1:
+    if size < 1 or size != 1 << n:
         raise LengthNotPowerOfTwo(f"length {size} is not a power of two")
-    out = list(x)
-    adds = subs = 0
-    for bit in range(n):
-        m = 1 << bit
-        for i0 in range(size):
-            if i0 & m:
-                continue
-            i1 = i0 | m
-            u0, u1 = out[i0], out[i1]
-            if inverse:
-                out[i0] = u1
-                out[i1] = ctx.sub_raw(u0, u1)
-                subs += 1
-            else:
-                out[i0] = ctx.add_raw(u0, u1)
-                out[i1] = u0
-                adds += 1
-    return out, {"adds": adds, "subs": subs}
+    ops = {"adds": 0, "subs": 0}
+    ops["subs" if inverse else "adds"] = n * size // 2
+    if ctx.is_prime_field:
+        out = _rn_butterfly(np.array(x, dtype=np.int64), inverse, ctx.modulus)
+        return out.tolist(), ops
+    den = math.lcm(*(v.denominator for v in x))
+    nums = np.array([v.numerator * (den // v.denominator) for v in x], dtype=object)
+    return [Fraction(v, den) for v in _rn_butterfly(nums, inverse)], ops
 
 
 @dataclass(frozen=True)
@@ -161,42 +175,35 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     ctx = f.ctx
     n = f.n
     size = 1 << n
-    mask = size - 1
-    if ctx.is_prime_field and len(points) >= ctx.modulus:
+    p = ctx.modulus
+    if p and len(points) >= p:
         warnings.warn(
-            f"{len(points)} points with modulus {ctx.modulus}: multiplicities "
+            f"{len(points)} points with modulus {p}: multiplicities "
             "wrap; consider the rational field",
             ModulusTooSmallWarning,
         )
+    for s in points:
+        if not 0 <= s < size:
+            raise LengthMismatch(f"point {s} does not fit in {n} bits")
+    dtype = np.int64 if p else object
+    values = np.array(f.values, dtype=dtype)
+    work = np.array(points, dtype=np.int64)
     if convention == "and":
-        # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z)
-        table = TruthTable(
-            2, n, ctx, tuple(f.values[(~z) & mask] for z in range(size))
-        )
-        work_points = [(~p) & mask for p in points]
-    else:
-        table = f
-        work_points = list(points)
-    for p in work_points:
-        if not 0 <= p < size:
-            raise LengthMismatch(f"point {p} does not fit in {n} bits")
-    one = ctx.one_raw()
-    u = [ctx.zero_raw()] * size
-    for p in work_points:
-        u[p] = ctx.add_raw(u[p], one)
-    b_f, _ = fast_rn_apply(ctx, list(table.values), inverse=True)
-    step1, ops1 = fast_rn_apply(ctx, u)
-    mults = 0
-    mid = []
-    for bv, sv in zip(b_f, step1):
-        mid.append(ctx.mul_raw(bv, sv))
-        mults += 1
+        # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z); ~z is size - 1 - z
+        values = values[::-1]
+        work = size - 1 - work
+    counts = np.bincount(work, minlength=size)
+    if p:
+        counts %= p
+    b_f, _ = fast_rn_apply(ctx, values, inverse=True)
+    step1, ops1 = fast_rn_apply(ctx, counts.tolist())
+    # residues below 2^31, so each product is below 2^62
+    mid = np.array(b_f, dtype=dtype) * np.array(step1, dtype=dtype)
+    if p:
+        mid %= p
     w, ops2 = fast_rn_apply(ctx, mid)
-    answers = {}
-    for orig, wp in zip(points, work_points):
-        answers[orig] = Scalar(ctx, w[wp])
-    ops = {"adds": ops1["adds"] + ops2["adds"], "mults": mults}
-    return answers, ops
+    answers = {s: Scalar(ctx, w[ws]) for s, ws in zip(points, work.tolist())}
+    return answers, {"adds": ops1["adds"] + ops2["adds"], "mults": size}
 
 
 def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):

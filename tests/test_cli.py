@@ -177,6 +177,15 @@ def test_disjoint_stats_csv(capsys):
     assert lines[1] == "14,6,3473,37,37,37"
 
 
+def test_disjoint_stats_scan_beyond_the_cap_exits_at_once(capsys):
+    # the scan holds 2^n entries: n = 40 is refused before any is allocated
+    start = time.perf_counter()
+    assert main(["disjoint-stats", "--n", "40", "--k", "5", "--method", "scan"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cap exceeded:")
+
+
 def test_mmcost_csv(capsys):
     rc = main(["mmcost", "--n", "8", "--k", "2"])
     assert rc == 0

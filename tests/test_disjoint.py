@@ -97,7 +97,7 @@ def test_dense_removal_n20_count_path():
 
 
 def test_removal_paths_agree_small():
-    for n in range(2, 11):
+    for n in range(2, 21):
         for k in range(1, n // 2 + 1):
             scan = dense_removal(n, k, method="scan")
             count = dense_removal(n, k, method="count")

@@ -1,10 +1,12 @@
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from kronrigid import sparse, vf
 from kronrigid.disjoint import disjointness_matrix
 from kronrigid.errors import (
+    LengthMismatch,
     LengthNotPowerOfTwo,
     ModulusTooSmallWarning,
     OuterZero,
@@ -30,6 +32,7 @@ from kronrigid.vf import (
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
 F101 = FieldCtx(101)
+P31 = FieldCtx(2**31 - 1)
 
 
 def random_table(rng, q, n, ctx):
@@ -90,9 +93,35 @@ def test_fast_apply_op_counts():
     assert ops_inv["subs"] == 24576 and ops_inv["adds"] == 0
 
 
+def test_fast_apply_at_the_largest_modulus():
+    # every entry p - 1: the sums and differences of each level are as
+    # large as they get in int64
+    x_max = P31.modulus - 1
+    for n in range(1, 9):
+        r = disjointness_matrix(n, P31)
+        x = [x_max] * (1 << n)
+        fwd, _ = fast_rn_apply(P31, x)
+        assert fwd == sparse.apply(r, x)
+        back, _ = fast_rn_apply(P31, x, inverse=True)
+        assert sparse.apply(r, back) == x
+
+
+def test_fast_apply_over_q_with_mixed_denominators():
+    values = [Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(0)]
+    for n in range(1, 6):
+        r = disjointness_matrix(n, RATIONALS)
+        x = [values[i % 4] for i in range(1 << n)]
+        fwd, _ = fast_rn_apply(RATIONALS, x)
+        assert fwd == sparse.apply(r, x)
+        back, _ = fast_rn_apply(RATIONALS, fwd, inverse=True)
+        assert back == x
+        assert all(isinstance(v, Fraction) for v in fwd + back)
+
+
 def test_fast_apply_bad_length():
-    with pytest.raises(LengthNotPowerOfTwo):
-        fast_rn_apply(F5, [1, 2, 3])
+    for x in ([1, 2, 3], []):
+        with pytest.raises(LengthNotPowerOfTwo):
+            fast_rn_apply(F5, x)
 
 
 def test_witness_constant_one():
@@ -153,6 +182,24 @@ def test_batch_sums_vs_oracle():
         assert all(fast[p].value == slow[p].value for p in pts)
         assert ops["adds"] == 256 * 8
         assert ops["mults"] <= 3 * 256
+
+
+def test_batch_sums_at_the_largest_modulus():
+    rng = SplitMix64(56)
+    x_max = P31.modulus - 1
+    f = TruthTable(2, 6, P31, tuple(x_max - rng.randrange(3) for _ in range(64)))
+    pts = [rng.randrange(64) for _ in range(40)]
+    for conv in ("or", "and"):
+        fast, _ = batch_sums(f, pts, convention=conv)
+        slow = batch_sums_oracle(f, pts, convention=conv)
+        assert all(fast[p].value == slow[p].value for p in pts)
+
+
+@pytest.mark.parametrize("convention", ["or", "and"])
+def test_batch_sums_point_beyond_n_bits(convention):
+    f = TruthTable(2, 2, F5, (1, 0, 0, 0))
+    with pytest.raises(LengthMismatch):
+        batch_sums(f, [0b01, 0b111], convention=convention)
 
 
 def test_batch_sums_multiplicity_warning():
