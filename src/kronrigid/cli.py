@@ -43,13 +43,14 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     digits it covers are read off its size by circuits.synthesize.
 
     'auto' is h4 for hadamard, the built-in Hadamard base with the lowest
-    wire-growth exponent c, and js:max(1, n // d) for disjointness.
+    wire-growth exponent c, and js:min(max(1, n // d), disjoint.LIST_CAP)
+    for disjointness: n // d digits, at most the partition cap.
     Whether the base fits the family is checked by circuits.unit_power.
     """
     if depth < 2:
         raise DepthTooSmall("depth must be at least 2")
     if name == "auto":
-        name = "h4" if family == "hadamard" else f"js:{max(1, n // depth)}"
+        name = "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
     if name.startswith("js:"):
         return disjoint.js_factorization(int(name[3:]), ctx)
     if name not in _HADAMARD_BASES:

@@ -18,9 +18,9 @@ import mpmath
 import numpy as np
 import scipy.sparse as _sp
 
-from . import circuits, sparse, vf
+from . import circuits, sparse
 from .errors import CapExceeded
-from .fields import FieldCtx
+from .fields import RATIONALS, FieldCtx
 from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix
 
@@ -93,9 +93,10 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
 
     Two exact paths, which must agree where both run.  The scan counts
     actual entries: row x keeps every y disjoint from x with |y| >= k,
-    so its length is (R_n 1[|y| >= k])[x], one forward butterfly over
-    the integers, maximized over the surviving rows |x| >= k; it holds
-    2^n entries, so n > MATERIALIZE_CAP raises CapExceeded.  The count
+    so its length is (R_n 1[|y| >= k])[x], one `sparse.kron_apply` of
+    [R_1] * n over the integers, maximized over the surviving rows
+    |x| >= k; it holds 2^n entries, so n > MATERIALIZE_CAP raises
+    CapExceeded.  The count
     path evaluates the closed-form maximum sum of C(n-w, j) over j in
     [k, n-w] at the sparsest surviving weight w = k.
     """
@@ -114,8 +115,9 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         if n > MATERIALIZE_CAP:
             raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
         heavy = _popcount_table(n) >= k
-        # row lengths are at most 2^n <= 2^26, so int32 is exact
-        best = int(vf._rn_butterfly(heavy.astype(np.int32))[heavy].max())
+        # row lengths are integers of at most 2^n <= 2^26, so int32 is exact
+        rn = [disjointness_matrix(1, RATIONALS)] * n
+        best = int(sparse.kron_apply(rn, heavy.astype(np.int32))[heavy].max())
     else:
         raise ValueError(f"unknown method {method!r}")
     # R_n is symmetric, so columns mirror rows.
@@ -238,25 +240,6 @@ def js_partition(n: int) -> RectPartition:
                 nxt.append((rows_hi, cols, RECT))
         pieces = nxt
     return RectPartition(n, tuple(pieces))
-
-
-def validate_partition(part: RectPartition) -> bool:
-    """Exhaustive check: pieces disjoint, all-ones, covering exactly."""
-    seen = set()
-    for rows, cols, kind in part.pieces:
-        if kind == SQUARE and len(rows) != len(cols):
-            return False
-        if kind == RECT and len(rows) != 2 * len(cols):
-            return False
-        for x in rows:
-            for y in cols:
-                if x & y:
-                    return False  # outside the support
-                cell = (x, y)
-                if cell in seen:
-                    return False
-                seen.add(cell)
-    return len(seen) == 3**part.n
 
 
 def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:

@@ -158,9 +158,6 @@ class Scalar:
     def inv(self) -> "Scalar":
         return Scalar(self.ctx, self.ctx.inv_raw(self.value))
 
-    def is_zero(self) -> bool:
-        return not self.value
-
     def __bool__(self):
         return bool(self.value)
 

@@ -14,6 +14,7 @@ left operand occupies the high digits.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -498,6 +499,67 @@ def apply(a: SparseMatrix, x) -> list:
     for i, v in zip(_row_ids(y).tolist(), y.data.tolist()):
         out[i] = v
     return out
+
+
+def kron_apply(ops, u: np.ndarray) -> np.ndarray:
+    """(ops[0] kron ... kron ops[-1]) times the vector u, one operand per
+    pass from the last one (the low digits), as in Yates' method: pass i
+    views the vector as (lead, ops[i].cols, tail) and combines its middle
+    slices by the rows of ops[i].  No Kronecker product is built.
+
+    Over F_p, u holds int64 residues.  A coefficient 1 adds a slice, -1
+    (p - 1) subtracts it, and any other one multiplies it and is reduced
+    mod p, so a row of t terms sums below t * p < 2^63; the row is then
+    reduced.  Over Q, u is an object array, or an integer array whose sums
+    the caller knows fit its dtype when every coefficient is 1 or -1.
+    Two buffers alternate between passes; u is one of them when it is as
+    long as the largest stage, so it is consumed.
+    """
+    ctx = ops[0].ctx if ops else None
+    p = ctx.modulus if ctx else 0
+    minus_one = p - 1 if p else -1
+    u = np.ascontiguousarray(u).reshape(-1)
+    # stage k holds the rows of ops[k:] and the columns of ops[:k]
+    stages = [math.prod(op.cols for op in ops[:k]) * math.prod(op.rows for op in ops[k:])
+              for k in range(len(ops) + 1)]
+    if u.size != stages[-1]:
+        raise DimensionMismatch(f"vector length {u.size} != {stages[-1]}")
+    big = max(stages)
+    spare, other = np.empty(big, u.dtype), u if u.size == big else np.empty(big, u.dtype)
+    cur = u
+    for k in range(len(ops) - 1, -1, -1):
+        op = ops[k]
+        lead = math.prod(o.cols for o in ops[:k])
+        x = cur.reshape(lead, op.cols, -1)
+        out = spare[: stages[k]].reshape(lead, op.rows, -1)
+        ptr, idx, data = op.indptr.tolist(), op.indices.tolist(), op.data.tolist()
+        for a in range(op.rows):
+            o = out[:, a]
+            parts = []  # (added, slice)
+            for b, c in zip(idx[ptr[a] : ptr[a + 1]], data[ptr[a] : ptr[a + 1]]):
+                y = x[:, b]
+                if c != 1 and c != minus_one:
+                    y = y * c
+                    if p:
+                        y %= p
+                parts.append((c != minus_one, y))
+            if not parts:
+                o[...] = ctx.zero_raw()
+                continue
+            parts.sort(key=lambda part: not part[0])  # an added slice first
+            added, y = parts[0]
+            if len(parts) == 1 and added:  # a copy of a residue
+                np.copyto(o, y)
+                continue
+            if not added:
+                y = np.negative(y, out=o)
+            for added, z in parts[1:]:
+                y = (np.add if added else np.subtract)(y, z, out=o)
+            if p:
+                np.remainder(o, p, out=o)
+        cur = out
+        spare, other = other, spare
+    return cur.reshape(-1)
 
 
 def rank(a: SparseMatrix) -> int:

@@ -4,11 +4,12 @@ V_f factors as R_n x D_f x R_n where R_n is the disjointness transform
 and D_f holds the coefficients of f in the R_n basis.  Since R_n has a
 butterfly circuit with (N/2) log2 N additions, batch sums of the form
 sum_t f(s OR t) cost N log2 N additions and N multiplications instead of
-quadratic work.  One array kernel applies R_n or its inverse: on int64
-residues over F_p, on integers over one common denominator over Q.  The
-module also covers the weighted-permutation conjugation turning any
-Kronecker product of 2x2 matrices into a V_f, and the inclusion-exclusion
-expansion of f for bases q > 2 (where OR becomes entrywise max).
+quadratic work.  Every digit-wise transform here is one
+`sparse.kron_apply`: R_n = R_1^{kron n} and its inverse (over Q on
+integers over one common denominator), the inclusion-exclusion expansion
+of f for bases q > 2 (where OR becomes entrywise max), and the truth
+table of the weighted-permutation conjugation turning any Kronecker
+product of 2x2 matrices into a V_f.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 from .fields import FieldCtx, Scalar
 from .sparse import IndexCodec, SparseMatrix
 
-VF_CAP = 13
 GENERAL_CAP = 4096
 
 
@@ -51,76 +51,38 @@ class TruthTable:
                 f"expected {self.q ** self.n} values, got {len(self.values)}"
             )
 
-    @classmethod
-    def from_func(cls, q, n, ctx, fn):
-        codec = IndexCodec(q, n)
-        values = tuple(
-            ctx.coerce(fn(codec.decode(i))) for i in range(q**n)
-        )
-        return cls(q, n, ctx, values)
-
     def __call__(self, digits):
         return self.values[IndexCodec(self.q, self.n).encode(digits)]
 
 
 def vf_matrix(f: TruthTable) -> SparseMatrix:
-    """V_f[x,y] = f(x OR y) for a q = 2 truth table."""
+    """V_f[x,y] = f(x OR y) for a q = 2 truth table: OR is the digit-wise
+    max on bits."""
     if f.q != 2:
         raise ValueError("vf_matrix is the q = 2 case; see vf_matrix_general")
-    if f.n > VF_CAP:
-        raise CapExceeded(f"n = {f.n} exceeds the cap {VF_CAP}")
-    size = 1 << f.n
-    entries = []
-    for x in range(size):
-        for y in range(size):
-            v = f.values[x | y]
-            if v:
-                entries.append((x, y, v))
-    return SparseMatrix(size, size, f.ctx, entries, _checked=True)
+    return vf_matrix_general(f)
 
 
 def vf_matrix_general(f: TruthTable) -> SparseMatrix:
-    """Entrywise-max version for bases q >= 2."""
-    size = f.q**f.n
+    """V_f[x,y] = f(digit-wise max of x and y) for bases q >= 2."""
+    q, size = f.q, f.q**f.n
     if size > GENERAL_CAP:
         raise CapExceeded(f"q^n = {size} exceeds the cap {GENERAL_CAP}")
-    codec = IndexCodec(f.q, f.n)
-    entries = []
-    for x in range(size):
-        dx = codec.decode(x)
-        for y in range(size):
-            dy = codec.decode(y)
-            v = f.values[codec.encode(tuple(map(max, dx, dy)))]
-            if v:
-                entries.append((x, y, v))
-    return SparseMatrix(size, size, f.ctx, entries, _checked=True)
-
-
-def _rn_butterfly(u: np.ndarray, inverse: bool = False, p: int = 0) -> np.ndarray:
-    """Apply R_n (or its inverse) in place to the contiguous length-2^n
-    array u, one bit b per level: u0/u1 are the entries with bit b clear/
-    set, forward (u0, u1) -> (u0 + u1, u0), inverse (u0, u1) -> (u1,
-    u0 - u1).  p > 0 reduces each new value mod p; on int64 residues of
-    an odd p < 2^31 sums and differences stay below 2^32 in size.
-    """
-    for bit in range(u.size.bit_length() - 1):
-        u0, u1 = u.reshape(-1, 2, 1 << bit).swapaxes(0, 1)
-        new = u0 - u1 if inverse else u0 + u1
-        if p:
-            np.remainder(new, p, out=new)
-        # left to right, so each side is read before it is overwritten
-        if inverse:
-            u0[...], u1[...] = u1, new
-        else:
-            u1[...], u0[...] = u0, new
-    return u
+    digit_max = np.maximum.outer(np.arange(q), np.arange(q))
+    index = np.zeros((1, 1), dtype=np.int32)
+    for _ in range(f.n):  # one more low digit on both sides
+        index = (q * index[:, None, :, None] + digit_max[:, None, :]).reshape(
+            index.shape[0] * q, -1
+        )
+    values = sparse._value_array(f.values, f.ctx)[index]
+    i, j = np.nonzero(values)
+    return SparseMatrix._from_csr(size, size, f.ctx, sparse._indptr(size, i), j, values[i, j])
 
 
 def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
-    """Butterfly application of R_n (or its inverse) to a raw vector,
-    one `_rn_butterfly` pass of N/2 operations per level; over Q on the
-    numerators over the common denominator.  Returns (result list,
-    {"adds": a, "subs": s}).
+    """R_n (or its inverse) applied to a raw vector by `sparse.kron_apply`
+    on [R_1] * n, N/2 operations per level; over Q on the numerators over
+    the common denominator.  Returns (result list, {"adds": a, "subs": s}).
     """
     size = len(x)
     n = size.bit_length() - 1
@@ -128,12 +90,13 @@ def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
         raise LengthNotPowerOfTwo(f"length {size} is not a power of two")
     ops = {"adds": 0, "subs": 0}
     ops["subs" if inverse else "adds"] = n * size // 2
+    # forward (u0, u1) -> (u0 + u1, u0), inverse (u0, u1) -> (u1, u0 - u1)
+    r1 = SparseMatrix.from_dense([[0, 1], [1, -1]] if inverse else [[1, 1], [1, 0]], ctx)
     if ctx.is_prime_field:
-        out = _rn_butterfly(np.array(x, dtype=np.int64), inverse, ctx.modulus)
-        return out.tolist(), ops
+        return sparse.kron_apply([r1] * n, np.array(x, dtype=np.int64)).tolist(), ops
     den = math.lcm(*(v.denominator for v in x))
     nums = np.array([v.numerator * (den // v.denominator) for v in x], dtype=object)
-    return [Fraction(v, den) for v in _rn_butterfly(nums, inverse)], ops
+    return [Fraction(v, den) for v in sparse.kron_apply([r1] * n, nums)], ops
 
 
 @dataclass(frozen=True)
@@ -206,19 +169,6 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     return answers, {"adds": ops1["adds"] + ops2["adds"], "mults": size}
 
 
-def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):
-    """Quadratic reference: direct double loop over the multiset."""
-    ctx = f.ctx
-    out = {}
-    for s in points:
-        acc = ctx.zero_raw()
-        for t in points:
-            z = (s | t) if convention == "or" else (s & t)
-            acc = ctx.add_raw(acc, f.values[z])
-        out[s] = Scalar(ctx, acc)
-    return out
-
-
 def kron2_to_vf(m_list):
     """Write a Kronecker product of 2x2 matrices as Pi x V_f x Pi'.
 
@@ -234,7 +184,7 @@ def kron2_to_vf(m_list):
     ctx = m_list[0].ctx
     pi_parts = []
     pip_parts = []
-    g_values = []
+    columns = []
     for m in m_list:
         a = m.get(0, 0)
         b = m.get(0, 1)
@@ -259,17 +209,11 @@ def kron2_to_vf(m_list):
         pip_parts.append(
             SparseMatrix(2, 2, ctx, [(0, 1, b), (1, 0, a)], _checked=True)
         )
-        g_values.append((g0, one))
+        columns.append(SparseMatrix.from_dense([[g0], [one]], ctx))
     pi = sparse.kron_all(pi_parts)
     pip = sparse.kron_all(pip_parts)
-    codec = IndexCodec(2, n)
-    values = []
-    for z in range(1 << n):
-        digits = codec.decode(z)
-        acc = ctx.one_raw()
-        for i, dig in enumerate(digits):
-            acc = ctx.mul_raw(acc, g_values[i][dig])
-        values.append(acc)
+    # f(z) = prod_i g_i(z[i]): the Kronecker product of the columns (g_i(0), g_i(1))
+    values = sparse.kron_apply(columns, sparse._value_array([ctx.one_raw()], ctx)).tolist()
     f = TruthTable(2, n, ctx, tuple(values))
     return pi, f, pip
 
@@ -283,86 +227,25 @@ def inclusion_exclusion_expand(f: TruthTable):
     and 0 elsewhere.  Each f_S is a truth table over base q-1 on the
     slots of S; telescoping gives f(z) = sum over S subset of supp(z) of
     f_S(z restricted to S, shifted down by 1).
+
+    The step v -> (v_0, v_1 - v_0, ..., v_{q-1} - v_0) on every digit
+    maps f to g(z) = f_{supp z}(z restricted to supp z, shifted down), so
+    one `sparse.kron_apply` makes every table: f_S is the slice of g with
+    the digits of S positive and the others 0.
     """
     q, n, ctx = f.q, f.n, f.ctx
     if q**n > GENERAL_CAP:
         raise CapExceeded(f"q^n = {q ** n} exceeds the cap {GENERAL_CAP}")
-    codec = IndexCodec(q, n)
+    step = [[int(j == i) - int(j == 0 < i) for j in range(q)] for i in range(q)]
+    g = sparse.kron_apply(
+        [SparseMatrix.from_dense(step, ctx)] * n, sparse._value_array(f.values, ctx)
+    ).reshape((q,) * n)
     out = {}
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            sub = IndexCodec(q - 1, size) if q > 2 else IndexCodec(1, size)
-            values = []
-            for widx in range((q - 1) ** size):
-                w = sub.decode(widx) if size else ()
-                acc = ctx.zero_raw()
-                for tsize in range(size + 1):
-                    for t in combinations(s, tsize):
-                        x = [0] * n
-                        for pos, slot in enumerate(s):
-                            if slot in t:
-                                x[slot] = w[pos] + 1
-                        val = f.values[codec.encode(x)]
-                        if (size - tsize) % 2:
-                            acc = ctx.sub_raw(acc, val)
-                        else:
-                            acc = ctx.add_raw(acc, val)
-                values.append(acc)
-            out[frozenset(s)] = TruthTable(
-                max(q - 1, 1), size, ctx, tuple(values)
-            )
+            cut = np.ravel(g[tuple(slice(1, None) if i in s else 0 for i in range(n))])
+            out[frozenset(s)] = TruthTable(max(q - 1, 1), size, ctx, tuple(cut.tolist()))
     return out
-
-
-def expansion_identity_check(f: TruthTable, expansion=None) -> bool:
-    """f(z) = sum over S subset of supp(z) of f_S at every point z."""
-    if expansion is None:
-        expansion = inclusion_exclusion_expand(f)
-    q, n, ctx = f.q, f.n, f.ctx
-    codec = IndexCodec(q, n)
-    for z in range(q**n):
-        dz = codec.decode(z)
-        supp = [i for i in range(n) if dz[i]]
-        acc = ctx.zero_raw()
-        for size in range(len(supp) + 1):
-            for s in combinations(supp, size):
-                table = expansion[frozenset(s)]
-                w = tuple(dz[i] - 1 for i in s)
-                acc = ctx.add_raw(acc, table(w))
-        if acc != f.values[z]:
-            return False
-    return True
-
-
-def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
-    """Dense check that V_f (entrywise max) is the sum over S of the
-    padded V_{f_S} blocks Kronecker-interleaved with all-ones slots."""
-    if expansion is None:
-        expansion = inclusion_exclusion_expand(f)
-    q, n, ctx = f.q, f.n, f.ctx
-    size = q**n
-    codec = IndexCodec(q, n)
-    target = vf_matrix_general(f)
-    acc = {}
-    for s, table in expansion.items():
-        slots = sorted(s)
-        for x in range(size):
-            dx = codec.decode(x)
-            for y in range(size):
-                dy = codec.decode(y)
-                # the padded block covers pairs whose entrywise max is
-                # positive on every slot of S
-                if any(max(dx[i], dy[i]) == 0 for i in slots):
-                    continue
-                w = tuple(max(dx[i], dy[i]) - 1 for i in slots)
-                v = table(w)
-                if v:
-                    key = (x, y)
-                    acc[key] = ctx.add_raw(acc.get(key, ctx.zero_raw()), v)
-    rebuilt = SparseMatrix.from_triplets(
-        size, size, ctx, [(i, j, v) for (i, j), v in acc.items()]
-    )
-    return rebuilt == target
 
 
 # -- truth-table file format --------------------------------------------

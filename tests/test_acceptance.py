@@ -30,20 +30,20 @@ from kronrigid.disjoint import (
     js_partition,
     js_side_sums,
     removal_split_csr,
-    validate_partition,
 )
 from kronrigid.errors import ExceedsBound, ModulusTooSmallWarning, OmegaZero
 from kronrigid.fields import FieldCtx
 from kronrigid.mmbridge import NaiveBackend, StrassenBackend, butterflytomm_apply
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import brute_force_rigidity, dft_matrix, hadamard_matrix
 from kronrigid.sparse import SparseMatrix
-from kronrigid.vf import (
-    TruthTable,
-    batch_sums,
+from kronrigid.vf import TruthTable, batch_sums
+
+from reference import (
+    SplitMix64,
     batch_sums_oracle,
     expansion_identity_check,
     expansion_matrix_identity_check,
+    validate_partition,
 )
 
 F3 = FieldCtx(3)

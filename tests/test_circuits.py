@@ -22,9 +22,10 @@ from kronrigid.errors import (
     UnverifiedInput,
 )
 from kronrigid.fields import FieldCtx
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
+
+from reference import SplitMix64
 
 F5 = FieldCtx(5)
 

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import kronrigid
 from kronrigid import sparse, vf
 from kronrigid.circuits import butterfly_circuit
 from kronrigid.cli import main
@@ -274,13 +276,26 @@ def test_formula_bound_beyond_float_range_is_a_cap(capsys, command):
 
 
 def test_bench_auto_base_of_disjointness(capsys):
-    # auto is js:max(1, n // d) for disjointness, resolved per row as in synth
+    # auto is js:n // d for disjointness (up to the cap), resolved per row as in synth
     argv = ["--family", "disjointness", "--n", "8", "--depth", "2"]
     assert main(["bench"] + argv + ["--base", "auto"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[1] == "disjointness,8,256,2,auto,2378,2592,2378.0,1.161133"
     assert main(["synth"] + argv) == 0
     assert "wires=2378 trivial=2592 bound=2378.0" in capsys.readouterr().out
+
+
+def test_auto_base_of_disjointness_stops_at_the_partition_cap(capsys):
+    # n // d = 16 is above disjoint.LIST_CAP = 14, so auto is js:14
+    argv = ["synth", "--family", "disjointness", "--n", "64", "--depth", "4"]
+    assert main(argv + ["--base", "js:14"]) == 0
+    want = capsys.readouterr().out
+    assert "wires=33267328319183074099200 " in want
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    bench = ["bench", "--family", "disjointness", "--n", "64", "--depth", "4"]
+    assert main(bench + ["--base", "auto"]) == 0
+    assert ",33267328319183074099200," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n,d", [(8, 2), (12, 2), (12, 3)])
@@ -369,10 +384,15 @@ def test_cap_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same kronrigid as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(kronrigid.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "kronrigid.cli", "disjoint-stats", "--n", "6", "--k", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,2,")

@@ -17,11 +17,12 @@ from kronrigid.disjoint import (
     js_side_sums,
     removal_split_csr,
     rn_rigidity_decomposition,
-    validate_partition,
 )
 from kronrigid.errors import CapExceeded, DepthTooSmall
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix
+
+from reference import validate_partition
 
 F5 = FieldCtx(5)
 

@@ -16,7 +16,8 @@ from kronrigid.fields import (
     multiplicative_order,
     primitive_root_of_unity,
 )
-from kronrigid.prng import SplitMix64
+
+from reference import SplitMix64
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)

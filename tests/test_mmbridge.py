@@ -11,9 +11,10 @@ from kronrigid.mmbridge import (
     kron_identity_apply,
     mm_cost_report,
 )
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
+
+from reference import SplitMix64
 
 F7 = FieldCtx(7)
 

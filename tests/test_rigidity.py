@@ -5,9 +5,10 @@ import pytest
 from kronrigid import disjoint, rigidity, sparse
 from kronrigid.errors import ExceedsBound, NotSquare, OmegaZero, OuterZero, WorkCapExceeded
 from kronrigid.fields import FieldCtx
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
+
+from reference import SplitMix64
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)

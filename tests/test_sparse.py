@@ -12,9 +12,10 @@ from kronrigid.errors import (
     DimensionMismatch,
 )
 from kronrigid.fields import RATIONALS, FieldCtx
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import IndexCodec, SparseMatrix
+
+from reference import SplitMix64
 
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
@@ -191,6 +192,59 @@ def test_kron_power_h3():
 def test_apply_identity():
     v = [F5.coerce(x) for x in (1, 2, 3, 4)]
     assert sparse.apply(sparse.identity(4, F5), v) == v
+
+
+def _mixed_operands(rng, ctx, pick):
+    """A shuffled run of 2x1, 3x3 and 2x2-with-a-zero-and-a-minus-one operands."""
+    column = SparseMatrix.from_dense([[pick()], [pick()]], ctx)
+    square = SparseMatrix.from_dense([[pick() for _ in range(3)] for _ in range(3)], ctx)
+    signed = SparseMatrix.from_dense([[pick(), 0], [-1, pick()]], ctx)
+    ops = [column, square, signed, column, signed]
+    return [ops.pop(rng.randrange(len(ops))) for _ in range(len(ops) - rng.randrange(2))]
+
+
+def _check_kron_apply(ops, u, ctx):
+    want = sparse.apply(sparse.kron_all(ops), u)
+    got = sparse.kron_apply(ops, sparse._value_array(u, ctx))
+    assert got.tolist() == want
+
+
+def test_kron_apply_matches_the_built_product():
+    rng = SplitMix64(32)
+    for ctx in (F7, FieldCtx(101)):
+        for _ in range(20):
+            ops = _mixed_operands(rng, ctx, lambda: rng.randrange(ctx.modulus))
+            size = np.prod([op.cols for op in ops])
+            _check_kron_apply(ops, [rng.randrange(ctx.modulus) for _ in range(size)], ctx)
+
+
+def test_kron_apply_at_the_largest_modulus():
+    # every entry p - 1: each product and sum is as large as it gets in int64
+    ctx = FieldCtx(2**31 - 1)
+    rng = SplitMix64(33)
+    for _ in range(10):
+        ops = _mixed_operands(rng, ctx, lambda: ctx.modulus - 1)
+        _check_kron_apply(ops, [ctx.modulus - 1] * np.prod([op.cols for op in ops]), ctx)
+    many = SparseMatrix.from_dense([[ctx.modulus - 1] * 8, [ctx.modulus - 2] * 8], ctx)
+    _check_kron_apply([many] * 3, [ctx.modulus - 1] * 512, ctx)
+
+
+def test_kron_apply_over_q_with_mixed_denominators():
+    rng = SplitMix64(34)
+    values = [Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(0), Fraction(5, 6)]
+    for _ in range(10):
+        ops = _mixed_operands(rng, RATIONALS, lambda: rng.choice(values))
+        size = np.prod([op.cols for op in ops])
+        _check_kron_apply(ops, [rng.choice(values) for _ in range(size)], RATIONALS)
+
+
+def test_kron_apply_small_cases():
+    r1 = disjointness_matrix(1, F7)
+    u = np.array([1, 2, 3, 4], dtype=np.int64)
+    assert sparse.kron_apply([r1, r1], u).tolist() == [10 % 7, 4, 3, 1]
+    with pytest.raises(DimensionMismatch):
+        sparse.kron_apply([r1, r1], np.zeros(8, dtype=np.int64))
+    assert sparse.kron_apply([], np.array([3])).tolist() == [3]
 
 
 def test_concat_stack_prop():

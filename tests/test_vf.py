@@ -6,27 +6,32 @@ import pytest
 from kronrigid import sparse, vf
 from kronrigid.disjoint import disjointness_matrix
 from kronrigid.errors import (
+    CapExceeded,
     LengthMismatch,
     LengthNotPowerOfTwo,
     ModulusTooSmallWarning,
     OuterZero,
 )
 from kronrigid.fields import RATIONALS, FieldCtx
-from kronrigid.prng import SplitMix64
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 from kronrigid.vf import (
     TruthTable,
     batch_sums,
-    batch_sums_oracle,
     build_vf_witness,
-    expansion_identity_check,
-    expansion_matrix_identity_check,
     fast_rn_apply,
     inclusion_exclusion_expand,
     kron2_to_vf,
     vf_matrix,
     vf_matrix_general,
+)
+
+from reference import (
+    SplitMix64,
+    batch_sums_oracle,
+    expansion_identity_check,
+    expansion_matrix_identity_check,
+    inclusion_exclusion_reference,
 )
 
 F5 = FieldCtx(5)
@@ -270,6 +275,44 @@ def test_expansion_matrix_identity_q3_n2():
     for _ in range(5):
         f = random_table(rng, 3, 2, F7)
         assert expansion_matrix_identity_check(f)
+
+
+@pytest.mark.parametrize("ctx", [P31, RATIONALS], ids=str)
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3), (3, 0)])
+def test_expansion_matches_the_subset_enumeration(ctx, q, n):
+    rng = SplitMix64(61)
+    for _ in range(3):
+        if ctx.is_prime_field:
+            values = [ctx.modulus - 1 - rng.randrange(3) for _ in range(q**n)]
+        else:
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(q**n)]
+        f = TruthTable(q, n, ctx, tuple(values))
+        got = inclusion_exclusion_expand(f)
+        want = inclusion_exclusion_reference(f)
+        assert list(got) == list(want)
+        for s in want:
+            assert got[s] == want[s]
+            assert [type(v) for v in got[s].values] == [type(v) for v in want[s].values]
+
+
+def test_vf_matrix_general_against_the_definition():
+    rng = SplitMix64(62)
+    for q, n, ctx in [(2, 3, F7), (3, 2, F7), (4, 2, RATIONALS), (2, 0, F7)]:
+        f = TruthTable(q, n, ctx, tuple(ctx.coerce(rng.randrange(3)) for _ in range(q**n)))
+        codec = sparse.IndexCodec(q, n)
+        want = [
+            [f(tuple(map(max, codec.decode(x), codec.decode(y)))) for y in range(q**n)]
+            for x in range(q**n)
+        ]
+        build = vf_matrix if q == 2 else vf_matrix_general
+        assert build(f) == SparseMatrix.from_dense(want, ctx)
+
+
+def test_vf_matrix_cap():
+    # q^n = 8192 is over vf.GENERAL_CAP: refused before a 2^26-entry index is built
+    f = TruthTable(2, 13, F5, (0,) * 8192)
+    with pytest.raises(CapExceeded):
+        vf_matrix(f)
 
 
 def test_vf_matrix_general_max_semantics():
