@@ -211,35 +211,42 @@ class RectPartition:
         return sum(len(p[0]) * len(p[1]) for p in self.pieces)
 
 
-def js_partition(n: int) -> RectPartition:
-    """Partition the ones of R_n into all-ones squares and tall 2:1
-    rectangles by the block recursion R_n = [[R', R'], [R', 0]].
+def _js_pieces(n: int):
+    """Row p of A_n^T (of B_n) lists the rows (columns) of partition piece
+    p; both come as CSR (indptr, indices) pairs.
 
-    Each square piece of R_{n-1} leaves its (0,1)-block copy as a square
-    and fuses its (0,0) and (1,0) copies into a tall rectangle; each
-    rectangle leaves its (1,0) copy as a rectangle and fuses its (0,0)
-    and (0,1) copies into a double-size square.  Side-length sums follow
-    (s_n, r_n) = [[1,2],[1,1]] (s_{n-1}, r_{n-1}) with s_1 = r_1 = 1.
+    From A_0 = B_0 = [1], level l turns piece p into the square 2p and
+    the tall rectangle 2p + 1, so p is a square iff p is even.  A square
+    keeps its (0,1)-block copy as a square and fuses its (0,0) and (1,0)
+    copies into a rectangle; a rectangle fuses its (0,0) and (0,1) copies
+    into a double-size square and keeps its (1,0) copy as a rectangle.
     """
     if n > LIST_CAP:
         raise CapExceeded(f"n = {n} exceeds the partition cap {LIST_CAP}")
     if n < 1:
         raise ValueError("n must be positive")
-    pieces = [((0,), (1,), SQUARE), ((0, 1), (0,), RECT)]
-    for level in range(2, n + 1):
-        off = 1 << (level - 1)
-        nxt = []
-        for rows, cols, kind in pieces:
-            rows_hi = tuple(x + off for x in rows)
-            cols_hi = tuple(y + off for y in cols)
-            if kind == SQUARE:
-                nxt.append((rows, cols_hi, SQUARE))
-                nxt.append((rows + rows_hi, cols, RECT))
-            else:
-                nxt.append((rows, cols + cols_hi, SQUARE))
-                nxt.append((rows_hi, cols, RECT))
-        pieces = nxt
-    return RectPartition(n, tuple(pieces))
+    ax = ap = bp = by = np.zeros(1, dtype=np.int64)  # ones (ax, ap) of A, (bp, by) of B
+    for level in range(n):
+        off = 1 << level
+        square, rect = ap % 2 == 0, bp % 2 == 1
+        ax = np.concatenate((ax, ax + off, ax[square]))
+        ap = np.concatenate((2 * ap, 2 * ap + 1, 2 * ap[square] + 1))
+        by = np.concatenate((by + off, by, by[rect]))
+        bp = np.concatenate((2 * bp, 2 * bp + 1, 2 * bp[rect]))
+    return [(sparse._indptr(1 << n, p), x[np.lexsort((x, p))]) for p, x in ((ap, ax), (bp, by))]
+
+
+def js_partition(n: int) -> RectPartition:
+    """Partition the ones of R_n into all-ones squares and tall 2:1
+    rectangles by the block recursion R_n = [[R', R'], [R', 0]] (see
+    `_js_pieces`).  Side-length sums follow
+    (s_n, r_n) = [[1,2],[1,1]] (s_{n-1}, r_{n-1}) with s_1 = r_1 = 1.
+    """
+    groups = []
+    for ptr, idx in _js_pieces(n):
+        ptr, idx = ptr.tolist(), idx.tolist()
+        groups.append([tuple(idx[lo:hi]) for lo, hi in zip(ptr, ptr[1:])])
+    return RectPartition(n, tuple(zip(*groups, [SQUARE, RECT] * (1 << (n - 1)))))
 
 
 def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
@@ -247,22 +254,15 @@ def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
     column p of A_n indicates the piece's rows, row p of B_n its columns.
     R_n is symmetric, so the transposed pair gives the primed ordering.
     """
-    part = js_partition(n)
-    target = disjointness_matrix(n, ctx)
-    one = ctx.one_raw()
-    size = 1 << n
-    t = len(part.pieces)
-    a_entries = []
-    b_entries = []
-    for p, (rows, cols, _) in enumerate(part.pieces):
-        for x in rows:
-            a_entries.append((x, p, one))
-        for y in cols:
-            b_entries.append((p, y, one))
-    a = SparseMatrix(size, t, ctx, sorted(a_entries), _checked=True)
-    b = SparseMatrix(t, size, ctx, sorted(b_entries), _checked=True)
+    size = 1 << n  # also the number of pieces
+    a_t, b = (
+        SparseMatrix._from_csr(
+            size, size, ctx, ptr, idx, sparse._value_array([ctx.one_raw()] * idx.size, ctx)
+        )
+        for ptr, idx in _js_pieces(n)
+    )
     return circuits.TwoFactorization(
-        target, a, b, sparse.transpose(a), sparse.transpose(b)
+        disjointness_matrix(n, ctx), sparse.transpose(a_t), b, a_t, sparse.transpose(b)
     )
 
 

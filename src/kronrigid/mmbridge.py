@@ -6,14 +6,26 @@ after a reshape; grouping n factors into k blocks turns the whole
 transform into k such rounds against q^(n(k-1)/k) columns.  Two exact
 backends are provided: a naive cubic multiply (counter = m*n*p exactly)
 and a Strassen-style recursion with power-of-two padding and a cutover
-threshold.
+threshold.  Both take and return 2-D numpy object arrays of raw field
+values (Python ints or Fractions), so every product is exact; over F_p
+results are reduced mod p.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import sparse
 from .errors import DivisorMismatch, LengthMismatch
 from .sparse import SparseMatrix
+
+
+def _reduced(x, ctx):
+    return x % ctx.modulus if ctx.is_prime_field else x
+
+
+def _dense(m: SparseMatrix):
+    return np.array(m.to_dense(), dtype=object).reshape(m.rows, m.cols)
 
 
 class NaiveBackend:
@@ -28,27 +40,11 @@ class NaiveBackend:
         self.adds = 0
 
     def multiply(self, a, b, ctx):
-        """Dense row-list product; counts every scalar op performed."""
-        m = len(a)
-        n = len(a[0]) if m else 0
-        p = len(b[0]) if b else 0
-        zero = ctx.zero_raw()
-        out = [[zero] * p for _ in range(m)]
-        for i in range(m):
-            arow = a[i]
-            orow = out[i]
-            for kk in range(n):
-                av = arow[kk]
-                brow = b[kk]
-                for j in range(p):
-                    prod = ctx.mul_raw(av, brow[j])
-                    self.mults += 1
-                    if kk == 0:
-                        orow[j] = prod
-                    else:
-                        orow[j] = ctx.add_raw(orow[j], prod)
-                        self.adds += 1
-        return out
+        """a times b for object arrays; counts every scalar op performed."""
+        (m, n), p = a.shape, b.shape[1]
+        self.mults += m * n * p
+        self.adds += m * max(n - 1, 0) * p
+        return _reduced(a.dot(b), ctx)
 
 
 class StrassenBackend(NaiveBackend):
@@ -63,101 +59,54 @@ class StrassenBackend(NaiveBackend):
         self.threshold = threshold
 
     def multiply(self, a, b, ctx):
-        m = len(a)
-        n = len(a[0]) if m else 0
-        p = len(b[0]) if b else 0
+        (m, n), p = a.shape, b.shape[1]
         size = 1
         while size < max(m, n, p):
             size *= 2
-        zero = ctx.zero_raw()
-        ap = [
-            [a[i][j] if i < m and j < n else zero for j in range(size)]
-            for i in range(size)
-        ]
-        bp = [
-            [b[i][j] if i < n and j < p else zero for j in range(size)]
-            for i in range(size)
-        ]
-        cp = self._rec(ap, bp, ctx)
-        return [row[:p] for row in cp[:m]]
-
-    def _add(self, x, y, ctx):
-        self.adds += len(x) * len(x)
-        return [
-            [ctx.add_raw(u, v) for u, v in zip(rx, ry)] for rx, ry in zip(x, y)
-        ]
-
-    def _sub(self, x, y, ctx):
-        self.adds += len(x) * len(x)
-        return [
-            [ctx.sub_raw(u, v) for u, v in zip(rx, ry)] for rx, ry in zip(x, y)
-        ]
+        ap = np.full((size, size), ctx.zero_raw(), dtype=object)
+        bp = ap.copy()
+        ap[:m, :n] = a
+        bp[:n, :p] = b
+        return _reduced(self._rec(ap, bp, ctx)[:m, :p], ctx)
 
     def _rec(self, a, b, ctx):
+        """Product of two size x size squares.  Quadrant sums are not
+        reduced mod p (Python ints stay exact, and `multiply` reduces the
+        result), so each of a level's 18 additions is one array operation."""
         size = len(a)
         if size <= self.threshold or size == 1:
             return super().multiply(a, b, ctx)
         h = size // 2
-        def quad(x):
-            return (
-                [row[:h] for row in x[:h]],
-                [row[h:] for row in x[:h]],
-                [row[:h] for row in x[h:]],
-                [row[h:] for row in x[h:]],
-            )
-        a11, a12, a21, a22 = quad(a)
-        b11, b12, b21, b22 = quad(b)
-        m1 = self._rec(self._add(a11, a22, ctx), self._add(b11, b22, ctx), ctx)
-        m2 = self._rec(self._add(a21, a22, ctx), b11, ctx)
-        m3 = self._rec(a11, self._sub(b12, b22, ctx), ctx)
-        m4 = self._rec(a22, self._sub(b21, b11, ctx), ctx)
-        m5 = self._rec(self._add(a11, a12, ctx), b22, ctx)
-        m6 = self._rec(self._sub(a21, a11, ctx), self._add(b11, b12, ctx), ctx)
-        m7 = self._rec(self._sub(a12, a22, ctx), self._add(b21, b22, ctx), ctx)
-        c11 = self._add(
-            self._sub(self._add(m1, m4, ctx), m5, ctx), m7, ctx
-        )
-        c12 = self._add(m3, m5, ctx)
-        c21 = self._add(m2, m4, ctx)
-        c22 = self._add(
-            self._sub(self._add(m1, m3, ctx), m2, ctx), m6, ctx
-        )
-        out = []
-        for r1, r2 in zip(c11, c12):
-            out.append(r1 + r2)
-        for r1, r2 in zip(c21, c22):
-            out.append(r1 + r2)
-        return out
-
-
-def _kron_identity_apply_no_reset(m: SparseMatrix, copies: int, v, backend):
-    q = m.rows
-    if len(v) != m.cols * copies:
-        raise LengthMismatch(f"expected {m.cols * copies} values, got {len(v)}")
-    ctx = m.ctx
-    a = m.to_dense()
-    # v reshaped column-wise: column t of the right operand is the slice
-    # v[t], v[N + t], ... so row b holds v[b*N : (b+1)*N]
-    b = [list(v[r * copies : (r + 1) * copies]) for r in range(m.cols)]
-    c = backend.multiply(a, b, ctx)
-    out = []
-    for row in c:
-        out.extend(row)
-    return out
+        self.adds += 18 * h * h
+        a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
+        b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
+        m1 = self._rec(a11 + a22, b11 + b22, ctx)
+        m2 = self._rec(a21 + a22, b11, ctx)
+        m3 = self._rec(a11, b12 - b22, ctx)
+        m4 = self._rec(a22, b21 - b11, ctx)
+        m5 = self._rec(a11 + a12, b22, ctx)
+        m6 = self._rec(a21 - a11, b11 + b12, ctx)
+        m7 = self._rec(a12 - a22, b21 + b22, ctx)
+        return np.block([[m1 + m4 - m5 + m7, m3 + m5], [m2 + m4, m1 + m3 - m2 + m6]])
 
 
 def kron_identity_apply(m: SparseMatrix, copies: int, v, backend):
-    """apply(M kron I_copies, v) as one matrix product after reshaping."""
+    """apply(M kron I_copies, v) as one matrix product after reshaping:
+    row b of the right operand is v[b*copies : (b+1)*copies]."""
+    if len(v) != m.cols * copies:
+        raise LengthMismatch(f"expected {m.cols * copies} values, got {len(v)}")
     backend.reset()
-    return _kron_identity_apply_no_reset(m, copies, v, backend)
+    b = np.array(v, dtype=object).reshape(m.cols, copies)
+    return backend.multiply(_dense(m), b, m.ctx).reshape(-1).tolist()
 
 
 def butterflytomm_apply(m_list, k: int, v, backend):
     """Apply the Kronecker product of n square matrices in k MM rounds.
 
-    The factors are grouped into k consecutive blocks; round l applies
-    I kron (block l) kron I, realized as repeated reshaped products
-    against q^(n(k-1)/k) columns in total.  Returns (result, report).
+    The factors are grouped into k consecutive blocks; round l views the
+    vector as (q^(g*l), q^g, rest) and multiplies block l into each of
+    its leading slices, against q^(n(k-1)/k) columns in total.  Returns
+    (result, report).
     """
     n = len(m_list)
     if n == 0 or n % k != 0:
@@ -165,28 +114,16 @@ def butterflytomm_apply(m_list, k: int, v, backend):
     q = m_list[0].rows
     ctx = m_list[0].ctx
     g = n // k
-    big_n = q**n
-    if len(v) != big_n:
-        raise LengthMismatch(f"expected {big_n} values, got {len(v)}")
-    blocks = [
-        sparse.kron_all(m_list[ell * g : (ell + 1) * g]) for ell in range(k)
-    ]
+    if len(v) != q**n:
+        raise LengthMismatch(f"expected {q ** n} values, got {len(v)}")
     backend.reset()
-    cur = list(v)
+    cur = np.array(v, dtype=object)
     per_round = []
-    for ell, block in enumerate(blocks):
-        big_q = q**g
-        left = big_q**ell
-        right = big_n // (left * big_q)
+    for ell in range(k):
+        block = _dense(sparse.kron_all(m_list[ell * g : (ell + 1) * g]))
+        x = cur.reshape(q ** (g * ell), q**g, -1)
         before = backend.mults
-        nxt = []
-        chunk = big_q * right
-        for outer in range(left):
-            piece = cur[outer * chunk : (outer + 1) * chunk]
-            nxt.extend(
-                _kron_identity_apply_no_reset(block, right, piece, backend)
-            )
-        cur = nxt
+        cur = np.stack([backend.multiply(block, piece, ctx) for piece in x])
         per_round.append(backend.mults - before)
     report = {
         "rounds": k,
@@ -194,7 +131,7 @@ def butterflytomm_apply(m_list, k: int, v, backend):
         "adds": backend.adds,
         "per_round_mults": per_round,
     }
-    return cur, report
+    return cur.reshape(-1).tolist(), report
 
 
 def mm_cost_report(m_list, k: int, backend, probe=None):

@@ -244,7 +244,7 @@ def inclusion_exclusion_expand(f: TruthTable):
     for size in range(n + 1):
         for s in combinations(range(n), size):
             cut = np.ravel(g[tuple(slice(1, None) if i in s else 0 for i in range(n))])
-            out[frozenset(s)] = TruthTable(max(q - 1, 1), size, ctx, tuple(cut.tolist()))
+            out[frozenset(s)] = TruthTable(q - 1, size, ctx, tuple(cut.tolist()))
     return out
 
 

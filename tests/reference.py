@@ -3,7 +3,8 @@
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
-its two identity checks, and the exhaustive check of a rectangle partition.
+its two identity checks, the exhaustive check of a rectangle partition,
+and the tuple recursion that builds that partition.
 """
 
 from fractions import Fraction
@@ -81,9 +82,9 @@ def inclusion_exclusion_reference(f: TruthTable):
     out = {}
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            sub = IndexCodec(max(q - 1, 1), size)
+            sub = IndexCodec(q - 1, size)
             values = []
-            for widx in range(max(q - 1, 1) ** size):
+            for widx in range((q - 1) ** size):
                 w = sub.decode(widx)
                 acc = ctx.zero_raw()
                 for tsize in range(size + 1):
@@ -98,7 +99,7 @@ def inclusion_exclusion_reference(f: TruthTable):
                         else:
                             acc = ctx.add_raw(acc, val)
                 values.append(acc)
-            out[frozenset(s)] = TruthTable(max(q - 1, 1), size, ctx, tuple(values))
+            out[frozenset(s)] = TruthTable(q - 1, size, ctx, tuple(values))
     return out
 
 
@@ -170,3 +171,44 @@ def validate_partition(part: RectPartition) -> bool:
                     return False
                 seen.add(cell)
     return len(seen) == 3**part.n
+
+
+def js_pieces_reference(n: int) -> tuple:
+    """The pieces (rows, cols, kind) of the R_n partition, built as tuples
+    by the block recursion R_n = [[R', R'], [R', 0]]: each square piece of
+    R_{n-1} leaves its (0,1)-block copy as a square and fuses its (0,0)
+    and (1,0) copies into a tall rectangle; each rectangle leaves its
+    (1,0) copy as a rectangle and fuses its (0,0) and (0,1) copies into a
+    double-size square."""
+    pieces = [((0,), (1,), SQUARE), ((0, 1), (0,), RECT)]
+    for level in range(2, n + 1):
+        off = 1 << (level - 1)
+        nxt = []
+        for rows, cols, kind in pieces:
+            rows_hi = tuple(x + off for x in rows)
+            cols_hi = tuple(y + off for y in cols)
+            if kind == SQUARE:
+                nxt.append((rows, cols_hi, SQUARE))
+                nxt.append((rows + rows_hi, cols, RECT))
+            else:
+                nxt.append((rows, cols + cols_hi, SQUARE))
+                nxt.append((rows_hi, cols, RECT))
+        pieces = nxt
+    return tuple(pieces)
+
+
+def js_factors_reference(pieces, n: int, ctx):
+    """(A_n, B_n) from the pieces: column p of A_n indicates piece p's
+    rows, row p of B_n its columns."""
+    one = ctx.one_raw()
+    a_entries = []
+    b_entries = []
+    for p, (rows, cols, _) in enumerate(pieces):
+        for x in rows:
+            a_entries.append((x, p, one))
+        for y in cols:
+            b_entries.append((p, y, one))
+    size, t = 1 << n, len(pieces)
+    a = SparseMatrix(size, t, ctx, sorted(a_entries), _checked=True)
+    b = SparseMatrix(t, size, ctx, sorted(b_entries), _checked=True)
+    return a, b

@@ -188,12 +188,24 @@ def test_disjoint_stats_scan_beyond_the_cap_exits_at_once(capsys):
     assert captured.out == "" and captured.err.startswith("cap exceeded:")
 
 
-def test_mmcost_csv(capsys):
-    rc = main(["mmcost", "--n", "8", "--k", "2"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "2,8,2,naive,8192,7680,65536",
+        "2,8,2,strassen,69632,65280,65536",
+        "2,9,3,naive,12288,10752,262144",
+        "2,9,3,strassen,266240,272896,262144",
+        "2,10,2,naive,65536,63488,1048576",
+        "2,10,2,strassen,1081344,1047552,1048576",
+    ],
+)
+def test_mmcost_csv(capsys, row):
+    _, n, k, backend = row.split(",")[:4]
+    rc = main(["mmcost", "--n", n, "--k", k, "--backend", backend])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "q,n,k,backend,mults,adds,dense_mults"
-    assert lines[1] == "2,8,2,naive,8192,7680,65536"
+    assert lines[1] == row
 
 
 def test_mmcost_rect_exponent_note(capsys):

@@ -19,10 +19,10 @@ from kronrigid.disjoint import (
     rn_rigidity_decomposition,
 )
 from kronrigid.errors import CapExceeded, DepthTooSmall
-from kronrigid.fields import FieldCtx
+from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
-from reference import validate_partition
+from reference import js_factors_reference, js_pieces_reference, validate_partition
 
 F5 = FieldCtx(5)
 
@@ -170,6 +170,16 @@ def test_js_partition_matches_recursion():
         assert p.area == 3**n
         assert len(p.pieces) == 2**n
         assert validate_partition(p)
+
+
+def test_js_arrays_match_the_tuple_recursion():
+    for n in range(1, 13):
+        pieces = js_pieces_reference(n)
+        assert js_partition(n).pieces == pieces
+        tf = js_factorization(n, F5)
+        assert (tf.B, tf.C) == js_factors_reference(pieces, n, F5)
+    tf = js_factorization(3, RATIONALS)
+    assert (tf.B, tf.C) == js_factors_reference(js_pieces_reference(3), 3, RATIONALS)
 
 
 def test_js_factorization_product():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from kronrigid import sparse
@@ -17,6 +20,11 @@ from kronrigid.sparse import SparseMatrix
 from reference import SplitMix64
 
 F7 = FieldCtx(7)
+P31 = FieldCtx(2**31 - 1)
+
+
+def obj(rows):
+    return np.array(rows, dtype=object)
 
 
 def test_kron_identity_single_copy():
@@ -97,8 +105,8 @@ def test_butterflytomm_bad_round_count():
 def test_naive_counter_exact():
     rng = SplitMix64(75)
     backend = NaiveBackend()
-    a = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
-    b = [[rng.randrange(7) for _ in range(5)] for _ in range(4)]
+    a = obj([[rng.randrange(7) for _ in range(4)] for _ in range(3)])
+    b = obj([[rng.randrange(7) for _ in range(5)] for _ in range(4)])
     backend.multiply(a, b, F7)
     assert backend.mults == 3 * 4 * 5
     assert backend.adds == 3 * 3 * 5
@@ -109,7 +117,7 @@ def test_strassen_pure_counts():
     for a in range(7):
         size = 2**a
         backend.reset()
-        mat = [[1] * size for _ in range(size)]
+        mat = obj([[1] * size for _ in range(size)])
         backend.multiply(mat, mat, F7)
         assert backend.mults == 7**a
 
@@ -117,15 +125,15 @@ def test_strassen_pure_counts():
 def test_strassen_matches_naive():
     rng = SplitMix64(76)
     for size in (3, 8, 17):
-        a = [[rng.randrange(7) for _ in range(size)] for _ in range(size)]
-        b = [[rng.randrange(7) for _ in range(size)] for _ in range(size)]
+        a = obj([[rng.randrange(7) for _ in range(size)] for _ in range(size)])
+        b = obj([[rng.randrange(7) for _ in range(size)] for _ in range(size)])
         naive = NaiveBackend().multiply(a, b, F7)
         strassen = StrassenBackend(threshold=2).multiply(a, b, F7)
-        assert naive == strassen
+        assert naive.tolist() == strassen.tolist()
 
 
 def test_strassen_beats_naive_on_64():
-    mat = [[1] * 64 for _ in range(64)]
+    mat = obj([[1] * 64 for _ in range(64)])
     s = StrassenBackend(threshold=8)
     s.multiply(mat, mat, F7)
     assert s.mults < 64**3
@@ -148,3 +156,39 @@ def test_mm_cost_report():
     report = mm_cost_report([h1] * 6, 2, NaiveBackend())
     assert report["dense_mults"] == 64 * 64
     assert report["mults"] == sum(report["per_round_mults"])
+
+
+BACKENDS = [
+    pytest.param(NaiveBackend, 6, id="naive"),
+    pytest.param(lambda: StrassenBackend(threshold=1), 4, id="strassen1"),
+    pytest.param(lambda: StrassenBackend(threshold=32), 6, id="strassen32"),
+]
+
+
+@pytest.mark.parametrize("make,n", BACKENDS)
+def test_butterflytomm_exact_at_the_largest_residue(make, n):
+    # every entry p - 1: a product is near 2^62 and a sum of two overflows
+    # int64, so only exact arithmetic gets these right
+    top = P31.modulus - 1
+    m = SparseMatrix.from_dense([[top, top], [top, top]], P31)
+    v = [top] * 2**n
+    expected = sparse.apply(sparse.kron_all([m] * n), v)
+    for k in (1, 2, n):
+        out, report = butterflytomm_apply([m] * n, k, v, make())
+        assert out == expected
+        assert all(type(x) is int for x in out)
+        assert report["mults"] == sum(report["per_round_mults"])
+
+
+@pytest.mark.parametrize("make,n", BACKENDS)
+def test_butterflytomm_exact_over_q(make, n):
+    m = SparseMatrix.from_dense(
+        [[Fraction(1, 3), Fraction(-5, 7)], [Fraction(-5, 7), Fraction(1, 3)]], RATIONALS
+    )
+    v = [Fraction(i + 1, 3) - Fraction(5, 7) for i in range(2**n)]
+    expected = sparse.apply(sparse.kron_all([m] * n), v)
+    for k in (1, 2):
+        out, _ = butterflytomm_apply([m] * n, k, v, make())
+        assert out == expected
+        assert all(type(x) is Fraction for x in out)
+        assert any(x.denominator > 1 for x in out)

@@ -278,7 +278,9 @@ def test_expansion_matrix_identity_q3_n2():
 
 
 @pytest.mark.parametrize("ctx", [P31, RATIONALS], ids=str)
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3), (3, 0)])
+@pytest.mark.parametrize(
+    "q,n", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3), (3, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
+)
 def test_expansion_matches_the_subset_enumeration(ctx, q, n):
     rng = SplitMix64(61)
     for _ in range(3):
@@ -293,6 +295,7 @@ def test_expansion_matches_the_subset_enumeration(ctx, q, n):
         for s in want:
             assert got[s] == want[s]
             assert [type(v) for v in got[s].values] == [type(v) for v in want[s].values]
+        assert expansion_identity_check(f, got)
 
 
 def test_vf_matrix_general_against_the_definition():
