@@ -188,6 +188,14 @@ def test_disjoint_stats_scan_beyond_the_cap_exits_at_once(capsys):
     assert captured.out == "" and captured.err.startswith("cap exceeded:")
 
 
+def test_mmcost_csv(capsys):
+    rc = main(["mmcost", "--n", "8", "--k", "2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "q,n,k,backend,mults,adds,dense_mults"
+    assert lines[1] == "2,8,2,naive,8192,7680,65536"
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -199,7 +207,7 @@ def test_disjoint_stats_scan_beyond_the_cap_exits_at_once(capsys):
         "2,10,2,strassen,1081344,1047552,1048576",
     ],
 )
-def test_mmcost_csv(capsys, row):
+def test_mmcost_csv_rows(capsys, row):
     _, n, k, backend = row.split(",")[:4]
     rc = main(["mmcost", "--n", n, "--k", k, "--backend", backend])
     assert rc == 0
