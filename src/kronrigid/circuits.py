@@ -30,7 +30,7 @@ from .errors import (
     NotSquare,
     UnverifiedInput,
 )
-from .fields import FieldCtx
+from .fields import FieldCtx, is_prime
 from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix, identity, kron, kron_all, kron_power, matmul
 
@@ -347,16 +347,29 @@ def balance_exponents(
 
 
 def verify_circuit(circ: SynchronousCircuit, target) -> bool:
-    """Whether the circuit's product equals target, compared exactly.
+    """Whether the circuit's product equals target, compared exactly by
+    one block check mod p, over F_p and Q alike.
 
     target is a matrix or, like a layer, a list of Kronecker operands.  Its
     sides are checked against sparse.DIMENSION_CAP, then against the
-    circuit's shape, before anything is built.  Over Q the whole product is
-    compared.  Over F_p no N x N array is built: the trailing operands form
-    a dense `tail`, the longest suffix whose row block keeps at most 2^20
-    entries (8 MB of int64).  The product is walked in aligned row blocks
+    circuit's shape, before anything is built.
+
+    Over F_p no N x N array is built: the trailing operands form a dense
+    `tail`, the longest suffix whose row block keeps at most 2^20 entries
+    (8 MB of int64).  The product is walked in aligned row blocks
     lead_a x tail, lead_a the Kronecker product of one row of each leading
     operand, and each column group is compared with v * tail mod p.
+
+    Over Q each operand m, of every layer and of the target, times den_m,
+    the lcm of its denominators, is an integer matrix whose largest
+    absolute row sum r_m bounds its entries.  That row sum is
+    multiplicative under kron and submultiplicative along the chain, so
+    with S and T the products of the circuit's and the target's den_m,
+    D = T (S P) - S (T target) is an integer matrix with
+    |D| <= T prod r_circuit + S prod r_target.  The block check runs on
+    the operands reduced mod primes q downward from 2^31 - 1, skipping
+    those that divide S T, until the product of the q passes twice that
+    bound: D is zero exactly when it is zero mod each q.
     """
     one = identity(1, circ.ctx)  # keeps the leading operands and the tail non-empty
     ops = [one, *(target if isinstance(target, (list, tuple)) else [target])]
@@ -369,15 +382,28 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
         raise DimensionMismatch(f"circuit is {circ.rows}x{circ.cols}, the target {rows}x{cols}")
     if any(m.ctx != circ.ctx for m in ops):
         raise ContextMismatch("circuit and target are over different fields")
+    if circ.ctx.modulus:
+        return _blocks_equal(circ, ops)
+    s, r_circ = _integer_scale([m for layer in circ.layers for m in layer])
+    t, r_target = _integer_scale(ops)
+    return all(
+        _blocks_equal(
+            SynchronousCircuit([[_mod(m, ctx) for m in layer] for layer in circ.layers]),
+            [_mod(m, ctx) for m in ops],
+        )
+        for ctx in _moduli(s * t, t * r_circ + s * r_target)
+    )
+
+
+def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
+    """The F_p block check of verify_circuit; ops[0] is the 1 x 1 identity."""
     p = circ.ctx.modulus
-    if not p:
-        return circ.product() == kron_all(ops)
     first, *rest = circ.factors
     rest = [f.to_csr() for f in rest]
     k = len(ops)
-    while k > 1 and math.prod(m.rows for m in ops[k - 1 :]) * cols <= 1 << 20:
+    while k > 1 and math.prod(m.rows for m in ops[k - 1 :]) * circ.cols <= 1 << 20:
         k -= 1
-    tail = kron_all([one, *ops[k:]]).to_csr().toarray()
+    tail = kron_all([ops[0], *ops[k:]]).to_csr().toarray()
     step, width = tail.shape
     for a, digits in enumerate(itertools.product(*(range(m.rows) for m in ops[:k]))):
         block = first.row_block(a * step, (a + 1) * step).to_csr()
@@ -390,6 +416,37 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
         if not np.array_equal(got, want[groups.ravel()].swapaxes(0, 1)):
             return False
     return True
+
+
+def _integer_scale(mats):
+    """(prod den_m, prod r_m) over matrices m over Q: den_m is the lcm of
+    m's denominators and r_m the largest absolute row sum of den_m * m."""
+    scale = bound = 1
+    for m in mats:
+        values = m.data.tolist()
+        den = math.lcm(*(v.denominator for v in values))
+        sums = np.cumsum([0] + [abs(v.numerator) * (den // v.denominator) for v in values],
+                         dtype=object)
+        scale *= den
+        bound *= max(sums[m.indptr[1:]] - sums[m.indptr[:-1]], default=0)
+    return scale, bound
+
+
+def _moduli(avoid: int, bound: int):
+    """F_q for primes q downward from 2^31 - 1 that do not divide avoid,
+    until the product of the q passes 2 * bound."""
+    q, product = 2**31 + 1, 1
+    while product <= 2 * bound:
+        q -= 2
+        if avoid % q and is_prime(q):
+            product *= q
+            yield FieldCtx(q)
+
+
+def _mod(m: SparseMatrix, ctx: FieldCtx) -> SparseMatrix:
+    """m over Q reduced into ctx; its denominators must be prime to ctx's p."""
+    values = np.array([ctx.coerce(v) for v in m.data.tolist()], dtype=np.int64)
+    return sparse._summed(m.rows, m.cols, ctx, sparse._row_ids(m), m.indices, values)
 
 
 # -- circuit file format ------------------------------------------------

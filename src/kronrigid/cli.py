@@ -58,17 +58,22 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     return circuits.two_factor_from_rigidity(_HADAMARD_BASES[name](ctx))
 
 
-def _wire_numbers(tf, unit, n: int, depth: int):
-    """(trivial, bound) for a depth-d circuit of unit^{kron n}, d | n: the
-    wires of the family's depth-d butterfly, counted on its structure,
-    and the formula bound d N^(1 + c/d), c the base's tf.exponent."""
+def _formula_bound(tf, n: int, depth: int) -> float:
+    """The formula bound d N^(1 + c/d) for a depth-d circuit of N = 2^n,
+    c the base's tf.exponent; CapExceeded beyond float range, before
+    anything of size n is built."""
     try:
-        bound = depth * (2**n) ** (1 + tf.exponent / depth)
+        bound = depth * (2.0**n) ** (1 + tf.exponent / depth)
     except OverflowError:
         bound = math.inf
     if math.isinf(bound):
         raise CapExceeded(f"the formula bound for n = {n} is beyond float range")
-    return circuits.butterfly_circuit([unit] * n, n // depth).wires, bound
+    return bound
+
+
+def _butterfly_wires(unit, n: int, depth: int) -> int:
+    """Wires of the family's depth-d butterfly, d | n, counted on its structure."""
+    return circuits.butterfly_circuit([unit] * n, n // depth).wires
 
 
 def _family_unit(family: str, ctx: FieldCtx):
@@ -84,8 +89,9 @@ def cmd_synth(args) -> int:
     if args.n % args.depth:  # the butterfly of trivial= has n / depth digits per layer
         raise ValueError(f"n = {args.n} is not a multiple of depth {args.depth}")
     unit = _family_unit(args.family, ctx)
+    bound = _formula_bound(tf, args.n, args.depth)
     circ = circuits.synthesize(tf, unit, args.n, args.depth)
-    trivial, bound = _wire_numbers(tf, unit, args.n, args.depth)
+    trivial = _butterfly_wires(unit, args.n, args.depth)
     if args.out:
         circ.check_caps()  # before anything is printed or built
     print(
@@ -98,6 +104,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a unit has q >= 2 rows, so n above the cap's bit length makes q^n
+    # pass the cap: refused before the n operands are listed
+    if args.n > sparse.DIMENSION_CAP.bit_length():
+        raise DimensionCapExceeded(f"2^{args.n} rows exceed the cap {sparse.DIMENSION_CAP}")
     circ = circuits.load_circuit(args.circuit)
     ok = circuits.verify_circuit(circ, [_family_unit(args.family, circ.ctx)] * args.n)
     print(f"equal={ok} wires={circ.wires} depth={circ.depth}")
@@ -179,8 +189,9 @@ def cmd_bench(args) -> int:
             circuits.unit_power(tf, unit)  # a base of the other family fails on any grid
             if n % d:
                 continue
+            bound = _formula_bound(tf, n, d)
             wires = circuits.synthesize(tf, unit, n, d).wires
-            trivial, bound = _wire_numbers(tf, unit, n, d)
+            trivial = _butterfly_wires(unit, n, d)
             ratio = wires / (2**n * n)
             rows.append(
                 f"{args.family},{n},{2**n},{d},{args.base},{wires},"

@@ -90,13 +90,25 @@ def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
         raise LengthNotPowerOfTwo(f"length {size} is not a power of two")
     ops = {"adds": 0, "subs": 0}
     ops["subs" if inverse else "adds"] = n * size // 2
+    if ctx.is_prime_field:
+        return _rn(ctx, np.array(x, dtype=np.int64), inverse).tolist(), ops
+    den, nums = _numerators(x)
+    return [Fraction(v, den) for v in _rn(ctx, nums, inverse)], ops
+
+
+def _rn(ctx: FieldCtx, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """R_n (or its inverse) times u, a power-of-two array of int64 residues
+    over F_p or of Python integers over Q; u is consumed."""
     # forward (u0, u1) -> (u0 + u1, u0), inverse (u0, u1) -> (u1, u0 - u1)
     r1 = SparseMatrix.from_dense([[0, 1], [1, -1]] if inverse else [[1, 1], [1, 0]], ctx)
-    if ctx.is_prime_field:
-        return sparse.kron_apply([r1] * n, np.array(x, dtype=np.int64)).tolist(), ops
-    den = math.lcm(*(v.denominator for v in x))
-    nums = np.array([v.numerator * (den // v.denominator) for v in x], dtype=object)
-    return [Fraction(v, den) for v in sparse.kron_apply([r1] * n, nums)], ops
+    return sparse.kron_apply([r1] * (u.size.bit_length() - 1), u)
+
+
+def _numerators(values):
+    """(den, nums): rationals as an object array of integers nums over
+    den, the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -148,25 +160,25 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     for s in points:
         if not 0 <= s < size:
             raise LengthMismatch(f"point {s} does not fit in {n} bits")
-    dtype = np.int64 if p else object
-    values = np.array(f.values, dtype=dtype)
+    if p:
+        den, values = 1, np.array(f.values, dtype=np.int64)
+    else:  # integers over one denominator; a Fraction only per answer
+        den, values = _numerators(f.values)
     work = np.array(points, dtype=np.int64)
     if convention == "and":
         # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z); ~z is size - 1 - z
         values = values[::-1]
         work = size - 1 - work
     counts = np.bincount(work, minlength=size)
-    if p:
-        counts %= p
-    b_f, _ = fast_rn_apply(ctx, values, inverse=True)
-    step1, ops1 = fast_rn_apply(ctx, counts.tolist())
+    counts = counts % p if p else counts.astype(object)
     # residues below 2^31, so each product is below 2^62
-    mid = np.array(b_f, dtype=dtype) * np.array(step1, dtype=dtype)
+    mid = _rn(ctx, values, inverse=True) * _rn(ctx, counts)
     if p:
         mid %= p
-    w, ops2 = fast_rn_apply(ctx, mid)
-    answers = {s: Scalar(ctx, w[ws]) for s, ws in zip(points, work.tolist())}
-    return answers, {"adds": ops1["adds"] + ops2["adds"], "mults": size}
+    w = _rn(ctx, mid).tolist()
+    answers = {s: Scalar(ctx, w[ws] if p else Fraction(w[ws], den))
+               for s, ws in zip(points, work.tolist())}
+    return answers, {"adds": n * size, "mults": size}
 
 
 def kron2_to_vf(m_list):

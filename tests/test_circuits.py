@@ -361,3 +361,124 @@ def test_synth_save_load_verify_build_no_entry_tuples(tmp_path):
     assert verify_circuit(loaded, [hadamard_matrix(1, F5)] * 8)
     for f in circ.factors + loaded.factors:
         assert f._entries is None
+
+
+# -- verify_circuit over Q: the block check modulo primes -----------------
+
+Q = FieldCtx(0)
+MERSENNE = 2**31 - 1
+
+
+def _q_h2_circuit(n=4):
+    tf = two_factor_from_rigidity(rigidity.h2_rank1_decomposition(Q))
+    return circuits.synthesize(tf, hadamard_matrix(1, Q), n, 2)
+
+
+def _record_moduli(monkeypatch):
+    """The moduli of the block checks verify_circuit runs, in order."""
+    used = []
+    blocks_equal = circuits._blocks_equal
+
+    def spy(circ, ops):
+        used.append(circ.ctx.modulus)
+        return blocks_equal(circ, ops)
+
+    monkeypatch.setattr(circuits, "_blocks_equal", spy)
+    return used
+
+
+def _plus(m, i, j, delta):
+    """m with delta added at (i, j)."""
+    return sparse.add_mat(m, SparseMatrix(m.rows, m.cols, m.ctx, [(i, j, Fraction(delta))]))
+
+
+@pytest.mark.parametrize("side", ["circuit", "target"])
+@pytest.mark.parametrize("delta", [MERSENNE, -MERSENNE])
+def test_q_verify_takes_a_second_prime_for_an_entry_moved_by_the_first(monkeypatch, side, delta):
+    # the change vanishes mod 2^31 - 1, the first prime: the bound, with
+    # absolute row sums on both sides, must call for a second one
+    circ = _q_h2_circuit()
+    target = [hadamard_matrix(1, Q)] * 4
+    used = _record_moduli(monkeypatch)
+    assert verify_circuit(circ, target) is True
+    assert used == [MERSENNE]  # integer entries, a small bound: one prime
+    if side == "circuit":
+        first, second = circ.factors
+        circ = SynchronousCircuit([_plus(first, 0, 0, delta), second])
+    else:
+        target = [_plus(target[0], 0, 0, delta), *target[1:]]
+    used.clear()
+    assert verify_circuit(circ, target) is False
+    assert len(used) > 1 and used[0] == MERSENNE
+
+
+@pytest.mark.parametrize("side", ["circuit", "target"])
+def test_q_verify_bound_counts_the_denominators(monkeypatch, side):
+    # 2^31 is 1 mod 2^31 - 1, so one side scaled by 1/2^31 still agrees
+    # with the other mod the first prime; only the denominator's share of
+    # the bound calls for a second prime
+    circ = _q_h2_circuit()
+    target = [hadamard_matrix(1, Q)] * 4
+    if side == "circuit":
+        (a, *rest), *others = circ.layers
+        circ = SynchronousCircuit([[sparse.scale(a, Fraction(1, 2**31)), *rest], *others])
+    else:
+        target[0] = sparse.scale(target[0], Fraction(1, 2**31))
+    used = _record_moduli(monkeypatch)
+    assert verify_circuit(circ, target) is False
+    assert len(used) > 1 and used[0] == MERSENNE
+
+
+@pytest.mark.parametrize("down,up,equal", [
+    (3, 3, True), (3, 2, False),
+    (MERSENNE, MERSENNE, True), (MERSENNE, MERSENNE + 1, False),  # that prime is skipped
+])
+def test_q_verify_operands_scaled_down_and_up(monkeypatch, down, up, equal):
+    circ = _q_h2_circuit()
+    (a, *rest_a), (b, *rest_b) = circ.layers
+    scaled = SynchronousCircuit(
+        [[sparse.scale(a, Fraction(1, down)), *rest_a], [sparse.scale(b, up), *rest_b]]
+    )
+    used = _record_moduli(monkeypatch)
+    assert verify_circuit(scaled, [hadamard_matrix(1, Q)] * 4) is equal
+    assert used and all(down % q for q in used)
+
+
+def _q_circuits():
+    h1, r1 = hadamard_matrix(1, Q), disjointness_matrix(1, Q)
+    h4 = two_factor_from_rigidity(rigidity.h4_rank1_decomposition(Q))
+    yield circuits.synthesize(h4, h1, 8, 2), [h1] * 8
+    yield _q_h2_circuit(6), [h1] * 6
+    yield circuits.synthesize(js_factorization(3, Q), r1, 6, 2), [r1] * 6
+    yield butterfly_circuit([h1, r1, h1, r1], 2), [h1, r1, h1, r1]
+
+
+def _tampered(circ, rng):
+    """The circuit as explicit factors, one of them changed at one
+    position: a stored entry or any other, by a small fraction."""
+    factors = circ.factors
+    j = rng.randrange(len(factors))
+    f = factors[j]
+    if f.nnz and rng.randrange(2):
+        k = rng.randrange(f.nnz)
+        i, col = int(sparse._row_ids(f)[k]), int(f.indices[k])
+    else:
+        i, col = rng.randrange(f.rows), rng.randrange(f.cols)
+    delta = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 7]))
+    factors[j] = _plus(f, i, col, delta)
+    return SynchronousCircuit(factors)
+
+
+def test_q_verify_agrees_with_the_whole_product():
+    rng = SplitMix64(2024)
+    verdicts = []
+    for circ, target in _q_circuits():
+        want = sparse.kron_all(target)
+        same = circ.product() == want  # as layers of operands and as explicit factors
+        cases = [(circ, same), (SynchronousCircuit(circ.factors), same)]
+        cases += [(c, c.product() == want) for c in (_tampered(circ, rng) for _ in range(2))]
+        for c, expected in cases:
+            assert verify_circuit(c, target) is expected
+            assert verify_circuit(c, want) is expected
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts

@@ -403,19 +403,48 @@ def test_cap_exit_code(tmp_path, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-def test_console_entry_point():
-    # the child imports the same kronrigid as the tests, installed or not
+def _child_env():
+    """The environment of a child that imports the same kronrigid as the
+    tests, installed or not."""
     src = os.path.dirname(os.path.dirname(kronrigid.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kronrigid.cli", "disjoint-stats", "--n", "6", "--k", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("6,2,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "hadamard", "--n", "1000000000", "--circuit"],
+    ["synth", "--family", "hadamard", "--n", "400000000", "--depth", "2"],
+])
+def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):
+    # a list of n operands would be gigabytes: in a 1.5 GB address space
+    # that is a MemoryError and a traceback unless n is refused first
+    circuit = str(tmp_path / "h8.circ")
+    assert main(["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", circuit]) == 0
+    if argv[0] == "verify":
+        argv = argv + [circuit]
+    limit = 3 * 2**29
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from kronrigid.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("cap exceeded:") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("prime", [131, 2**31 - 1])
