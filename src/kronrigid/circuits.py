@@ -246,16 +246,21 @@ def synthesize(
         raise DepthTooSmall("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    iq = identity(unit.rows, unit.ctx)
     t = unit_power(tf, unit)
     reps, k = divmod(n, t * d)
     sym = lift_power(symmetrized_depth_d(tf, d), reps * d).layers if reps else [[]] * d
+    slots = _slots([unit] * k, [k // d + (j < k % d) for j in range(d)], identity(unit.rows, unit.ctx))
+    return SynchronousCircuit([a + b for a, b in zip(sym, slots)], base=unit, base_power=n)
+
+
+def _slots(mats, counts, pad):
+    """One operand list per count c_j, all len(mats) long: the next c_j of
+    mats in their own slots, pad in every other slot."""
     layers, before = [], 0
-    for j, ops in enumerate(sym):
-        k_j = k // d + (j < k % d)
-        layers.append(ops + [iq] * before + [unit] * k_j + [iq] * (k - before - k_j))
-        before += k_j
-    return SynchronousCircuit(layers, base=unit, base_power=n)
+    for c in counts:
+        layers.append([pad] * before + list(mats[before : before + c]) + [pad] * (len(mats) - before - c))
+        before += c
+    return layers
 
 
 def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
@@ -272,11 +277,7 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     for m in m_list:
         if not m.is_square or m.rows != q or m.ctx != ctx:
             raise DimensionMismatch("all inputs must be square, same size, same field")
-    iq = identity(q, ctx)
-    return SynchronousCircuit([
-        [iq] * lo + list(m_list[lo : lo + group]) + [iq] * (n - lo - group)
-        for lo in range(0, n, group)
-    ])
+    return SynchronousCircuit(_slots(m_list, [group] * (n // group), identity(q, ctx)))
 
 
 def balanced_exponent(exponents) -> Fraction:
@@ -337,13 +338,8 @@ def balance_exponents(
         m0 -= 1
         ms[a.index(astar)] += 1
     core = builder(m0) if m0 else [identity(1, base.ctx)] * d
-    iq = identity(q, base.ctx)
-    layers = []
-    for j in range(d):
-        layers.append([core[j]])
-        for ell in range(d):
-            layers[j] += [base if ell == j else iq] * ms[ell]
-    return SynchronousCircuit(layers, base=base, base_power=n)
+    slots = _slots([base] * sum(ms), ms, identity(q, base.ctx))
+    return SynchronousCircuit([[c] + b for c, b in zip(core, slots)], base=base, base_power=n)
 
 
 def verify_circuit(circ: SynchronousCircuit, target) -> bool:
@@ -384,12 +380,14 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
         raise ContextMismatch("circuit and target are over different fields")
     if circ.ctx.modulus:
         return _blocks_equal(circ, ops)
-    s, r_circ = _integer_scale([m for layer in circ.layers for m in layer])
-    t, r_target = _integer_scale(ops)
+    layers = [[_integers(m) for m in layer] for layer in circ.layers]
+    target = [_integers(m) for m in ops]
+    s, r_circ = (math.prod(x[i] for layer in layers for x in layer) for i in (1, 3))
+    t, r_target = (math.prod(x[i] for x in target) for i in (1, 3))
     return all(
         _blocks_equal(
-            SynchronousCircuit([[_mod(m, ctx) for m in layer] for layer in circ.layers]),
-            [_mod(m, ctx) for m in ops],
+            SynchronousCircuit([[_mod(x, ctx) for x in layer] for layer in layers]),
+            [_mod(x, ctx) for x in target],
         )
         for ctx in _moduli(s * t, t * r_circ + s * r_target)
     )
@@ -418,18 +416,13 @@ def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
     return True
 
 
-def _integer_scale(mats):
-    """(prod den_m, prod r_m) over matrices m over Q: den_m is the lcm of
-    m's denominators and r_m the largest absolute row sum of den_m * m."""
-    scale = bound = 1
-    for m in mats:
-        values = m.data.tolist()
-        den = math.lcm(*(v.denominator for v in values))
-        sums = np.cumsum([0] + [abs(v.numerator) * (den // v.denominator) for v in values],
-                         dtype=object)
-        scale *= den
-        bound *= max(sums[m.indptr[1:]] - sums[m.indptr[:-1]], default=0)
-    return scale, bound
+def _integers(m: SparseMatrix):
+    """(m, den_m, nums, r_m) for m over Q: den_m is the lcm of m's
+    denominators, nums the integer values of den_m * m, and r_m the
+    largest absolute row sum of den_m * m."""
+    den, nums = sparse._numerators(m.data)
+    sums = np.cumsum(np.concatenate(([0], np.abs(nums))))
+    return m, den, nums, max(sums[m.indptr[1:]] - sums[m.indptr[:-1]], default=0)
 
 
 def _moduli(avoid: int, bound: int):
@@ -443,9 +436,12 @@ def _moduli(avoid: int, bound: int):
             yield FieldCtx(q)
 
 
-def _mod(m: SparseMatrix, ctx: FieldCtx) -> SparseMatrix:
-    """m over Q reduced into ctx; its denominators must be prime to ctx's p."""
-    values = np.array([ctx.coerce(v) for v in m.data.tolist()], dtype=np.int64)
+def _mod(integers, ctx: FieldCtx) -> SparseMatrix:
+    """The matrix m = nums / den_m of `_integers` reduced into ctx, by one
+    inverse of den_m, which must be prime to ctx's p."""
+    m, den, nums, _ = integers
+    p = ctx.modulus
+    values = (nums % p).astype(np.int64) * pow(den, -1, p) % p
     return sparse._summed(m.rows, m.cols, ctx, sparse._row_ids(m), m.indices, values)
 
 

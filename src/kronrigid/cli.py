@@ -151,8 +151,13 @@ def cmd_disjoint_stats(args) -> int:
 
 
 def cmd_mmcost(args) -> int:
+    if args.n < 1 or args.k < 1:
+        raise ValueError(f"mmcost needs n >= 1 and k >= 1, not n = {args.n}, k = {args.k}")
     ctx = FieldCtx(args.field)
     h1 = rigidity.hadamard_matrix(1, ctx)
+    # the probe has q^n entries, q >= 2: n is cut at the cap's bit length first
+    if h1.rows ** min(args.n, sparse.DIMENSION_CAP.bit_length()) > sparse.DIMENSION_CAP:
+        raise DimensionCapExceeded(f"{h1.rows}^{args.n} probe entries exceed the cap {sparse.DIMENSION_CAP}")
     backend = (
         mmbridge.NaiveBackend()
         if args.backend == "naive"

@@ -16,7 +16,6 @@ from math import comb
 
 import mpmath
 import numpy as np
-import scipy.sparse as _sp
 
 from . import circuits, sparse
 from .errors import CapExceeded
@@ -24,32 +23,17 @@ from .fields import RATIONALS, FieldCtx
 from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix
 
-MATERIALIZE_CAP = 26  # 2^n dimension guard
 LIST_CAP = 14  # coordinate-list materialization guard
 
 
-def _rn(n: int, ctx: FieldCtx) -> SparseMatrix:
-    """R_n = R_1^{kron n}; R_0 is the 1x1 matrix [1]."""
-    if n > MATERIALIZE_CAP:
-        raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
+def disjointness_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
+    """R_n = R_1^{kron n} over ctx, entries 1 where x AND y = 0; R_0 is
+    the 1x1 matrix [1]."""
+    if n > LIST_CAP:
+        raise CapExceeded(f"n = {n} exceeds the cap {LIST_CAP}")
     if n == 0:
         return sparse.identity(1, ctx)
     return sparse.kron_power(SparseMatrix.from_dense([[1, 1], [1, 0]], ctx), n)
-
-
-def disjointness_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
-    """R_n over ctx; entries 1 where x AND y = 0."""
-    if LIST_CAP < n <= MATERIALIZE_CAP:
-        raise CapExceeded(
-            f"n = {n} too large for coordinate lists; use disjointness_csr"
-        )
-    return _rn(n, ctx)
-
-
-def disjointness_csr(n: int) -> _sp.csr_matrix:
-    """R_n as a scipy CSR over the integers (for large-n verification)."""
-    # the 0/1 entries are the same residues in every prime field
-    return _rn(n, FieldCtx(3)).to_csr()
 
 
 def _popcount_table(n: int) -> np.ndarray:
@@ -95,96 +79,65 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     actual entries: row x keeps every y disjoint from x with |y| >= k,
     so its length is (R_n 1[|y| >= k])[x], one `sparse.kron_apply` of
     [R_1] * n over the integers, maximized over the surviving rows
-    |x| >= k; it holds 2^n entries, so n > MATERIALIZE_CAP raises
-    CapExceeded.  The count
-    path evaluates the closed-form maximum sum of C(n-w, j) over j in
-    [k, n-w] at the sparsest surviving weight w = k.
+    |x| >= k; it holds 2^n entries, so 2^n above sparse.DIMENSION_CAP
+    raises CapExceeded.  The count path is closed-form: a row of weight w
+    keeps sum_{j >= k} C(n-w, j) entries, which falls as w grows, so the
+    maximum is at w = k, and by C(m, i) = C(m, m-i) it is `bound`.
     """
     if not 1 <= k <= n / 2:
         raise ValueError("need 1 <= k <= n/2")
     if method == "auto":
         method = "scan" if n <= 20 else "count"
+    if method not in ("scan", "count"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "scan" and n >= sparse.DIMENSION_CAP.bit_length():
+        raise CapExceeded(f"2^{n} entries exceed the cap {sparse.DIMENSION_CAP}")
     removed_count = binom_cum(n, k, inclusive=False)
-    bound = binom_cum(n - k, n - 2 * k, inclusive=True)
-    if method == "count":
-        best = max(
-            sum(comb(n - w, j) for j in range(k, n - w + 1))
-            for w in range(k, n - k + 1)
-        )
-    elif method == "scan":
-        if n > MATERIALIZE_CAP:
-            raise CapExceeded(f"n = {n} exceeds the cap {MATERIALIZE_CAP}")
+    bound = best = binom_cum(n - k, n - 2 * k, inclusive=True)
+    if method == "scan":
         heavy = _popcount_table(n) >= k
         # row lengths are integers of at most 2^n <= 2^26, so int32 is exact
         rn = [disjointness_matrix(1, RATIONALS)] * n
         best = int(sparse.kron_apply(rn, heavy.astype(np.int32))[heavy].max())
-    else:
-        raise ValueError(f"unknown method {method!r}")
     # R_n is symmetric, so columns mirror rows.
     row_nnz = col_nnz = best
     return RemovalReport(n, k, row_nnz, col_nnz, removed_count, bound, method)
 
 
-def removal_split_csr(n: int, k: int):
-    """Split R_n = L + S: L carries the removed rows plus the removed
-    columns restricted to surviving rows (each a rank-1 update, so
-    rank(L) <= 2 * C(n, <k)); S is the surviving-by-surviving residual.
-
-    Returns (R, L, S, structural_rank_bound) as scipy CSR matrices.
-    """
-    r = disjointness_csr(n).tocoo()
-    pop = _popcount_table(n)
-    rowpop = pop[r.row]
-    colpop = pop[r.col]
-    in_l = (rowpop < k) | ((rowpop >= k) & (colpop < k))
-    size = 1 << n
-    lmat = _sp.csr_matrix(
-        (r.data[in_l], (r.row[in_l], r.col[in_l])), shape=(size, size)
-    )
-    smat = _sp.csr_matrix(
-        (r.data[~in_l], (r.row[~in_l], r.col[~in_l])), shape=(size, size)
-    )
-    removed = binom_cum(n, k, inclusive=False)
-    return r.tocsr(), lmat, smat, 2 * removed
-
-
 def rn_rigidity_decomposition(
     n: int, a: Fraction, ctx: FieldCtx
 ) -> RigidityDecomposition:
-    """Witness that R_n is non-rigid: rank 2*C(n,<k) plus a sparse
-    residual, k = floor(a*n).  Each removed row contributes the rank-1
-    update e_x (row x of R_n), each removed column the update
-    (col y restricted to surviving rows) e_y^T.
+    """Witness that R_n is non-rigid: R_n = B_lr C_lr + S with rank
+    2*C(n,<k), k = floor(a*n), the light indices those of popcount < k.
+
+    C_lr stacks the light rows of R_n over the identity rows e_y^T of the
+    light columns y; B_lr puts the identity columns e_x of the light rows
+    x beside the light columns of R_n restricted to the heavy rows.  S is
+    the heavy-by-heavy rest.
     """
     k = int(a * n)
     target = disjointness_matrix(n, ctx)
-    one = ctx.one_raw()
     size = 1 << n
-    removed = [x for x in range(size) if bin(x).count("1") < k]
-    removed_set = set(removed)
-    rank_bound = 2 * len(removed)
-    b_entries = []
-    c_entries = []
-    s_entries = []
-    col_of = {x: i for i, x in enumerate(removed)}
-    ncols = len(removed)
-    for i, j, v in target.entries:
-        if i in removed_set:
-            # covered by the row update for i
-            c_entries.append((col_of[i], j, v))
-        elif j in removed_set:
-            c_entries_idx = ncols + col_of[j]
-            b_entries.append((i, c_entries_idx, v))
-        else:
-            s_entries.append((i, j, v))
-    for x in removed:
-        b_entries.append((x, col_of[x], one))
-    for y in removed:
-        c_entries.append((ncols + col_of[y], y, one))
-    b = SparseMatrix(size, rank_bound, ctx, sorted(b_entries), _checked=True)
-    c = SparseMatrix(rank_bound, size, ctx, sorted(c_entries), _checked=True)
-    s = SparseMatrix(size, size, ctx, s_entries, _checked=True)
-    return RigidityDecomposition(target, rank_bound, b, c, s)
+    light = _popcount_table(n) < k
+    lights = np.flatnonzero(light)
+    h = lights.size
+    slot = np.cumsum(light) - 1  # position of a light index among the light ones
+    ones = sparse._value_array([ctx.one_raw()] * h, ctx)
+    i, j, v = sparse._row_ids(target), target.indices, target.data
+    in_c, in_b = light[i], ~light[i] & light[j]
+    in_s = ~(in_c | light[j])
+
+    def matrix(rows, cols, ii, jj, vv):
+        return SparseMatrix._from_csr(
+            rows, cols, ctx, *sparse._csr_from_coo(rows, cols, ctx, ii, jj, vv, False)
+        )
+
+    b = matrix(size, 2 * h, np.concatenate((lights, i[in_b])),
+               np.concatenate((np.arange(h), h + slot[j[in_b]])), np.concatenate((ones, v[in_b])))
+    c = matrix(2 * h, size, np.concatenate((slot[i[in_c]], h + np.arange(h))),
+               np.concatenate((j[in_c], lights)), np.concatenate((v[in_c], ones)))
+    s = matrix(size, size, i[in_s], j[in_s], v[in_s])
+    return RigidityDecomposition(target, 2 * h, b, c, s)
 
 
 # -- recursive all-ones partition ---------------------------------------

@@ -204,6 +204,13 @@ def _triplet_arrays(entries, ctx):
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2].copy()
 
 
+def _numerators(values):
+    """(den, nums): rationals as an object array of integers nums over
+    den, the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+
+
 def _row_ids(m):
     """Row index of every stored entry, in CSR order."""
     return np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))

@@ -14,7 +14,6 @@ product of 2x2 matrices into a V_f.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,7 +91,7 @@ def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
     ops["subs" if inverse else "adds"] = n * size // 2
     if ctx.is_prime_field:
         return _rn(ctx, np.array(x, dtype=np.int64), inverse).tolist(), ops
-    den, nums = _numerators(x)
+    den, nums = sparse._numerators(x)
     return [Fraction(v, den) for v in _rn(ctx, nums, inverse)], ops
 
 
@@ -102,13 +101,6 @@ def _rn(ctx: FieldCtx, u: np.ndarray, inverse: bool = False) -> np.ndarray:
     # forward (u0, u1) -> (u0 + u1, u0), inverse (u0, u1) -> (u1, u0 - u1)
     r1 = SparseMatrix.from_dense([[0, 1], [1, -1]] if inverse else [[1, 1], [1, 0]], ctx)
     return sparse.kron_apply([r1] * (u.size.bit_length() - 1), u)
-
-
-def _numerators(values):
-    """(den, nums): rationals as an object array of integers nums over
-    den, the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     if p:
         den, values = 1, np.array(f.values, dtype=np.int64)
     else:  # integers over one denominator; a Fraction only per answer
-        den, values = _numerators(f.values)
+        den, values = sparse._numerators(f.values)
     work = np.array(points, dtype=np.int64)
     if convention == "and":
         # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z); ~z is size - 1 - z

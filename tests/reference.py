@@ -4,7 +4,8 @@ Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
-and the tuple recursion that builds that partition.
+the tuple recursion that builds that partition, and the entry-by-entry
+split of R_n into a low-rank part and a sparse rest.
 """
 
 from fractions import Fraction
@@ -212,3 +213,32 @@ def js_factors_reference(pieces, n: int, ctx):
     a = SparseMatrix(size, t, ctx, sorted(a_entries), _checked=True)
     b = SparseMatrix(t, size, ctx, sorted(b_entries), _checked=True)
     return a, b
+
+
+def rn_split_reference(target, k: int):
+    """(rank_bound, B, C, S) of target = R_n = B x C + S, walking R_n
+    entry by entry: a light index (popcount < k) x gets the inner coordinates
+    i and h + i, i its place among the h light indices.  An entry in a
+    light row x goes to row i of C, one in a light column y of a heavy
+    row to column h + i of B, and the rest to S; B then gets e_x in
+    column i and C the row e_y^T at row h + i."""
+    ctx, size = target.ctx, target.rows
+    one = ctx.one_raw()
+    removed = [x for x in range(size) if bin(x).count("1") < k]
+    col_of = {x: i for i, x in enumerate(removed)}
+    h = len(removed)
+    b_entries, c_entries, s_entries = [], [], []
+    for i, j, v in target.entries:
+        if i in col_of:
+            c_entries.append((col_of[i], j, v))
+        elif j in col_of:
+            b_entries.append((i, h + col_of[j], v))
+        else:
+            s_entries.append((i, j, v))
+    for x in removed:
+        b_entries.append((x, col_of[x], one))
+        c_entries.append((h + col_of[x], x, one))
+    b = SparseMatrix(size, 2 * h, ctx, sorted(b_entries), _checked=True)
+    c = SparseMatrix(2 * h, size, ctx, sorted(c_entries), _checked=True)
+    s = SparseMatrix(size, size, ctx, s_entries, _checked=True)
+    return 2 * h, b, c, s

@@ -25,11 +25,9 @@ from kronrigid.circuits import (
 from kronrigid.disjoint import (
     binom_cum,
     dense_removal,
-    disjointness_csr,
     js_factorization,
     js_partition,
     js_side_sums,
-    removal_split_csr,
 )
 from kronrigid.errors import ExceedsBound, ModulusTooSmallWarning, OmegaZero
 from kronrigid.fields import FieldCtx
@@ -143,17 +141,15 @@ def test_criterion_06_dense_removal_n14():
     assert scan.removed_count == count.removed_count == 3473
     assert scan.residual_row_nnz == count.residual_row_nnz == 37
     assert 37 == binom_cum(8, 2, inclusive=True)
-    r, lmat, smat, bound = removal_split_csr(14, 6)
-    assert abs(lmat + smat - r).nnz == 0
-    assert bound == 6946
-    # every entry of the removed part sits in a removed row or column,
-    # so its rank is at most 2 * 3473 = 6946
-    coo = lmat.tocoo()
-    light = {x for x in range(1 << 14) if bin(x).count("1") < 6}
-    assert all(
-        int(i) in light or int(j) in light for i, j in zip(coo.row, coo.col)
-    )
-    assert int(smat.getnnz(axis=1).max()) <= 37
+    dec = disjoint.rn_rigidity_decomposition(14, Fraction(3, 7), F5)
+    low = dec.low_rank
+    assert sparse.add_mat(low, dec.S) == disjoint.disjointness_matrix(14, F5)
+    assert dec.rank_bound == dec.B_lr.cols == 6946
+    # every entry of the low-rank part sits in a removed row or column,
+    # and it is B_lr x C_lr through 6946 inner coordinates
+    light = np.array([bin(x).count("1") < 6 for x in range(1 << 14)])
+    assert (light[sparse._row_ids(low)] | light[low.indices]).all()
+    assert dec.S.nnz_r <= 37
     _ok(6, "n=14 k=6: 3473 removed, residual rows <= 37, rank bound 6946 certified")
 
 

@@ -188,6 +188,16 @@ def test_disjoint_stats_scan_beyond_the_cap_exits_at_once(capsys):
     assert captured.out == "" and captured.err.startswith("cap exceeded:")
 
 
+def test_disjoint_stats_scan_refuses_a_huge_n_before_its_sums():
+    # the bound column sums about n binomials: n = 10^9 is refused first
+    proc = subprocess.run(
+        [sys.executable, "-m", "kronrigid.cli", "disjoint-stats", "--n", "1000000000", "--k", "3",
+         "--method", "scan"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stderr.startswith("cap exceeded:")
+
+
 def test_mmcost_csv(capsys):
     rc = main(["mmcost", "--n", "8", "--k", "2"])
     assert rc == 0
@@ -214,6 +224,13 @@ def test_mmcost_csv_rows(capsys, row):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "q,n,k,backend,mults,adds,dense_mults"
     assert lines[1] == row
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (-3, 1), (8, 0), (8, -2)])
+def test_mmcost_needs_positive_n_and_k(capsys, n, k):
+    assert main(["mmcost", "--n", str(n), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_mmcost_rect_exponent_note(capsys):
@@ -425,6 +442,8 @@ def test_console_entry_point():
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "hadamard", "--n", "1000000000", "--circuit"],
     ["synth", "--family", "hadamard", "--n", "400000000", "--depth", "2"],
+    ["mmcost", "--n", "40", "--k", "2"],
+    ["mmcost", "--n", "1000000000", "--k", "2"],
 ])
 def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):
     # a list of n operands would be gigabytes: in a 1.5 GB address space

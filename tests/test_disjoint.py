@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import mpmath
+import numpy as np
 import pytest
 
 from kronrigid import circuits, disjoint, sparse
@@ -8,21 +11,24 @@ from kronrigid.disjoint import (
     binom_cum,
     critical_fraction,
     dense_removal,
-    disjointness_csr,
     disjointness_matrix,
     entropy,
     entropy_identities_check,
     js_factorization,
     js_partition,
     js_side_sums,
-    removal_split_csr,
     rn_rigidity_decomposition,
 )
 from kronrigid.errors import CapExceeded, DepthTooSmall
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
-from reference import js_factors_reference, js_pieces_reference, validate_partition
+from reference import (
+    js_factors_reference,
+    js_pieces_reference,
+    rn_split_reference,
+    validate_partition,
+)
 
 F5 = FieldCtx(5)
 
@@ -51,21 +57,10 @@ def test_rn_nnz_3_pow_n():
         assert disjointness_matrix(n, F5).nnz == 3**n
 
 
-def test_csr_agrees_with_list():
-    import numpy as np
-
-    for n in (0, 1, 3, 6):
-        m = disjointness_matrix(n, F5)
-        c = disjointness_csr(n)
-        dense = np.zeros((2**n, 2**n), dtype=np.int64)
-        for i, j, v in m.entries:
-            dense[i, j] = v
-        assert np.array_equal(np.asarray(c.todense()), dense)
-
-
 def test_cap():
-    with pytest.raises(CapExceeded):
-        disjointness_matrix(27, F5)
+    for n in (15, 27):
+        with pytest.raises(CapExceeded):
+            disjointness_matrix(n, F5)
 
 
 def test_binom_cum():
@@ -108,8 +103,6 @@ def test_removal_paths_agree_small():
 
 def test_residual_attained_at_weight_k():
     # the sparsest surviving row weight k attains the counting bound
-    from math import comb
-
     for n in range(4, 11):
         for k in range(1, n // 2 + 1):
             rep = dense_removal(n, k, method="scan")
@@ -121,11 +114,38 @@ def test_residual_attained_at_weight_k():
             assert expected == sum(comb(n - k, j) for j in range(k, n - k + 1))
 
 
+def test_count_path_is_the_max_over_row_weights():
+    # the count path's closed form against the maximum over every
+    # surviving row weight w of sum_{j >= k} C(n - w, j)
+    @cache
+    def kept(m, k):  # entries of a row of weight n - m kept by the removal
+        return sum(comb(m, j) for j in range(k, m + 1))
+
+    for n in range(2, 201):
+        for k in range(1, n // 2 + 1):
+            best = max(kept(n - w, k) for w in range(k, n - k + 1))
+            rep = dense_removal(n, k, method="count")
+            assert rep.residual_row_nnz == rep.residual_col_nnz == best, (n, k)
+
+
 def test_removal_split_csr():
-    r, lmat, smat, bound = removal_split_csr(10, 4)
-    assert abs(lmat + smat - r).nnz == 0
-    assert bound == 2 * binom_cum(10, 4, inclusive=False)
-    assert int(smat.getnnz(axis=1).max()) <= binom_cum(6, 2, inclusive=True)
+    # the split's own matrices at n = 14, k = floor(14 * 3/7) = 6
+    dec = rn_rigidity_decomposition(14, Fraction(3, 7), F5)
+    low = dec.low_rank
+    assert sparse.add_mat(low, dec.S) == disjointness_matrix(14, F5)
+    light = np.array([bin(x).count("1") < 6 for x in range(1 << 14)])
+    assert (light[sparse._row_ids(low)] | light[low.indices]).all()
+    assert dec.rank_bound == dec.B_lr.cols == 2 * binom_cum(14, 6, inclusive=False) == 6946
+    assert dec.S.nnz_r <= binom_cum(8, 2, inclusive=True) == 37
+
+
+@pytest.mark.parametrize("ctx", [F5, FieldCtx(2**31 - 1), RATIONALS], ids=str)
+def test_rn_split_matches_the_entry_by_entry_reference(ctx):
+    for n in range(11):
+        for k in range(n + 1):
+            dec = rn_rigidity_decomposition(n, Fraction(k, max(n, 1)), ctx)
+            want = rn_split_reference(dec.target, k)
+            assert (dec.rank_bound, dec.B_lr, dec.C_lr, dec.S) == want, (n, k)
 
 
 def test_rn_rigidity_decomposition():
