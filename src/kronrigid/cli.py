@@ -16,6 +16,7 @@ from .errors import (
     CapExceeded,
     DepthTooSmall,
     DimensionCapExceeded,
+    DivisorMismatch,
     ExceedsBound,
     KronRigidError,
     NotSquare,
@@ -153,6 +154,8 @@ def cmd_disjoint_stats(args) -> int:
 def cmd_mmcost(args) -> int:
     if args.n < 1 or args.k < 1:
         raise ValueError(f"mmcost needs n >= 1 and k >= 1, not n = {args.n}, k = {args.k}")
+    if args.n % args.k:  # before the q^n-entry probe is built
+        raise DivisorMismatch(f"{args.k} rounds do not divide {args.n} factors")
     ctx = FieldCtx(args.field)
     h1 = rigidity.hadamard_matrix(1, ctx)
     # the probe has q^n entries, q >= 2: n is cut at the cap's bit length first

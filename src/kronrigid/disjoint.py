@@ -10,9 +10,10 @@ calculators the parameter analysis relies on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 import mpmath
 import numpy as np
@@ -82,7 +83,10 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     |x| >= k; it holds 2^n entries, so 2^n above sparse.DIMENSION_CAP
     raises CapExceeded.  The count path is closed-form: a row of weight w
     keeps sum_{j >= k} C(n-w, j) entries, which falls as w grows, so the
-    maximum is at w = k, and by C(m, i) = C(m, m-i) it is `bound`.
+    maximum is at w = k: `bound`, 2^(n-k) less the k binomials C(n-k, j<k).
+    Both counts are below 2^n, so where 2^n has more digits than Python
+    converts to text (sys.get_int_max_str_digits()) n raises CapExceeded
+    before any sum is taken.
     """
     if not 1 <= k <= n / 2:
         raise ValueError("need 1 <= k <= n/2")
@@ -92,8 +96,11 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         raise ValueError(f"unknown method {method!r}")
     if method == "scan" and n >= sparse.DIMENSION_CAP.bit_length():
         raise CapExceeded(f"2^{n} entries exceed the cap {sparse.DIMENSION_CAP}")
+    digits = sys.get_int_max_str_digits()
+    if digits and n * log10(2) >= digits:
+        raise CapExceeded(f"2^{n} has more than the {digits} digits Python converts to text")
     removed_count = binom_cum(n, k, inclusive=False)
-    bound = best = binom_cum(n - k, n - 2 * k, inclusive=True)
+    bound = best = 2 ** (n - k) - binom_cum(n - k, k, inclusive=False)
     if method == "scan":
         heavy = _popcount_table(n) >= k
         # row lengths are integers of at most 2^n <= 2^26, so int32 is exact

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice
 from math import comb
+
+import numpy as np
 
 from . import sparse
 from .errors import (
@@ -28,8 +30,13 @@ from .fields import FieldCtx, primitive_root_of_unity
 from .sparse import SparseMatrix
 
 # Work is candidates times matrix cells, since every candidate costs one
-# elimination of the whole matrix: 10^7 candidates of a 4x4 matrix.
+# elimination of the whole matrix (run in F_p batches, one array rank test
+# per chunk of candidates): 10^7 candidates of a 4x4 matrix.
 DEFAULT_WORK_CAP = 16 * 10_000_000
+# A chunk holds at most this many candidates and this many cells, so each
+# array of the batched elimination stays near 128 KB.
+CHUNK_CANDIDATES = 2**10
+CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -102,12 +109,15 @@ def brute_force_rigidity(
 ):
     """Exact minimum number of entry changes bringing rank(m) down to <= r.
 
-    Enumerates change-support patterns in increasing size (lexicographic
-    within a size) and all field values on the changed cells; the first
-    hit wins, so output is deterministic.  Returns (minimum, witness);
-    raises ExceedsBound if no pattern of size <= max_changes works, and
-    WorkCapExceeded up front if the candidates times the matrix cells
-    exceed work_cap.
+    Enumerates change-support patterns in increasing size (combinations
+    order within a size) and, for each, every assignment of values other
+    than the originals to the changed cells (product order, last cell
+    fastest); the first hit wins, so output is deterministic.  Candidates
+    are tested in F_p batches: a chunk of consecutive candidates is
+    decoded from its index range in base p - 1 and goes through one
+    `_rank_at_most`.  Returns (minimum, witness); raises ExceedsBound if
+    no pattern of size <= max_changes works, and WorkCapExceeded up front
+    if the candidates times the matrix cells exceed work_cap.
     """
     ctx = m.ctx
     if not ctx.is_prime_field:
@@ -119,28 +129,69 @@ def brute_force_rigidity(
     est = cells * sum(comb(cells, k) * (p - 1) ** k for k in range(max_changes + 1))
     if est > work_cap:
         raise WorkCapExceeded(est, work_cap)
-    dense = m.to_dense()
-    flat = [(i, j) for i in range(m.rows) for j in range(m.cols)]
-    for size in range(max_changes + 1):
-        for pattern in combinations(range(cells), size):
-            coords = [flat[c] for c in pattern]
-            originals = [dense[i][j] for i, j in coords]
-            # Only values different from the original count as changes;
-            # equal values were already covered at a smaller size.
-            choices = [
-                [v for v in range(p) if v != orig] for orig in originals
-            ]
-            for assignment in product(*choices):
-                for (i, j), v in zip(coords, assignment):
-                    dense[i][j] = v
-                if len(sparse._eliminate([list(row) for row in dense], ctx, r)) <= r:
-                    low = SparseMatrix.from_dense(dense, ctx)
-                    for (i, j), v in zip(coords, originals):
-                        dense[i][j] = v
+    flat = np.array(m.to_dense(), dtype=np.int64).reshape(cells)
+    batch = max(1, min(CHUNK_CANDIDATES, CHUNK_CELLS // max(cells, 1)))
+    base = p - 1  # a changed cell takes one of the p - 1 other values
+    for size in range(min(max_changes, cells) + 1):
+        per = base**size  # assignments of one pattern, below the work cap
+        place = base ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        step = min(per, batch)
+        patterns = combinations(range(cells), size)
+        while group := list(islice(patterns, max(1, batch // per))):
+            at = np.array(group, dtype=np.intp).reshape(len(group), 1, size)
+            for start in range(0, per, step):
+                digits = np.arange(start, min(start + step, per))[:, None] // place % base
+                # value j stands for j + (j >= original), skipping the original
+                values = digits + (digits >= flat[at])
+                cand = np.tile(flat, (len(group), len(digits), 1))
+                np.put_along_axis(cand, np.broadcast_to(at, values.shape), values, axis=2)
+                cand = cand.reshape(len(group) * len(digits), m.rows, m.cols)
+                hits = _rank_at_most(cand, r, p)
+                if hits.any():
+                    low = SparseMatrix.from_dense(cand[hits.argmax()].tolist(), ctx)
                     return size, decomposition_from_low_rank(m, low, r)
-            for (i, j), v in zip(coords, originals):
-                dense[i][j] = v
     raise ExceedsBound(max_changes)
+
+
+def _rank_at_most(mats, r: int, p: int):
+    """rank <= r over F_p for each matrix of an int64 residue array of
+    shape (K, rows, cols), by one batched Gaussian elimination.
+
+    Each matrix keeps its own rank counter k; its pivot in a column is the
+    first nonzero row at or below row k, scaled by a Fermat inverse and
+    subtracted from every row.  Row k moves to the pivot's place, and the
+    pivot row is not written back, since rows above the rank are never
+    read again.  A matrix stops once its rank passes r.  Since p < 2^31,
+    every product of two residues is below 2^62.
+    """
+    a = np.array(mats, dtype=np.int64)
+    count, rows, cols = a.shape
+    rank = np.zeros(count, dtype=np.intp)
+    below = np.arange(rows)
+    for c in range(cols):
+        nonzero = (a[:, :, c] != 0) & (below >= rank[:, None])
+        sel = np.flatnonzero(nonzero.any(axis=1) & (rank <= r))
+        if not sel.size:
+            continue
+        k, piv = rank[sel], nonzero[sel].argmax(axis=1)
+        prow = a[sel, piv]
+        a[sel, piv] = a[sel, k]
+        prow = prow * _inverse(prow[:, c], p)[:, None] % p
+        a[sel] = (a[sel] - a[sel, :, c, None] * prow[:, None, :]) % p
+        rank[sel] += 1
+    return rank <= r
+
+
+def _inverse(v, p: int):
+    """v^(p - 2) mod p entrywise: the inverse of each nonzero residue."""
+    out = np.ones_like(v)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * v % p
+        v = v * v % p
+        e >>= 1
+    return out
 
 
 # -- explicit constructions ---------------------------------------------

@@ -574,14 +574,10 @@ def rank(a: SparseMatrix) -> int:
     return len(_eliminate(a.to_dense(), a.ctx))
 
 
-def _eliminate(rows, ctx: FieldCtx, stop_above=None) -> list:
+def _eliminate(rows, ctx: FieldCtx) -> list:
     """Reduce dense rows of raw values to reduced row echelon form, in
     place, and return the pivot columns; the first len(pivots) rows are
-    then the nonzero RREF rows.
-
-    With stop_above=r, return as soon as pivot r + 1 is found (the rows
-    are then only partly reduced), so len(pivots) <= r iff rank <= r.
-    """
+    then the nonzero RREF rows."""
     p = ctx.modulus
 
     def minus(row, f, prow):  # row - f * prow, entrywise
@@ -598,8 +594,6 @@ def _eliminate(rows, ctx: FieldCtx, stop_above=None) -> list:
         else:
             continue
         pivots.append(c)
-        if stop_above is not None and k >= stop_above:
-            return pivots
         prow, rows[piv] = rows[piv], rows[k]
         inv = ctx.inv_raw(prow[c])
         if inv != 1:  # v - (1 - inv) v = inv v: scale to a leading 1

@@ -4,15 +4,19 @@ Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
-the tuple recursion that builds that partition, and the entry-by-entry
-split of R_n into a low-rank part and a sparse rest.
+the tuple recursion that builds that partition, the entry-by-entry
+split of R_n into a low-rank part and a sparse rest, and the
+candidate-by-candidate brute-force rigidity search.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+from kronrigid import sparse
 from kronrigid.disjoint import RECT, SQUARE, RectPartition
+from kronrigid.errors import ExceedsBound
 from kronrigid.fields import Scalar
+from kronrigid.rigidity import decomposition_from_low_rank
 from kronrigid.sparse import IndexCodec, SparseMatrix
 from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix_general
 
@@ -242,3 +246,27 @@ def rn_split_reference(target, k: int):
     c = SparseMatrix(2 * h, size, ctx, sorted(c_entries), _checked=True)
     s = SparseMatrix(size, size, ctx, s_entries, _checked=True)
     return 2 * h, b, c, s
+
+
+def brute_force_reference(m: SparseMatrix, r: int, max_changes: int):
+    """(minimum, witness) of rigidity.brute_force_rigidity, one candidate
+    at a time: patterns by size in combinations order, the values other
+    than the originals in product order, one Gaussian elimination of a
+    copied dense list per candidate; ExceedsBound past max_changes."""
+    ctx, p = m.ctx, m.ctx.modulus
+    dense = m.to_dense()
+    flat = [(i, j) for i in range(m.rows) for j in range(m.cols)]
+    for size in range(max_changes + 1):
+        for pattern in combinations(range(len(flat)), size):
+            coords = [flat[c] for c in pattern]
+            originals = [dense[i][j] for i, j in coords]
+            choices = [[v for v in range(p) if v != orig] for orig in originals]
+            for assignment in product(*choices):
+                for (i, j), v in zip(coords, assignment):
+                    dense[i][j] = v
+                if len(sparse._eliminate([list(row) for row in dense], ctx)) <= r:
+                    low = SparseMatrix.from_dense(dense, ctx)
+                    return size, decomposition_from_low_rank(m, low, r)
+            for (i, j), v in zip(coords, originals):
+                dense[i][j] = v
+    raise ExceedsBound(max_changes)

@@ -198,6 +198,24 @@ def test_disjoint_stats_scan_refuses_a_huge_n_before_its_sums():
     assert proc.returncode == 3 and proc.stderr.startswith("cap exceeded:")
 
 
+def test_disjoint_stats_past_the_int_to_str_limit_is_a_cap(capsys):
+    start = time.perf_counter()
+    assert main(["disjoint-stats", "--n", "100000", "--k", "50000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cap exceeded:")
+
+
+def test_mmcost_checks_its_divisor_before_the_probe():
+    # 2^24 probe entries would take seconds to build before the divisor check
+    proc = subprocess.run(
+        [sys.executable, "-m", "kronrigid.cli", "mmcost", "--n", "24", "--k", "5"],
+        capture_output=True, text=True, env=_child_env(), timeout=5,
+    )
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_mmcost_csv(capsys):
     rc = main(["mmcost", "--n", "8", "--k", "2"])
     assert rc == 0

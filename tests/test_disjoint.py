@@ -1,6 +1,7 @@
+import sys
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, log10
 
 import mpmath
 import numpy as np
@@ -126,6 +127,26 @@ def test_count_path_is_the_max_over_row_weights():
             best = max(kept(n - w, k) for w in range(k, n - k + 1))
             rep = dense_removal(n, k, method="count")
             assert rep.residual_row_nnz == rep.residual_col_nnz == best, (n, k)
+
+
+def test_count_bound_is_the_old_sum_of_binomials():
+    # 2^(n-k) less k binomials equals the sum of n - 2k + 1 binomials
+    for n in range(2, 201):
+        for k in range(1, n // 2 + 1):
+            old = binom_cum(n - k, n - 2 * k, inclusive=True)
+            assert 2 ** (n - k) - binom_cum(n - k, k, inclusive=False) == old
+            assert dense_removal(n, k, method="count").bound == old, (n, k)
+
+
+def test_count_path_stops_where_python_cannot_print_its_counts():
+    # 2^n of more digits than sys.get_int_max_str_digits() (4,300 by default)
+    digits = sys.get_int_max_str_digits()
+    top = int(digits / log10(2))  # 2^top has exactly `digits` digits
+    assert len(str(2**top)) == digits
+    rep = dense_removal(top, 3, method="count")
+    assert str(rep.bound) and str(rep.removed_count)
+    with pytest.raises(CapExceeded):
+        dense_removal(top + 1, 3, method="count")
 
 
 def test_removal_split_csr():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 
-from reference import SplitMix64
+from reference import SplitMix64, brute_force_reference
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
@@ -112,6 +113,54 @@ def test_brute_force_work_cap():
     with pytest.raises(WorkCapExceeded) as exc:
         rigidity.brute_force_rigidity(hadamard_matrix(2, F5), 1, 8, work_cap=100)
     assert exc.value.estimated_work > 100
+
+
+def _search(fn, m, r, changes):
+    try:
+        return fn(m, r, changes)
+    except ExceedsBound:
+        return "exceeds"
+
+
+def test_brute_force_matches_the_candidate_by_candidate_reference():
+    # up to 3x3, square and non-square, p in {3, 5, 7}, r <= 2, at most 4 changes
+    rng = SplitMix64(43)
+    seen = set()
+    for _ in range(200):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        ctx = rng.choice((F3, F5, F7))
+        r, changes = rng.randint(0, 2), rng.randint(0, 4)
+        m = SparseMatrix.from_dense(
+            [[rng.field_element(ctx) for _ in range(cols)] for _ in range(rows)], ctx
+        )
+        got = _search(rigidity.brute_force_rigidity, m, r, changes)
+        want = _search(brute_force_reference, m, r, changes)
+        seen.add((rows == cols, got == "exceeds"))
+        if want == "exceeds":
+            assert got == want
+            continue
+        assert got[0] == want[0]
+        if m.is_square:
+            assert rigidity.dump_witness(got[1]) == rigidity.dump_witness(want[1])
+        else:
+            assert got[1] == want[1]
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_brute_force_at_a_large_prime_builds_no_array_of_size_p():
+    # p - 1 one-change candidates on the zero cell fail before the other
+    # cell's first value, 0, is a hit
+    ctx = FieldCtx(1_000_003)
+    m = SparseMatrix.from_dense([[0, 5]], ctx)
+    tracemalloc.start()
+    try:
+        minimum, witness = rigidity.brute_force_rigidity(m, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert minimum == 1 and witness.verify()
+    assert witness.low_rank.nnz == 0 and witness.S == m
+    assert peak < ctx.modulus  # an int64 array of size p is 8p bytes
 
 
 def test_normalize_outer1_h1():
