@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -340,6 +341,98 @@ def balance_exponents(
     core = builder(m0) if m0 else [identity(1, base.ctx)] * d
     slots = _slots([base] * sum(ms), ms, identity(q, base.ctx))
     return SynchronousCircuit([[c] + b for c, b in zip(core, slots)], base=base, base_power=n)
+
+
+def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=(), powers=()):
+    """Whether the circuit's product is unit^{kron n}, decided exactly on
+    Kronecker operands: True, False, or None when undecided.
+
+    A one-operand layer, as read from a file, is peeled by
+    sparse.kron_split, trying the unit's shape, then `shapes`.  A cut is
+    where each layer's column prefix size equals the next one's row prefix
+    size and the first layer's row prefix the last one's column prefix, so
+    by the mixed-product property the product is the Kronecker product of
+    the chain products between cuts.  Each distinct chain (identities
+    dropped, compared by value) must be lambda_g unit^{kron t_g}, and the
+    lambda_g must multiply to 1.  None when the sizes are not q^n, a layer
+    stays one operand, there is no cut, or a chain is not a multiple of a
+    unit power.  `powers` are matrices the caller proved unit powers.
+    """
+    q, ctx = unit.rows, unit.ctx
+    if circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
+        return None
+    candidates = [(r, c) for r, c in [(q, q), *shapes] if r * c > 1]
+    layers = [ops if len(ops) > 1 else _peel(ops[0], candidates) for ops in circ.layers]
+    if any(len(ops) == 1 for ops in layers):
+        return None
+    rows, cols = ([list(itertools.accumulate((getattr(m, side) for m in ops), operator.mul, initial=1))
+                   for ops in layers] for side in ("rows", "cols"))
+    where = [{v: k for k, v in reversed(list(enumerate(r)))} for r in rows]
+    ends = [len(ops) for ops in layers]
+    cuts = [[0] * len(layers)]
+    for k0 in range(1, ends[0]):
+        ks = [k0]
+        for j in range(1, len(layers)):  # -1: no such prefix, refused below
+            ks.append(where[j].get(cols[j - 1][ks[-1]], -1))
+        if cols[-1][ks[-1]] == rows[0][k0] and all(a < b < e for a, b, e in zip(cuts[-1], ks, ends)):
+            cuts.append(ks)
+    if len(cuts) == 1:
+        return None
+    powers = {m.rows: m for m in [unit, *powers]}
+    seen, total = {}, ctx.one_raw()
+    for lo, hi in zip(cuts, cuts[1:] + [ends]):
+        chain = tuple(kron_all(ops[a:b]) for ops, a, b in zip(layers, lo, hi)
+                      if not all(m == identity(m.rows, ctx) for m in ops[a:b]))
+        size = rows[0][hi[0]] // rows[0][lo[0]]
+        key = (size, tuple((m.rows, m.cols, m.nnz) for m in chain))
+        for other, lam in seen.get(key, ()):
+            if all(a is b or a == b for a, b in zip(chain, other)):
+                break
+        else:
+            t = round(math.log(size, q))
+            if q**t != size or not chain:
+                return None
+            lam = _chain_multiple(chain, unit, t, powers)
+            seen.setdefault(key, []).append((chain, lam))
+        if lam is None:
+            return None
+        total = ctx.mul_raw(total, lam)
+    return total == ctx.one_raw()
+
+
+def _peel(m: SparseMatrix, shapes) -> list:
+    """m as a list of Kronecker operands: the first of shapes that splits
+    off the front of m, then the operands of the rest."""
+    for r, c in shapes:
+        split = (r, c) != (m.rows, m.cols) and sparse.kron_split(m, r, c)
+        if split:
+            return [split[0], *_peel(split[1], shapes)]
+    return [m]
+
+
+def _chain_multiple(chain, unit: SparseMatrix, t: int, powers: dict):
+    """The lambda with chain's product == lambda unit^{kron t}, or None.
+    Over Q no Fraction product is built: lambda is read off the first row
+    and verify_circuit's block check decides."""
+    if unit.ctx.modulus:
+        if unit.rows**t not in powers:
+            powers[unit.rows**t] = kron_power(unit, t)
+        return _multiple(functools.reduce(matmul, chain), powers[unit.rows**t])
+    row = functools.reduce(matmul, (chain[0].row_block(0, 1), *chain[1:]))
+    lam = _multiple(row, kron_power(unit.row_block(0, 1), t))
+    if lam is None:
+        return None
+    target = [sparse.scale(unit, lam)] + [unit] * (t - 1)
+    return lam if verify_circuit(SynchronousCircuit(chain), target) else None
+
+
+def _multiple(m: SparseMatrix, u: SparseMatrix):
+    """The lambda with m == lambda u, or None."""
+    if not m.nnz or m.nnz != u.nnz:
+        return None
+    ctx = m.ctx
+    lam = ctx.mul_raw(m.data[:1].tolist()[0], ctx.inv_raw(u.data[:1].tolist()[0]))
+    return lam if sparse.scale(u, lam) == m else None
 
 
 def verify_circuit(circ: SynchronousCircuit, target) -> bool:

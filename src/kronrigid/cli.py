@@ -84,6 +84,18 @@ def _family_unit(family: str, ctx: FieldCtx):
     return disjoint.disjointness_matrix(1, ctx)
 
 
+def _base_shapes(family: str, ctx: FieldCtx):
+    """Operand shapes of the family's built-in bases, which
+    circuits.prove_power tries when it peels a layer read from a file."""
+    if family == "disjointness":
+        return [(1 << m, 1 << m) for m in range(2, disjoint.LIST_CAP + 1)]
+    shapes = []
+    for make in _HADAMARD_BASES.values():
+        tf = circuits.two_factor_from_rigidity(make(ctx))
+        shapes += [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
+    return shapes
+
+
 def cmd_synth(args) -> int:
     ctx = FieldCtx(args.field)
     tf = _base_factorization(args.family, args.base, args.n, args.depth, ctx)
@@ -95,6 +107,10 @@ def cmd_synth(args) -> int:
     trivial = _butterfly_wires(unit, args.n, args.depth)
     if args.out:
         circ.check_caps()  # before anything is printed or built
+    # synthesize has checked tf.target against the unit's power
+    if not circuits.prove_power(circ, unit, args.n, powers=[tf.target]):
+        print("error: the circuit was not proved equal to its target", file=sys.stderr)
+        return EXIT_VERIFY
     print(
         f"family={args.family} n={args.n} d={args.depth} wires={circ.wires} "
         f"trivial={trivial} bound={bound:.1f}"
@@ -110,8 +126,11 @@ def cmd_verify(args) -> int:
     if args.n > sparse.DIMENSION_CAP.bit_length():
         raise DimensionCapExceeded(f"2^{args.n} rows exceed the cap {sparse.DIMENSION_CAP}")
     circ = circuits.load_circuit(args.circuit)
-    ok = circuits.verify_circuit(circ, [_family_unit(args.family, circ.ctx)] * args.n)
-    print(f"equal={ok} wires={circ.wires} depth={circ.depth}")
+    unit = _family_unit(args.family, circ.ctx)
+    ok, method = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family, circ.ctx)), "structural"
+    if ok is None:
+        ok, method = circuits.verify_circuit(circ, [unit] * args.n), "block"
+    print(f"equal={ok} wires={circ.wires} depth={circ.depth} method={method}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -361,6 +361,57 @@ def kron_all(mats) -> SparseMatrix:
     return kron(left, left if mats[:half] == mats[half:] else kron_all(mats[half:]))
 
 
+def kron_split(m: SparseMatrix, r: int, c: int):
+    """(X, Y) with m == kron(X, Y) and X of shape r x c, or None when m is
+    no such product.  This is the exact rank-1 case of Van Loan and
+    Pitsianis' rearrangement, over F_p and Q alike.
+
+    m is cut into r x c blocks of Y's shape.  Every nonempty block must
+    hold as many entries as the others (one count per block rejects most
+    shapes in O(nnz)), at the inner positions of the first one, with
+    values lambda_b times the first one's.  Y is the first nonempty
+    block and X holds the lambda_b.
+    """
+    if m.rows % r or m.cols % c:
+        return None
+    h, w, ctx = m.rows // r, m.cols // c, m.ctx
+    if not m.nnz:
+        return _empty(r, c, ctx), _empty(h, w, ctx)
+    bi, ii = np.divmod(_row_ids(m), h)
+    bj, jj = np.divmod(m.indices, w)
+    block = bi * c + bj
+    # one bin per block, unless there are far more blocks than entries
+    counts = np.bincount(block) if r * c <= max(m.nnz, 1 << 16) else np.unique(block, return_counts=True)[1]
+    counts = counts[counts > 0]
+    k = int(counts[0])
+    if (counts != k).any():
+        return None
+    # CSR order keeps each block's entries in inner row-major order
+    order = np.argsort(block, kind="stable")
+    inner = (ii * w + jj)[order].reshape(-1, k)
+    if (inner != inner[0]).any():
+        return None
+    values = m.data[order].reshape(-1, k)
+    first = values[0].copy()
+    if ctx.is_prime_field:
+        p = ctx.modulus
+        lam = values[:, 0] * pow(int(first[0]), -1, p) % p
+        same = lam[:, None] * first % p == values
+    else:  # cross-multiplied numerators over one denominator
+        nums = _numerators(values.ravel())[1].reshape(values.shape)
+        if np.abs(nums).max() < 2**31:  # products fit int64
+            nums = nums.astype(np.int64)
+        same = nums * nums[0, 0] == nums[:, :1] * nums[0]
+        lam = values[:, 0] / first[0]
+    if not same.all():
+        return None
+    blocks = block[order][::k]
+    return (
+        SparseMatrix._from_csr(r, c, ctx, _indptr(r, blocks // c), blocks % c, lam),
+        SparseMatrix._from_csr(h, w, ctx, _indptr(h, inner[0] // w), inner[0] % w, first),
+    )
+
+
 def _mulmod(x, y, p: int, terms: int, bx: int, by: int):
     """x @ y mod p for scipy int64 CSRs, exactly.
 

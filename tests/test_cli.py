@@ -297,7 +297,7 @@ def test_digits_the_base_does_not_cover_go_into_butterfly_slots(tmp_path, capsys
     assert main(["synth"] + argv + ["--out", path]) == 0
     assert " wires=57344 trivial=65536 " in capsys.readouterr().out
     assert main(["verify", "--circuit", path, "--family", "hadamard", "--n", "10"]) == 0
-    assert capsys.readouterr().out == "equal=True wires=57344 depth=2\n"
+    assert capsys.readouterr().out == "equal=True wires=57344 depth=2 method=structural\n"
     assert main(["bench", "--family", "hadamard", "--n", "8,10", "--depth", "2,4"]) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
     assert [(r[1], r[3], r[5]) for r in rows] == [

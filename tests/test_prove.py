@@ -1,0 +1,244 @@
+"""The structural proof: sparse.kron_split recovers Kronecker operands,
+circuits.prove_power proves a circuit on them, and `verify` falls back to
+the block check only when the proof is undecided."""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from kronrigid import cli, circuits, sparse
+from kronrigid.circuits import SynchronousCircuit, prove_power, synthesize, verify_circuit
+from kronrigid.cli import main
+from kronrigid.fields import FieldCtx
+from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
+
+from reference import SplitMix64
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import ROUNDTRIP  # noqa: E402
+
+F7, FBIG, Q = FieldCtx(7), FieldCtx(2**31 - 1), FieldCtx(0)
+FIELDS = [F7, FBIG, Q]
+
+
+def random_matrix(rng, rows, cols, ctx, fill=3):
+    """A rows x cols matrix with about 1/fill of its entries nonzero, each
+    row holding at least two of them."""
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.randrange(fill) == 0 or j < 2:
+                v = rng.randint(1, 6) * (-1) ** rng.randrange(2)
+                entries[(i, j)] = ctx.coerce(Fraction(v, rng.randint(1, 3)) if not ctx.modulus else v)
+    return SparseMatrix(rows, cols, ctx, [(i, j, v) for (i, j), v in entries.items()])
+
+
+def changed(m, how, rng):
+    """m with one value changed, one entry moved to an empty spot of its
+    row, or one entry added there."""
+    entries = list(m.entries)
+    open_rows = {i for i in range(m.rows) if m.indptr[i + 1] - m.indptr[i] < m.cols}
+    ks = [k for k, (i, _, _) in enumerate(entries) if how == "value" or i in open_rows]
+    k = ks[rng.randrange(len(ks))]
+    i, j, v = entries[k]
+    ctx = m.ctx
+    if how == "value":
+        entries[k] = (i, j, ctx.add_raw(v, 1) or ctx.add_raw(v, 2))
+    else:
+        used = {jj for ii, jj, _ in entries if ii == i}
+        free = [jj for jj in range(m.cols) if jj not in used]
+        if how == "moved":
+            entries[k] = (i, free[rng.randrange(len(free))], v)
+        else:
+            entries.append((i, free[rng.randrange(len(free))], ctx.one_raw()))
+    return SparseMatrix(m.rows, m.cols, ctx, entries)
+
+
+def family_tf(family, base, n, d, ctx):
+    unit = cli._family_unit(family, ctx)
+    return cli._base_factorization(family, base, n, d, ctx), unit
+
+
+def decide(circ, family, n):
+    """What `verify` decides, and how: the proof, else the block check."""
+    unit = cli._family_unit(family, circ.ctx)
+    ok = prove_power(circ, unit, n, cli._base_shapes(family, circ.ctx))
+    if ok is None:
+        return verify_circuit(circ, [unit] * n), "block"
+    return ok, "structural"
+
+
+# -- kron_split -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_kron_split_recovers_a_product_up_to_scalars(ctx, seed):
+    rng = SplitMix64(seed)
+    a = random_matrix(rng, 2 + seed % 2, 3, ctx)
+    b = random_matrix(rng, 4, 3 + seed % 3, ctx)
+    m = kron(a, b)
+    x, y = kron_split(m, a.rows, a.cols)
+    assert kron(x, y) == m
+    assert (x.rows, x.cols, y.rows, y.cols) == (a.rows, a.cols, b.rows, b.cols)
+    lam = ctx.mul_raw(a.data[:1].tolist()[0], ctx.inv_raw(x.data[:1].tolist()[0]))
+    assert sparse.scale(x, lam) == a and sparse.scale(y, ctx.inv_raw(lam)) == b
+    assert kron_split(m, 5, a.cols) is None  # 5 does not divide the rows
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("how", ["value", "moved", "extra"])
+@pytest.mark.parametrize("seed", range(3))
+def test_kron_split_rejects_one_entry_changed(ctx, how, seed):
+    rng = SplitMix64(100 + seed)
+    a, b = random_matrix(rng, 3, 2, ctx, fill=1), random_matrix(rng, 4, 5, ctx)
+    m = changed(kron(a, b), how, rng)
+    assert kron_split(m, 3, 2) is None
+
+
+def test_kron_split_of_zero_and_of_sparse_blocks():
+    zero = sparse._empty(6, 4, F7)
+    x, y = kron_split(zero, 3, 2)
+    assert kron(x, y) == zero
+    # many more blocks than entries: counted without a bin per block
+    m = kron(identity(300, F7), random_matrix(SplitMix64(9), 2, 3, F7))
+    x, y = kron_split(m, 300, 300)
+    assert x == identity(300, F7) and kron(x, y) == m
+
+
+# -- prove_power ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("family,base,d", [
+    ("hadamard", "h4", 4), ("hadamard", "h2", 2), ("hadamard", "h3cube", 3),
+    ("disjointness", "js:8", 2), ("disjointness", "js:3", 4),
+])
+def test_the_proof_is_structural_at_n_64(ctx, family, base, d):
+    tf, unit = family_tf(family, base, 64, d, ctx)
+    circ = synthesize(tf, unit, 64, d)
+    assert prove_power(circ, unit, 64, powers=[tf.target]) is True
+    assert prove_power(circ, unit, 64) is True  # builds the unit power itself
+    other = cli._family_unit("disjointness" if family == "hadamard" else "hadamard", ctx)
+    assert prove_power(circ, other, 64) is not True
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_operands_scaled_by_a_and_one_over_a(ctx):
+    tf, unit = family_tf("hadamard", "h4", 12, 3, ctx)
+    circ = synthesize(tf, unit, 12, 3)
+    a = ctx.coerce(3)
+    layers = [list(ops) for ops in circ.layers]
+    layers[0][1] = sparse.scale(layers[0][1], a)
+    layers[2][0] = sparse.scale(layers[2][0], ctx.inv_raw(a))
+    assert prove_power(SynchronousCircuit(layers), unit, 12) is True
+    layers[2][0] = circ.layers[2][0]  # only a: the product is 3 H_12
+    assert prove_power(SynchronousCircuit(layers), unit, 12) is False
+    # the same on explicit layers, scaled as a whole
+    f = circ.factors
+    scaled = SynchronousCircuit([sparse.scale(f[0], a), f[1], sparse.scale(f[2], ctx.inv_raw(a))])
+    assert decide(scaled, "hadamard", 12) == (True, "structural")
+    assert decide(SynchronousCircuit([sparse.scale(f[0], a), *f[1:]]), "hadamard", 12) == (
+        False, "structural")
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_chains_of_one_shape_are_compared_by_value(ctx):
+    # positions 0 and 1 both multiply B by C; C at position 1 gets one
+    # value changed, so its chain has the shapes and nnz of the proved one
+    tf, unit = family_tf("hadamard", "h4", 12, 3, ctx)
+    circ = synthesize(tf, unit, 12, 3)
+    layers = [list(ops) for ops in circ.layers]
+    layers[2][1] = changed(layers[2][1], "value", SplitMix64(3))
+    tampered = SynchronousCircuit(layers)
+    assert prove_power(tampered, unit, 12) is None
+    assert decide(SynchronousCircuit(tampered.factors), "hadamard", 12)[0] is False
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_a_correct_circuit_that_is_no_kronecker_product_takes_the_block_check(ctx):
+    h3 = sparse.kron_power(cli._family_unit("hadamard", ctx), 3)
+    perm = SparseMatrix(8, 8, ctx, [(i, (5 * i + 3) % 8, ctx.one_raw()) for i in range(8)])
+    circ = SynchronousCircuit([perm, matmul(sparse.transpose(perm), h3)])
+    assert prove_power(circ, cli._family_unit("hadamard", ctx), 3) is None
+    assert decide(circ, "hadamard", 3) == (True, "block")
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_an_unaligned_circuit_takes_the_block_check(ctx):
+    # (I_2 x (I_2 x H_1)) ((H_1 x H_1) x I_2) = H_1^{x3}: the first layer's
+    # operands end after 2 and 8 columns, the second's start with 4 rows
+    h1, i2 = cli._family_unit("hadamard", ctx), identity(2, ctx)
+    circ = SynchronousCircuit([[i2, kron(i2, h1)], [kron(h1, h1), i2]])
+    assert prove_power(circ, h1, 3) is None
+    assert decide(circ, "hadamard", 3) == (True, "block")
+    wrong = SynchronousCircuit([[i2, kron(h1, i2)], [kron(h1, h1), i2]])
+    assert decide(wrong, "hadamard", 3) == (False, "block")
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("how", ["value", "moved", "extra"])
+@pytest.mark.parametrize("family,base,n,d", [
+    ("hadamard", "h4", 8, 2), ("hadamard", "h2", 6, 3), ("disjointness", "js:3", 6, 2),
+])
+def test_one_entry_changed_in_an_explicit_layer_is_not_equal(ctx, how, family, base, n, d):
+    tf, unit = family_tf(family, base, n, d, ctx)
+    factors = synthesize(tf, unit, n, d).factors
+    rng = SplitMix64(n * d)
+    for j in range(d):
+        tampered = SynchronousCircuit(factors[:j] + [changed(factors[j], how, rng)] + factors[j + 1 :])
+        assert prove_power(tampered, unit, n, cli._base_shapes(family, ctx)) is not True
+        assert decide(tampered, family, n)[0] is False
+        assert verify_circuit(tampered, [unit] * n) is False
+
+
+@pytest.mark.parametrize("ctx", [F7, Q], ids=str)
+@pytest.mark.parametrize("family,base,n,d", [
+    ("hadamard", "h2", 4, 2), ("hadamard", "h2", 8, 4), ("hadamard", "h3cube", 6, 2),
+    ("hadamard", "h3cube", 9, 3), ("hadamard", "h4", 8, 2), ("hadamard", "h4", 12, 3),
+    *[("disjointness", f"js:{m}", 2 * m, 2) for m in range(1, 7)],
+    ("disjointness", "js:2", 8, 4), ("disjointness", "js:4", 12, 3),
+])
+def test_the_proof_agrees_with_the_block_check(ctx, family, base, n, d):
+    tf, unit = family_tf(family, base, n, d, ctx)
+    circ = synthesize(tf, unit, n, d)
+    factors = circ.factors
+    assert prove_power(circ, unit, n) is True
+    assert decide(SynchronousCircuit(factors), family, n) == (True, "structural")
+    assert verify_circuit(SynchronousCircuit(factors), [unit] * n) is True
+    factors[-1] = changed(factors[-1], "value", SplitMix64(n))
+    assert decide(SynchronousCircuit(factors), family, n)[0] is False
+    assert verify_circuit(SynchronousCircuit(factors), [unit] * n) is False
+
+
+# -- the command line -----------------------------------------------------
+
+
+@pytest.mark.parametrize("family,n,d,base", [*ROUNDTRIP, ("disjointness", 14, 2, "js:7")])
+def test_verify_proves_every_roundtrip_circuit_structurally(tmp_path, capsys, family, n, d, base):
+    path = str(tmp_path / "c.circ")
+    argv = ["--family", family, "--n", str(n)]
+    assert main(["synth", *argv, "--depth", str(d), "--base", base, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--circuit", path, *argv]) == 0
+    assert capsys.readouterr().out.endswith(" method=structural\n")
+
+
+@pytest.mark.parametrize("family", ["hadamard", "disjointness"])
+def test_verify_of_a_tampered_butterfly_is_not_equal(tmp_path, capsys, family):
+    unit = cli._family_unit(family, F7)
+    layers = circuits.butterfly_circuit([unit] * 8, 4).factors
+    layers[1] = changed(layers[1], "value", SplitMix64(5))
+    path = tmp_path / "bad.circ"
+    circuits.save_circuit(SynchronousCircuit(layers), path)
+    assert main(["verify", "--circuit", str(path), "--family", family, "--n", "8"]) == 1
+    assert capsys.readouterr().out.startswith("equal=False ")
+
+
+def test_synth_exits_1_when_the_proof_fails(monkeypatch, capsys):
+    monkeypatch.setattr(circuits, "prove_power", lambda *args, **kwargs: False)
+    assert main(["synth", "--family", "hadamard", "--n", "8", "--depth", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not proved equal" in captured.err
