@@ -6,7 +6,7 @@ baseline, the disjointness transform toolkit, fast union-indexed batch
 sums, and matmul-based evaluation with op accounting.
 """
 
-from .fields import RATIONALS, FieldCtx, Scalar, primitive_root_of_unity
+from .fields import RATIONALS, FieldCtx, primitive_root_of_unity
 from .sparse import IndexCodec, SparseMatrix
 from .rigidity import (
     RigidityDecomposition,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldCtx",
-    "Scalar",
     "RATIONALS",
     "primitive_root_of_unity",
     "SparseMatrix",

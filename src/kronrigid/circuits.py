@@ -50,11 +50,11 @@ class SynchronousCircuit:
     products over the operands, and a layer is built as one explicit
     matrix only when `factor`, `factors` or `product` asks for it.
 
-    base/base_power record that the circuit computes base^{kron base_power}
-    when known, which lets lift_power raise it to higher powers.
+    base_power, when known, is the t with the circuit computing the t-th
+    Kronecker power of its base, which lets lift_power raise it further.
     """
 
-    def __init__(self, layers, base=None, base_power=None):
+    def __init__(self, layers, base_power=None):
         self.layers = [list(x) if isinstance(x, (list, tuple)) else [x] for x in layers]
         if not self.layers or not all(self.layers):
             raise ValueError("a circuit needs at least one factor, and a factor an operand")
@@ -70,7 +70,6 @@ class SynchronousCircuit:
                 raise DimensionMismatch(
                     f"factor chain breaks: {a_cols} cols vs {b_rows} rows"
                 )
-        self.base = base
         self.base_power = base_power
 
     @property
@@ -128,9 +127,10 @@ class SynchronousCircuit:
 
 @dataclass(frozen=True)
 class TwoFactorization:
-    """M = B x C = C' x B' through an inner dimension h."""
+    """M = B x C = C' x B' through an inner dimension h.  M is not kept:
+    prove_power checks each circuit built from the operands against its
+    family's unit."""
 
-    target: SparseMatrix
     B: SparseMatrix  # q x h
     C: SparseMatrix  # h x q
     B_prime: SparseMatrix  # h x q
@@ -138,7 +138,7 @@ class TwoFactorization:
 
     @property
     def q(self) -> int:
-        return self.target.rows
+        return self.B.rows
 
     @property
     def h(self) -> int:
@@ -149,12 +149,6 @@ class TwoFactorization:
         """The wire-growth exponent c = log_q(nnz(B) nnz(C)) - 2: the
         depth-d circuit has about d * N^(1+c/d) wires."""
         return math.log(self.B.nnz * self.C.nnz, self.q) - 2
-
-    def verify(self) -> bool:
-        return (
-            matmul(self.B, self.C) == self.target
-            and matmul(self.C_prime, self.B_prime) == self.target
-        )
 
 
 def two_factor_from_rigidity(d: RigidityDecomposition) -> TwoFactorization:
@@ -172,7 +166,7 @@ def two_factor_from_rigidity(d: RigidityDecomposition) -> TwoFactorization:
     c = sparse.stack_v(identity(q, m.ctx), d.C_lr)
     c_prime = sparse.concat_h(identity(q, m.ctx), d.B_lr)
     b_prime = sparse.stack_v(d.S, d.C_lr)
-    return TwoFactorization(m, b, c, b_prime, c_prime)
+    return TwoFactorization(b, c, b_prime, c_prime)
 
 
 def _expressions(tf: TwoFactorization, d: int):
@@ -184,7 +178,7 @@ def _expressions(tf: TwoFactorization, d: int):
     types check.
     """
     q = tf.q
-    ctx = tf.target.ctx
+    ctx = tf.B.ctx
     iq = identity(q, ctx)
     ih = identity(tf.h, ctx)
     exprs = []
@@ -203,14 +197,14 @@ def symmetrized_depth_d(tf: TwoFactorization, d: int) -> SynchronousCircuit:
         raise DepthTooSmall("depth must be at least 2")
     exprs = _expressions(tf, d)
     layers = [[e[j] for e in exprs] for j in range(d)]
-    return SynchronousCircuit(layers, base=tf.target, base_power=d)
+    return SynchronousCircuit(layers, base_power=d)
 
 
 def lift_power(circ: SynchronousCircuit, n: int) -> SynchronousCircuit:
     """Raise a circuit for M^{kron t} to one for M^{kron n}, t | n: each
     layer's operand list is repeated n/t times, so per-factor nnz is
     exactly b_j^{n/t}.  ValueError when n is not a multiple of t."""
-    if circ.base is None or circ.base_power is None:
+    if circ.base_power is None:
         raise ValueError("circuit does not record its base power")
     t = circ.base_power
     if n == t:
@@ -218,25 +212,16 @@ def lift_power(circ: SynchronousCircuit, n: int) -> SynchronousCircuit:
     if n < 1 or n % t:
         raise ValueError(f"n = {n} is not a positive multiple of the base power {t}")
     layers = [ops * (n // t) for ops in circ.layers]
-    return SynchronousCircuit(layers, base=circ.base, base_power=n)
-
-
-def unit_power(tf: TwoFactorization, unit: SparseMatrix) -> int:
-    """The t with tf.target = unit^{kron t}; ValueError if there is none."""
-    q = unit.rows
-    t = max(1, round(math.log(tf.q, q)))
-    if kron_power(unit, t) != tf.target:
-        raise ValueError(
-            f"the two-factorization is not of a Kronecker power of the {q}x{q} unit"
-        )
-    return t
+    return SynchronousCircuit(layers, base_power=n)
 
 
 def synthesize(
     tf: TwoFactorization, unit: SparseMatrix, n: int, d: int
 ) -> SynchronousCircuit:
     """Depth-d circuit for unit^{kron n} from a two-factorization of
-    unit^{kron t}; t is read off the matrix sizes.
+    unit^{kron t}; t is read off the matrix sizes, and ValueError when
+    tf.q is no power of the unit's size.  Whether the base really is
+    unit^{kron t} is for prove_power to decide on the circuit.
 
     The largest multiple of t*d digits is the symmetrized circuit lifted
     by Kronecker powers.  The k digits left over ride along in k one-digit
@@ -247,11 +232,14 @@ def synthesize(
         raise DepthTooSmall("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    t = unit_power(tf, unit)
+    q = unit.rows
+    t = max(1, round(math.log(tf.q, q)))
+    if q**t != tf.q:
+        raise ValueError(f"a base of {tf.q} rows is no Kronecker power of the {q}x{q} unit")
     reps, k = divmod(n, t * d)
     sym = lift_power(symmetrized_depth_d(tf, d), reps * d).layers if reps else [[]] * d
     slots = _slots([unit] * k, [k // d + (j < k % d) for j in range(d)], identity(unit.rows, unit.ctx))
-    return SynchronousCircuit([a + b for a, b in zip(sym, slots)], base=unit, base_power=n)
+    return SynchronousCircuit([a + b for a, b in zip(sym, slots)], base_power=n)
 
 
 def _slots(mats, counts, pad):
@@ -340,10 +328,10 @@ def balance_exponents(
         ms[a.index(astar)] += 1
     core = builder(m0) if m0 else [identity(1, base.ctx)] * d
     slots = _slots([base] * sum(ms), ms, identity(q, base.ctx))
-    return SynchronousCircuit([[c] + b for c, b in zip(core, slots)], base=base, base_power=n)
+    return SynchronousCircuit([[c] + b for c, b in zip(core, slots)], base_power=n)
 
 
-def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=(), powers=()):
+def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=()):
     """Whether the circuit's product is unit^{kron n}, decided exactly on
     Kronecker operands: True, False, or None when undecided.
 
@@ -356,7 +344,8 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=(),
     dropped, compared by value) must be lambda_g unit^{kron t_g}, and the
     lambda_g must multiply to 1.  None when the sizes are not q^n, a layer
     stays one operand, there is no cut, or a chain is not a multiple of a
-    unit power.  `powers` are matrices the caller proved unit powers.
+    unit power.  Over F_p each unit power a chain is compared with is
+    built once.
     """
     q, ctx = unit.rows, unit.ctx
     if circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
@@ -378,8 +367,7 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=(),
             cuts.append(ks)
     if len(cuts) == 1:
         return None
-    powers = {m.rows: m for m in [unit, *powers]}
-    seen, total = {}, ctx.one_raw()
+    powers, seen, total = {}, {}, ctx.one_raw()
     for lo, hi in zip(cuts, cuts[1:] + [ends]):
         chain = tuple(kron_all(ops[a:b]) for ops, a, b in zip(layers, lo, hi)
                       if not all(m == identity(m.rows, ctx) for m in ops[a:b]))
@@ -411,13 +399,14 @@ def _peel(m: SparseMatrix, shapes) -> list:
 
 
 def _chain_multiple(chain, unit: SparseMatrix, t: int, powers: dict):
-    """The lambda with chain's product == lambda unit^{kron t}, or None.
-    Over Q no Fraction product is built: lambda is read off the first row
-    and verify_circuit's block check decides."""
+    """The lambda with chain's product == lambda unit^{kron t}, or None;
+    powers caches unit^{kron t} by t.  Over Q no Fraction product is
+    built: lambda is read off the first row and verify_circuit's block
+    check decides."""
     if unit.ctx.modulus:
-        if unit.rows**t not in powers:
-            powers[unit.rows**t] = kron_power(unit, t)
-        return _multiple(functools.reduce(matmul, chain), powers[unit.rows**t])
+        if t not in powers:
+            powers[t] = kron_power(unit, t)
+        return _multiple(functools.reduce(matmul, chain), powers[t])
     row = functools.reduce(matmul, (chain[0].row_block(0, 1), *chain[1:]))
     lam = _multiple(row, kron_power(unit.row_block(0, 1), t))
     if lam is None:

@@ -30,12 +30,13 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-# The built-in Hadamard bases, each a rigidity decomposition of H_1^{kron t};
-# "js:m" names the disjointness base R_m.
-_HADAMARD_BASES = {
-    "h2": rigidity.h2_rank1_decomposition,
-    "h3cube": lambda ctx: rigidity.cube_rank1_decomposition(rigidity.hadamard_matrix(1, ctx)),
-    "h4": rigidity.h4_rank1_decomposition,
+# The built-in bases: name -> (family, rigidity decomposition of a power of
+# the family's unit); "js:" stands for every "js:m", the partition of R_m.
+_BASES = {
+    "h2": ("hadamard", rigidity.h2_rank1_decomposition),
+    "h3cube": ("hadamard", lambda ctx: rigidity.cube_rank1_decomposition(rigidity.hadamard_matrix(1, ctx))),
+    "h4": ("hadamard", rigidity.h4_rank1_decomposition),
+    "js:": ("disjointness", None),
 }
 
 
@@ -45,18 +46,23 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
 
     'auto' is h4 for hadamard, the built-in Hadamard base with the lowest
     wire-growth exponent c, and js:min(max(1, n // d), disjoint.LIST_CAP)
-    for disjointness: n // d digits, at most the partition cap.
-    Whether the base fits the family is checked by circuits.unit_power.
+    for disjointness: n // d digits, at most the partition cap.  A base
+    of the other family is refused by its name; whether its operands
+    multiply to the unit's power is for circuits.prove_power to decide.
     """
     if depth < 2:
         raise DepthTooSmall("depth must be at least 2")
     if name == "auto":
         name = "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
-    if name.startswith("js:"):
-        return disjoint.js_factorization(int(name[3:]), ctx)
-    if name not in _HADAMARD_BASES:
+    key = "js:" if name.startswith("js:") else name
+    if key not in _BASES:
         raise ValueError(f"unknown base {name!r}")
-    return circuits.two_factor_from_rigidity(_HADAMARD_BASES[name](ctx))
+    base_family, decomposition = _BASES[key]
+    if base_family != family:
+        raise ValueError(f"{name} is a {base_family} base, not a {family} one")
+    if decomposition is None:
+        return disjoint.js_factorization(int(name[3:]), ctx)
+    return circuits.two_factor_from_rigidity(decomposition(ctx))
 
 
 def _formula_bound(tf, n: int, depth: int) -> float:
@@ -90,9 +96,10 @@ def _base_shapes(family: str, ctx: FieldCtx):
     if family == "disjointness":
         return [(1 << m, 1 << m) for m in range(2, disjoint.LIST_CAP + 1)]
     shapes = []
-    for make in _HADAMARD_BASES.values():
-        tf = circuits.two_factor_from_rigidity(make(ctx))
-        shapes += [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
+    for base_family, decomposition in _BASES.values():
+        if base_family == family:
+            tf = circuits.two_factor_from_rigidity(decomposition(ctx))
+            shapes += [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
     return shapes
 
 
@@ -102,18 +109,17 @@ def cmd_synth(args) -> int:
     if args.n % args.depth:  # the butterfly of trivial= has n / depth digits per layer
         raise ValueError(f"n = {args.n} is not a multiple of depth {args.depth}")
     unit = _family_unit(args.family, ctx)
-    bound = _formula_bound(tf, args.n, args.depth)
+    formula_bound = _formula_bound(tf, args.n, args.depth)
     circ = circuits.synthesize(tf, unit, args.n, args.depth)
     trivial = _butterfly_wires(unit, args.n, args.depth)
     if args.out:
         circ.check_caps()  # before anything is printed or built
-    # synthesize has checked tf.target against the unit's power
-    if not circuits.prove_power(circ, unit, args.n, powers=[tf.target]):
+    if not circuits.prove_power(circ, unit, args.n):
         print("error: the circuit was not proved equal to its target", file=sys.stderr)
         return EXIT_VERIFY
     print(
         f"family={args.family} n={args.n} d={args.depth} wires={circ.wires} "
-        f"trivial={trivial} bound={bound:.1f}"
+        f"trivial={trivial} formula_bound={formula_bound:.1f}"
     )
     if args.out:
         circuits.save_circuit(circ, args.out)
@@ -158,7 +164,7 @@ def cmd_batch(args) -> int:
     answers, ops = vf.batch_sums(table, points, convention=args.convention)
     width = table.n
     for p in points:
-        print(f"{p:0{width}b} {answers[p].value}")
+        print(f"{p:0{width}b} {answers[p]}")
     print(f"adds={ops['adds']} mults={ops['mults']}", file=sys.stderr)
     return EXIT_OK
 
@@ -212,17 +218,17 @@ def cmd_bench(args) -> int:
     rows = []
     for n in _parse_range(args.n):
         for d in _parse_range(args.depth):
+            # before the n % d skip: a base of the other family fails on any grid
             tf = _base_factorization(args.family, args.base, n, d, ctx)
-            circuits.unit_power(tf, unit)  # a base of the other family fails on any grid
             if n % d:
                 continue
-            bound = _formula_bound(tf, n, d)
+            formula_bound = _formula_bound(tf, n, d)
             wires = circuits.synthesize(tf, unit, n, d).wires
             trivial = _butterfly_wires(unit, n, d)
             ratio = wires / (2**n * n)
             rows.append(
                 f"{args.family},{n},{2**n},{d},{args.base},{wires},"
-                f"{trivial},{bound:.1f},{ratio:.6f}"
+                f"{trivial},{formula_bound:.1f},{ratio:.6f}"
             )
     print("\n".join(["family,n,N,d,base,wires,trivial_wires,formula_bound,ratio_nlogn", *rows]))
     return EXIT_OK

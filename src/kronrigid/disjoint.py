@@ -13,9 +13,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log10
+from math import comb, log2, log10
 
-import mpmath
 import numpy as np
 
 from . import circuits, sparse
@@ -213,6 +212,7 @@ def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
     """R_n = A_n x B_n through one inner coordinate per partition piece:
     column p of A_n indicates the piece's rows, row p of B_n its columns.
     R_n is symmetric, so the transposed pair gives the primed ordering.
+    R_n itself is not built.
     """
     size = 1 << n  # also the number of pieces
     a_t, b = (
@@ -221,9 +221,7 @@ def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
         )
         for ptr, idx in _js_pieces(n)
     )
-    return circuits.TwoFactorization(
-        disjointness_matrix(n, ctx), sparse.transpose(a_t), b, a_t, sparse.transpose(b)
-    )
+    return circuits.TwoFactorization(sparse.transpose(a_t), b, a_t, sparse.transpose(b))
 
 
 def js_side_sums(n: int):
@@ -237,52 +235,43 @@ def js_side_sums(n: int):
 # -- entropy calculators ------------------------------------------------
 
 
-def entropy(x) -> mpmath.mpf:
-    """Binary entropy of a Fraction or mpf, at max(64, mpmath.mp.prec)
-    bits of working precision; 0 outside (0, 1)."""
-    with mpmath.workprec(max(64, mpmath.mp.prec)):
-        if isinstance(x, Fraction):  # mpmath.mpf does not take a Fraction
-            x = mpmath.mpf(x.numerator) / x.denominator
-        x = mpmath.mpf(x)
-        if x <= 0 or x >= 1:
-            return mpmath.mpf(0)
-        return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+def entropy(x) -> float:
+    """Binary entropy of x, a Fraction or float, in floats; 0 outside (0, 1)."""
+    x = float(x)
+    if x <= 0 or x >= 1:
+        return 0.0
+    return -x * log2(x) - (1 - x) * log2(1 - x)
 
 
 def entropy_identities_check(q: int, n: int, k: int) -> dict:
     """Numeric checks of H(1/q) = log2 q - ((q-1)/q) log2(q-1) and the
-    binomial sandwich 2^{nH(p)}/(n+1) <= C(n, pn) <= 2^{nH(p)}."""
-    with mpmath.workprec(64):
-        lhs = entropy(Fraction(1, q))
-        rhs = mpmath.log(q, 2) - mpmath.mpf(q - 1) / q * mpmath.log(q - 1, 2)
-        identity_ok = abs(lhs - rhs) < mpmath.mpf(2) ** -50
-        h = entropy(Fraction(k, n))
-        mid = mpmath.mpf(comb(n, k))
-        upper = mpmath.mpf(2) ** (n * h)
-        sandwich_ok = (upper / (n + 1) <= mid + mpmath.mpf(2) ** -40) and (
-            mid <= upper * (1 + mpmath.mpf(2) ** -40)
-        )
-    return {"identity_ok": bool(identity_ok), "sandwich_ok": bool(sandwich_ok)}
+    binomial sandwich 2^{nH(p)}/(n+1) <= C(n, pn) <= 2^{nH(p)}, the
+    latter on log2 of its sides so that no side overflows a float."""
+    rhs = log2(q) - (q - 1) / q * log2(q - 1)
+    identity_ok = abs(entropy(Fraction(1, q)) - rhs) < 2**-50
+    upper = n * entropy(Fraction(k, n))
+    mid = log2(comb(n, k))
+    slack = 2**-40 * max(1.0, upper)
+    sandwich_ok = upper - log2(n + 1) <= mid + slack and mid <= upper + slack
+    return {"identity_ok": identity_ok, "sandwich_ok": sandwich_ok}
 
 
-def critical_fraction(bits: int = 40):
-    """Bisection root of (1-a) H((1-2a)/(1-a)) = 1/2 on (0, 1/2).
+def critical_fraction():
+    """Bisection root of (1-a) H((1-2a)/(1-a)) = 1/2 on (0, 1/2), in
+    floats until the interval stops shrinking.
 
     Returns (a_star, H(a_star)): the removal fraction where the residual
     sparsity exponent crosses n/2, and the resulting rank exponent.
     """
-    with mpmath.workprec(bits + 24):
-        def g(a):
-            return (1 - a) * entropy((1 - 2 * a) / (1 - a)) - mpmath.mpf(1) / 2
+    def g(a):
+        return (1 - a) * entropy((1 - 2 * a) / (1 - a)) - 0.5
 
-        # g is positive at a = 1/4 and negative near a = 1/2; we want the
-        # upper crossing (the lower one sits near a = 0).
-        lo, hi = mpmath.mpf("0.25"), mpmath.mpf("0.49")
-        for _ in range(bits + 10):
-            mid = (lo + hi) / 2
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        a_star = (lo + hi) / 2
-        return a_star, entropy(a_star)
+    # g is positive at a = 1/4 and negative near a = 1/2; we want the
+    # upper crossing (the lower one sits near a = 0).
+    lo, hi = 0.25, 0.49
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, entropy(mid)

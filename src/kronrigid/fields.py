@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ContextMismatch,
-    DivisionByZero,
-    NoRootExists,
-    RationalUnsupported,
-)
+from .errors import DivisionByZero, NoRootExists, RationalUnsupported
 
 MAX_PRIME_MODULUS = 2**31
 
@@ -112,54 +107,11 @@ class FieldCtx:
             return pow(x, -1, self.modulus)
         return 1 / x
 
-    def scalar(self, x) -> "Scalar":
-        return Scalar(self, self.coerce(x))
-
-    def zero(self) -> "Scalar":
-        return Scalar(self, self.zero_raw())
-
-    def one(self) -> "Scalar":
-        return Scalar(self, self.one_raw())
-
     def __str__(self):
         return f"F_{self.modulus}" if self.is_prime_field else "Q"
 
 
 RATIONALS = FieldCtx(0)
-
-
-def _require_same_ctx(x: "Scalar", y: "Scalar"):
-    if x.ctx != y.ctx:
-        raise ContextMismatch(f"{x.ctx} vs {y.ctx}")
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Immutable field element tagged with its field."""
-
-    ctx: FieldCtx
-    value: object  # int residue in [0, p) or reduced Fraction
-
-    def __add__(self, other):
-        _require_same_ctx(self, other)
-        return Scalar(self.ctx, self.ctx.add_raw(self.value, other.value))
-
-    def __sub__(self, other):
-        _require_same_ctx(self, other)
-        return Scalar(self.ctx, self.ctx.sub_raw(self.value, other.value))
-
-    def __mul__(self, other):
-        _require_same_ctx(self, other)
-        return Scalar(self.ctx, self.ctx.mul_raw(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.ctx, self.ctx.neg_raw(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.ctx, self.ctx.inv_raw(self.value))
-
-    def __bool__(self):
-        return bool(self.value)
 
 
 def multiplicative_order(ctx: FieldCtx, x: int, bound: int) -> int:
@@ -172,7 +124,7 @@ def multiplicative_order(ctx: FieldCtx, x: int, bound: int) -> int:
     return 0
 
 
-def primitive_root_of_unity(ctx: FieldCtx, n: int) -> Scalar:
+def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
     """Smallest w in F_p with w**n = 1 and w**k != 1 for 0 < k < n.
 
     Requires n | (p - 1).  Candidates are scanned in increasing order so the
@@ -186,10 +138,10 @@ def primitive_root_of_unity(ctx: FieldCtx, n: int) -> Scalar:
     if (p - 1) % n != 0:
         raise NoRootExists(f"{n} does not divide {p - 1}")
     if n == 1:
-        return ctx.one()
+        return 1
     for w in range(2, p):
         if pow(w, n, p) != 1:
             continue
         if multiplicative_order(ctx, w, n) == n:
-            return ctx.scalar(w)
+            return w
     raise NoRootExists(f"no element of order {n} in F_{p}")  # pragma: no cover

@@ -325,7 +325,7 @@ def shparlinski_bound(n: int, r: int) -> Fraction:
 
 def dft_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
     """F_N[i,j] = w^(i*j) for a primitive Nth root of unity w in F_p."""
-    w = primitive_root_of_unity(ctx, n).value
+    w = primitive_root_of_unity(ctx, n)
     p = ctx.modulus
     rows = [[pow(w, i * j, p) for j in range(n)] for i in range(n)]
     return SparseMatrix.from_dense(rows, ctx)

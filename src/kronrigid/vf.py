@@ -29,7 +29,7 @@ from .errors import (
     ModulusTooSmallWarning,
     OuterZero,
 )
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx
 from .sparse import IndexCodec, SparseMatrix
 
 GENERAL_CAP = 4096
@@ -133,7 +133,8 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     Cost: one diagonal scaling between two forward butterflies, i.e.
     N log2 N additions and N multiplications.  Multiplicities are counted
     in the field, so in F_p they wrap at p (warned); use the rationals
-    for plain integer counts.  Returns (dict point -> Scalar, op counts).
+    for plain integer counts.  Returns (dict point -> raw field value,
+    op counts).
     """
     if f.q != 2:
         raise ValueError("batch sums operate on q = 2 truth tables")
@@ -168,8 +169,7 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     if p:
         mid %= p
     w = _rn(ctx, mid).tolist()
-    answers = {s: Scalar(ctx, w[ws] if p else Fraction(w[ws], den))
-               for s, ws in zip(points, work.tolist())}
+    answers = {s: w[ws] if p else Fraction(w[ws], den) for s, ws in zip(points, work.tolist())}
     return answers, {"adds": n * size, "mults": size}
 
 

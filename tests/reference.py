@@ -15,7 +15,6 @@ from itertools import combinations, product
 from kronrigid import sparse
 from kronrigid.disjoint import RECT, SQUARE, RectPartition
 from kronrigid.errors import ExceedsBound
-from kronrigid.fields import Scalar
 from kronrigid.rigidity import decomposition_from_low_rank
 from kronrigid.sparse import IndexCodec, SparseMatrix
 from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix_general
@@ -75,7 +74,7 @@ def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):
         for t in points:
             z = (s | t) if convention == "or" else (s & t)
             acc = ctx.add_raw(acc, f.values[z])
-        out[s] = Scalar(ctx, acc)
+        out[s] = acc
     return out
 
 

@@ -34,12 +34,17 @@ def h4_tf():
     return two_factor_from_rigidity(rigidity.h4_rank1_decomposition(F5))
 
 
+def products(tf):
+    """B x C and C' x B': both must be the base."""
+    return sparse.matmul(tf.B, tf.C), sparse.matmul(tf.C_prime, tf.B_prime)
+
+
 def test_two_factor_h4_counts():
     tf = h4_tf()
     assert tf.B.nnz == 112  # 96 changes + 16 low-rank column entries
     assert tf.C.nnz == 32  # 16 identity + 16 low-rank row entries
     assert tf.h == 17
-    assert tf.verify()
+    assert products(tf) == (hadamard_matrix(4, F5),) * 2
     assert tf.B_prime.nnz == tf.B.nnz
     assert tf.C_prime.nnz == tf.C.nnz
 
@@ -47,7 +52,7 @@ def test_two_factor_h4_counts():
 def test_two_factor_h2_counts():
     tf = two_factor_from_rigidity(rigidity.h2_rank1_decomposition(F5))
     assert tf.B.nnz == 8 and tf.C.nnz == 8 and tf.h == 5
-    assert tf.verify()
+    assert products(tf) == (hadamard_matrix(2, F5),) * 2
 
 
 def test_symmetrized_depth2_h8():
@@ -98,10 +103,8 @@ def test_symmetrized_depth_too_small():
 def test_degenerate_two_factorization():
     # B = M, C = I gives the trivial depth-2 circuit
     m = hadamard_matrix(1, F5)
-    tf = circuits.TwoFactorization(
-        m, m, sparse.identity(2, F5), m, sparse.identity(2, F5)
-    )
-    assert tf.verify()
+    tf = circuits.TwoFactorization(m, sparse.identity(2, F5), m, sparse.identity(2, F5))
+    assert tf.q == 2 and products(tf) == (m, m)
     circ = symmetrized_depth_d(tf, 2)
     assert circ.product() == hadamard_matrix(2, F5)
     assert circ.wires == 2 * m.nnz * 2  # 2 * nnz(M) * q
@@ -170,10 +173,13 @@ def test_synthesize_remainder_in_butterfly_slots():
 
 
 def test_synthesize_rejects_a_base_of_another_unit():
+    # the sizes fit, so synthesize builds the circuit; the proof refuses it
+    for tf, unit in [(h4_tf(), disjointness_matrix(1, F5)), (js_factorization(4, F5), hadamard_matrix(1, F5))]:
+        assert circuits.prove_power(circuits.synthesize(tf, unit, 8, 2), unit, 8) is not True
+    # 8 rows are no power of 4: refused on the sizes
+    cube = two_factor_from_rigidity(rigidity.cube_rank1_decomposition(hadamard_matrix(1, F5)))
     with pytest.raises(ValueError):
-        circuits.synthesize(h4_tf(), disjointness_matrix(1, F5), 8, 2)
-    with pytest.raises(ValueError):
-        circuits.synthesize(js_factorization(4, F5), hadamard_matrix(1, F5), 8, 2)
+        circuits.synthesize(cube, hadamard_matrix(2, F5), 4, 2)
 
 
 def test_verify_circuit_shape_mismatch():

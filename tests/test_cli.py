@@ -337,7 +337,7 @@ def test_bench_auto_base_of_disjointness(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1] == "disjointness,8,256,2,auto,2378,2592,2378.0,1.161133"
     assert main(["synth"] + argv) == 0
-    assert "wires=2378 trivial=2592 bound=2378.0" in capsys.readouterr().out
+    assert "wires=2378 trivial=2592 formula_bound=2378.0" in capsys.readouterr().out
 
 
 def test_auto_base_of_disjointness_stops_at_the_partition_cap(capsys):
@@ -444,6 +444,13 @@ def _child_env():
     src = os.path.dirname(os.path.dirname(kronrigid.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def test_the_cli_does_not_import_mpmath():
+    # mpmath is a test dependency only: the package computes entropies in floats
+    code = "import sys, kronrigid.cli; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=30)
+    assert proc.returncode == 0
 
 
 def test_console_entry_point():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import comb, log10
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kronrigid import circuits, disjoint, sparse
+from kronrigid import circuits, sparse
 from kronrigid.disjoint import (
     binom_cum,
     critical_fraction,
@@ -226,7 +227,8 @@ def test_js_arrays_match_the_tuple_recursion():
 def test_js_factorization_product():
     for n in (1, 2, 4, 8):
         tf = js_factorization(n, F5)
-        assert tf.verify()
+        rn = disjointness_matrix(n, F5)
+        assert sparse.matmul(tf.B, tf.C) == rn == sparse.matmul(tf.C_prime, tf.B_prime)
         s, r = js_side_sums(n)
         assert tf.B.nnz == s + 2 * r
         assert tf.C.nnz == s + r
@@ -266,6 +268,24 @@ def test_synthesize_remainder_of_at_least_depth():
     assert circ.product() == disjointness_matrix(7, F5)
 
 
+def test_js_factorization_does_not_build_r_n():
+    # R_14's own arrays hold 73 MB; A_14 and B_14 about 16 MB
+    tracemalloc.start()
+    try:
+        js_factorization(14, F5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def mp_entropy(x):
+    """The 64-bit mpmath oracle of disjoint.entropy, on (0, 1)."""
+    with mpmath.workprec(64):
+        x = mpmath.mpf(x)
+        return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+
+
 def test_entropy_values():
     assert entropy(Fraction(1, 2)) == 1
     val = entropy(Fraction(1, 4))
@@ -282,10 +302,20 @@ def test_entropy_identities():
 
 
 def test_critical_fraction():
-    a_star, h_val = critical_fraction(bits=40)
+    a_star, h_val = critical_fraction()
     with mpmath.workprec(64):
-        lhs = (1 - a_star) * disjoint.entropy((1 - 2 * a_star) / (1 - a_star))
+        lhs = (1 - a_star) * mp_entropy((1 - 2 * mpmath.mpf(a_star)) / (1 - a_star))
         assert abs(lhs - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -38
+        # the same bisection in 64-bit mpmath, run for 64 halvings
+        lo, hi = mpmath.mpf("0.25"), mpmath.mpf("0.49")
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if (1 - mid) * mp_entropy((1 - 2 * mid) / (1 - mid)) > 0.5:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(a_star - (lo + hi) / 2) < 1e-15
+        assert abs(h_val - mp_entropy(a_star)) < 1e-15
     assert abs(float(a_star) - 0.41777) < 1e-4
     assert abs(float(h_val) - 0.9804) < 1e-3
 

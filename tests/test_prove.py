@@ -2,6 +2,7 @@
 circuits.prove_power proves a circuit on them, and `verify` falls back to
 the block check only when the proof is undecided."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -119,8 +120,7 @@ def test_kron_split_of_zero_and_of_sparse_blocks():
 def test_the_proof_is_structural_at_n_64(ctx, family, base, d):
     tf, unit = family_tf(family, base, 64, d, ctx)
     circ = synthesize(tf, unit, 64, d)
-    assert prove_power(circ, unit, 64, powers=[tf.target]) is True
-    assert prove_power(circ, unit, 64) is True  # builds the unit power itself
+    assert prove_power(circ, unit, 64) is True
     other = cli._family_unit("disjointness" if family == "hadamard" else "hadamard", ctx)
     assert prove_power(circ, other, 64) is not True
 
@@ -211,6 +211,23 @@ def test_the_proof_agrees_with_the_block_check(ctx, family, base, n, d):
     factors[-1] = changed(factors[-1], "value", SplitMix64(n))
     assert decide(SynchronousCircuit(factors), family, n)[0] is False
     assert verify_circuit(SynchronousCircuit(factors), [unit] * n) is False
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("side", ["B", "B_prime"])
+@pytest.mark.parametrize("family,base,n,d", [("hadamard", "h4", 8, 2), ("disjointness", "js:3", 6, 2)])
+def test_a_base_with_one_entry_changed_is_not_proved(monkeypatch, capsys, ctx, side, family, base, n, d):
+    # the proof is the only check of a base against its family's unit
+    tf, unit = family_tf(family, base, n, d, ctx)
+    bad = dataclasses.replace(tf, **{side: changed(getattr(tf, side), "value", SplitMix64(n))})
+    circ = synthesize(bad, unit, n, d)
+    assert prove_power(circ, unit, n) is not True
+    assert verify_circuit(circ, [unit] * n) is False
+    monkeypatch.setattr(cli, "_base_factorization", lambda *args: bad)
+    argv = ["--family", family, "--n", str(n), "--depth", str(d), "--base", base]
+    assert main(["synth", *argv, "--field", str(ctx.modulus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not proved equal" in captured.err
 
 
 # -- the command line -----------------------------------------------------
