@@ -344,12 +344,17 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
     dropped, compared by value) must be lambda_g unit^{kron t_g}, and the
     lambda_g must multiply to 1.  None when the sizes are not q^n, a layer
     stays one operand, there is no cut, or a chain is not a multiple of a
-    unit power.  Over F_p each unit power a chain is compared with is
-    built once.
+    unit power.  Each unit power a chain is compared with is built once.
+
+    Over Q the proof runs on the circuit's images mod primes, as
+    verify_circuit's block check does (see _on_images): an image that is
+    not proved equal decides, and proofs on enough primes prove Q.
     """
     q, ctx = unit.rows, unit.ctx
     if circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
         return None
+    if not ctx.modulus:
+        return _on_images(circ, [unit] * n, lambda image, ops: prove_power(image, ops[0], n, shapes))
     candidates = [(r, c) for r, c in [(q, q), *shapes] if r * c > 1]
     layers = [ops if len(ops) > 1 else _peel(ops[0], candidates) for ops in circ.layers]
     if any(len(ops) == 1 for ops in layers):
@@ -380,7 +385,9 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
             t = round(math.log(size, q))
             if q**t != size or not chain:
                 return None
-            lam = _chain_multiple(chain, unit, t, powers)
+            if t not in powers:
+                powers[t] = kron_power(unit, t)
+            lam = _multiple(functools.reduce(matmul, chain), powers[t])
             seen.setdefault(key, []).append((chain, lam))
         if lam is None:
             return None
@@ -398,23 +405,6 @@ def _peel(m: SparseMatrix, shapes) -> list:
     return [m]
 
 
-def _chain_multiple(chain, unit: SparseMatrix, t: int, powers: dict):
-    """The lambda with chain's product == lambda unit^{kron t}, or None;
-    powers caches unit^{kron t} by t.  Over Q no Fraction product is
-    built: lambda is read off the first row and verify_circuit's block
-    check decides."""
-    if unit.ctx.modulus:
-        if t not in powers:
-            powers[t] = kron_power(unit, t)
-        return _multiple(functools.reduce(matmul, chain), powers[t])
-    row = functools.reduce(matmul, (chain[0].row_block(0, 1), *chain[1:]))
-    lam = _multiple(row, kron_power(unit.row_block(0, 1), t))
-    if lam is None:
-        return None
-    target = [sparse.scale(unit, lam)] + [unit] * (t - 1)
-    return lam if verify_circuit(SynchronousCircuit(chain), target) else None
-
-
 def _multiple(m: SparseMatrix, u: SparseMatrix):
     """The lambda with m == lambda u, or None."""
     if not m.nnz or m.nnz != u.nnz:
@@ -426,28 +416,18 @@ def _multiple(m: SparseMatrix, u: SparseMatrix):
 
 def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     """Whether the circuit's product equals target, compared exactly by
-    one block check mod p, over F_p and Q alike.
+    one block check mod p, over F_p and, on its images mod primes (see
+    _on_images), over Q.
 
     target is a matrix or, like a layer, a list of Kronecker operands.  Its
     sides are checked against sparse.DIMENSION_CAP, then against the
     circuit's shape, before anything is built.
 
-    Over F_p no N x N array is built: the trailing operands form a dense
-    `tail`, the longest suffix whose row block keeps at most 2^20 entries
-    (8 MB of int64).  The product is walked in aligned row blocks
-    lead_a x tail, lead_a the Kronecker product of one row of each leading
-    operand, and each column group is compared with v * tail mod p.
-
-    Over Q each operand m, of every layer and of the target, times den_m,
-    the lcm of its denominators, is an integer matrix whose largest
-    absolute row sum r_m bounds its entries.  That row sum is
-    multiplicative under kron and submultiplicative along the chain, so
-    with S and T the products of the circuit's and the target's den_m,
-    D = T (S P) - S (T target) is an integer matrix with
-    |D| <= T prod r_circuit + S prod r_target.  The block check runs on
-    the operands reduced mod primes q downward from 2^31 - 1, skipping
-    those that divide S T, until the product of the q passes twice that
-    bound: D is zero exactly when it is zero mod each q.
+    No N x N array is built: the trailing operands form a dense `tail`,
+    the longest suffix whose row block keeps at most 2^20 entries (8 MB of
+    int64).  The product is walked in aligned row blocks lead_a x tail,
+    lead_a the Kronecker product of one row of each leading operand, and
+    each column group is compared with v * tail mod p.
     """
     one = identity(1, circ.ctx)  # keeps the leading operands and the tail non-empty
     ops = [one, *(target if isinstance(target, (list, tuple)) else [target])]
@@ -462,17 +442,7 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
         raise ContextMismatch("circuit and target are over different fields")
     if circ.ctx.modulus:
         return _blocks_equal(circ, ops)
-    layers = [[_integers(m) for m in layer] for layer in circ.layers]
-    target = [_integers(m) for m in ops]
-    s, r_circ = (math.prod(x[i] for layer in layers for x in layer) for i in (1, 3))
-    t, r_target = (math.prod(x[i] for x in target) for i in (1, 3))
-    return all(
-        _blocks_equal(
-            SynchronousCircuit([[_mod(x, ctx) for x in layer] for layer in layers]),
-            [_mod(x, ctx) for x in target],
-        )
-        for ctx in _moduli(s * t, t * r_circ + s * r_target)
-    )
+    return _on_images(circ, ops, _blocks_equal)
 
 
 def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
@@ -498,13 +468,47 @@ def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
     return True
 
 
+def _on_images(circ: SynchronousCircuit, target, decide):
+    """decide(image, image_target) on the images over F_q of a circuit over
+    Q and of its target's Kronecker operands: the first verdict that is not
+    True, else True.
+
+    Each operand m, of every layer and of the target, times den_m, the lcm
+    of its denominators, is an integer matrix whose largest absolute row
+    sum r_m bounds its entries.  That row sum is multiplicative under kron
+    and submultiplicative along the chain, so with S and T the products of
+    the circuit's and the target's den_m, D = T (S P) - S (T target) is an
+    integer matrix with |D| <= T prod r_circuit + S prod r_target.  The
+    primes q go downward from 2^31 - 1, skipping those that divide S T,
+    until their product passes twice that bound: D is zero exactly when it
+    is zero mod each q.  So an image found unequal decides Q, and so do
+    exact verdicts of True on every image.  Each distinct operand is
+    reduced once per prime.
+    """
+    distinct = {id(m): m for m in (*itertools.chain.from_iterable(circ.layers), *target)}
+    integers = {key: _integers(m) for key, m in distinct.items()}
+    s, r_circ = (math.prod(integers[id(m)][i] for layer in circ.layers for m in layer) for i in (1, 3))
+    t, r_target = (math.prod(integers[id(m)][i] for m in target) for i in (1, 3))
+    for ctx in _moduli(s * t, t * r_circ + s * r_target):
+        image = {key: _mod(x, ctx) for key, x in integers.items()}
+        verdict = decide(
+            SynchronousCircuit([[image[id(m)] for m in layer] for layer in circ.layers]),
+            [image[id(m)] for m in target],
+        )
+        if verdict is not True:
+            return verdict
+    return True
+
+
 def _integers(m: SparseMatrix):
     """(m, den_m, nums, r_m) for m over Q: den_m is the lcm of m's
     denominators, nums the integer values of den_m * m, and r_m the
     largest absolute row sum of den_m * m."""
     den, nums = sparse._numerators(m.data)
+    if nums.size and np.abs(nums).max() < 2**31:  # prefix sums of < 2^32 such entries fit int64
+        nums = nums.astype(np.int64)
     sums = np.cumsum(np.concatenate(([0], np.abs(nums))))
-    return m, den, nums, max(sums[m.indptr[1:]] - sums[m.indptr[:-1]], default=0)
+    return m, den, nums, int(max(sums[m.indptr[1:]] - sums[m.indptr[:-1]], default=0))
 
 
 def _moduli(avoid: int, bound: int):

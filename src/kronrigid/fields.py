@@ -97,9 +97,6 @@ class FieldCtx:
     def mul_raw(self, x, y):
         return (x * y) % self.modulus if self.is_prime_field else x * y
 
-    def neg_raw(self, x):
-        return (-x) % self.modulus if self.is_prime_field else -x
-
     def inv_raw(self, x):
         if not x:
             raise DivisionByZero("inverse of zero")

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as _sp
 
-from .errors import ContextMismatch, DimensionCapExceeded, DimensionMismatch
+from .errors import ContextMismatch, DimensionCapExceeded, DimensionMismatch, RationalUnsupported
 from .fields import FieldCtx
 
 # Guardrail against accidental q**n explosion.
@@ -208,6 +208,8 @@ def _numerators(values):
     """(den, nums): rationals as an object array of integers nums over
     den, the lcm of their denominators."""
     den = math.lcm(*(v.denominator for v in values))
+    if den == 1:  # integers, the usual case: no products
+        return den, np.array([v.numerator for v in values], dtype=object)
     return den, np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
 
 
@@ -364,7 +366,7 @@ def kron_all(mats) -> SparseMatrix:
 def kron_split(m: SparseMatrix, r: int, c: int):
     """(X, Y) with m == kron(X, Y) and X of shape r x c, or None when m is
     no such product.  This is the exact rank-1 case of Van Loan and
-    Pitsianis' rearrangement, over F_p and Q alike.
+    Pitsianis' rearrangement, over F_p; RationalUnsupported over Q.
 
     m is cut into r x c blocks of Y's shape.  Every nonempty block must
     hold as many entries as the others (one count per block rejects most
@@ -372,6 +374,8 @@ def kron_split(m: SparseMatrix, r: int, c: int):
     values lambda_b times the first one's.  Y is the first nonempty
     block and X holds the lambda_b.
     """
+    if not m.ctx.modulus:
+        raise RationalUnsupported("kron_split is over F_p")
     if m.rows % r or m.cols % c:
         return None
     h, w, ctx = m.rows // r, m.cols // c, m.ctx
@@ -392,18 +396,9 @@ def kron_split(m: SparseMatrix, r: int, c: int):
     if (inner != inner[0]).any():
         return None
     values = m.data[order].reshape(-1, k)
-    first = values[0].copy()
-    if ctx.is_prime_field:
-        p = ctx.modulus
-        lam = values[:, 0] * pow(int(first[0]), -1, p) % p
-        same = lam[:, None] * first % p == values
-    else:  # cross-multiplied numerators over one denominator
-        nums = _numerators(values.ravel())[1].reshape(values.shape)
-        if np.abs(nums).max() < 2**31:  # products fit int64
-            nums = nums.astype(np.int64)
-        same = nums * nums[0, 0] == nums[:, :1] * nums[0]
-        lam = values[:, 0] / first[0]
-    if not same.all():
+    first, p = values[0].copy(), ctx.modulus
+    lam = values[:, 0] * pow(int(first[0]), -1, p) % p
+    if (lam[:, None] * first % p != values).any():
         return None
     blocks = block[order][::k]
     return (
@@ -441,12 +436,14 @@ def _mulmod(x, y, p: int, terms: int, bx: int, by: int):
 
 def _csr_mulmod(x, y, p: int):
     """x @ y mod p for scipy CSRs of residues; the result may hold explicit
-    zeros and unsorted column indices."""
+    zeros and unsorted column indices.  Each operand is bounded by its
+    largest stored entry, so small entries skip the limb split at any p."""
     terms = min(
         int(np.diff(x.indptr).max()) if x.shape[0] else 0,
         int(np.bincount(y.indices).max()) if y.nnz else 0,
     )
-    return _mulmod(x, y, p, terms, p, p)
+    bx, by = (int(z.data.max()) + 1 if z.nnz else 1 for z in (x, y))
+    return _mulmod(x, y, p, terms, bx, by)
 
 
 def _matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

@@ -12,6 +12,7 @@ import pytest
 from kronrigid import cli, circuits, sparse
 from kronrigid.circuits import SynchronousCircuit, prove_power, synthesize, verify_circuit
 from kronrigid.cli import main
+from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
@@ -74,7 +75,7 @@ def decide(circ, family, n):
 # -- kron_split -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("ctx", [F7, FBIG], ids=str)
 @pytest.mark.parametrize("seed", range(4))
 def test_kron_split_recovers_a_product_up_to_scalars(ctx, seed):
     rng = SplitMix64(seed)
@@ -89,7 +90,7 @@ def test_kron_split_recovers_a_product_up_to_scalars(ctx, seed):
     assert kron_split(m, 5, a.cols) is None  # 5 does not divide the rows
 
 
-@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+@pytest.mark.parametrize("ctx", [F7, FBIG], ids=str)
 @pytest.mark.parametrize("how", ["value", "moved", "extra"])
 @pytest.mark.parametrize("seed", range(3))
 def test_kron_split_rejects_one_entry_changed(ctx, how, seed):
@@ -97,6 +98,15 @@ def test_kron_split_rejects_one_entry_changed(ctx, how, seed):
     a, b = random_matrix(rng, 3, 2, ctx, fill=1), random_matrix(rng, 4, 5, ctx)
     m = changed(kron(a, b), how, rng)
     assert kron_split(m, 3, 2) is None
+
+
+def test_kron_split_refuses_q():
+    # over Q the proof splits the layers' images mod primes instead; the
+    # refusal comes first, before a shape that does not divide m is refused
+    m = kron(identity(2, Q), identity(3, Q))
+    for r, c in [(2, 2), (4, 4)]:
+        with pytest.raises(RationalUnsupported):
+            kron_split(m, r, c)
 
 
 def test_kron_split_of_zero_and_of_sparse_blocks():
@@ -125,16 +135,19 @@ def test_the_proof_is_structural_at_n_64(ctx, family, base, d):
     assert prove_power(circ, other, 64) is not True
 
 
-@pytest.mark.parametrize("ctx", FIELDS, ids=str)
-def test_operands_scaled_by_a_and_one_over_a(ctx):
+@pytest.mark.parametrize("ctx,a", [
+    *[pytest.param(ctx, 3, id=str(ctx)) for ctx in FIELDS],
+    pytest.param(Q, Fraction(3, 2), id="Q-3/2"),  # denominators on the proof's images
+])
+def test_operands_scaled_by_a_and_one_over_a(ctx, a):
     tf, unit = family_tf("hadamard", "h4", 12, 3, ctx)
     circ = synthesize(tf, unit, 12, 3)
-    a = ctx.coerce(3)
+    a = ctx.coerce(a)
     layers = [list(ops) for ops in circ.layers]
     layers[0][1] = sparse.scale(layers[0][1], a)
     layers[2][0] = sparse.scale(layers[2][0], ctx.inv_raw(a))
     assert prove_power(SynchronousCircuit(layers), unit, 12) is True
-    layers[2][0] = circ.layers[2][0]  # only a: the product is 3 H_12
+    layers[2][0] = circ.layers[2][0]  # only a: the product is a H_12
     assert prove_power(SynchronousCircuit(layers), unit, 12) is False
     # the same on explicit layers, scaled as a whole
     f = circ.factors
@@ -142,6 +155,32 @@ def test_operands_scaled_by_a_and_one_over_a(ctx):
     assert decide(scaled, "hadamard", 12) == (True, "structural")
     assert decide(SynchronousCircuit([sparse.scale(f[0], a), *f[1:]]), "hadamard", 12) == (
         False, "structural")
+
+
+@pytest.mark.parametrize("delta", [2**31 - 1, -(2**31 - 1)])
+def test_q_proof_takes_a_second_prime_for_an_entry_moved_by_the_first(monkeypatch, delta):
+    # the change vanishes mod 2^31 - 1, the first prime, where the image is
+    # proved equal: the bound must call for a second prime, which decides
+    tf, unit = family_tf("hadamard", "h4", 8, 2, Q)
+    circ = synthesize(tf, unit, 8, 2)
+    used, mod = set(), circuits._mod
+
+    def spy(integers, ctx):
+        used.add(ctx.modulus)
+        return mod(integers, ctx)
+
+    monkeypatch.setattr(circuits, "_mod", spy)
+    assert prove_power(circ, unit, 8) is True
+    assert used == {2**31 - 1}  # small integer entries: one prime
+    layers = [list(ops) for ops in circ.layers]
+    b = layers[0][0]
+    layers[0][0] = sparse.add_mat(b, SparseMatrix(b.rows, b.cols, Q, [(0, 0, Fraction(delta))]))
+    tampered = SynchronousCircuit(layers)
+    used.clear()
+    assert prove_power(tampered, unit, 8) is not True
+    assert len(used) > 1
+    assert decide(tampered, "hadamard", 8)[0] is False
+    assert decide(SynchronousCircuit(tampered.factors), "hadamard", 8)[0] is False
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=str)

@@ -324,6 +324,20 @@ def test_numbers_fall_back_when_numpy_only_warns(monkeypatch):
     assert m.to_dense() == [[Fraction(1, 2)]]
 
 
+@pytest.mark.parametrize("value,calls", [(1, 1), (2**31 - 2, 3)])
+def test_mulmod_splits_only_for_large_entries(monkeypatch, value, calls):
+    # the bound is each operand's largest stored entry, not p: a 0/1
+    # product at p = 2^31 - 1 is one int64 product, entries near p are
+    # split into 16-bit limbs
+    ctx = FieldCtx(2**31 - 1)
+    row = SparseMatrix(1, 8, ctx, [(0, k, value) for k in range(8)])
+    col = SparseMatrix(8, 1, ctx, [(k, 0, value) for k in range(8)])
+    seen, mulmod = [], sparse._mulmod
+    monkeypatch.setattr(sparse, "_mulmod", lambda *args: seen.append(args) or mulmod(*args))
+    assert sparse.matmul(row, col).to_dense() == [[8 * value * value % ctx.modulus]]
+    assert len(seen) == calls
+
+
 def test_matmul_long_inner_product_at_largest_prime():
     # 70000 terms, each the largest product (p-1)^2 = 1 mod p: the int64 sum
     # is exact only with both operands split into 16-bit limbs
