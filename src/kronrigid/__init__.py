@@ -7,7 +7,7 @@ sums, and matmul-based evaluation with op accounting.
 """
 
 from .fields import RATIONALS, FieldCtx, primitive_root_of_unity
-from .sparse import IndexCodec, SparseMatrix
+from .sparse import SparseMatrix
 from .rigidity import (
     RigidityDecomposition,
     brute_force_rigidity,
@@ -65,7 +65,6 @@ __all__ = [
     "RATIONALS",
     "primitive_root_of_unity",
     "SparseMatrix",
-    "IndexCodec",
     "RigidityDecomposition",
     "brute_force_rigidity",
     "h2_rank1_decomposition",

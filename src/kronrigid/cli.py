@@ -20,7 +20,6 @@ from .errors import (
     ExceedsBound,
     KronRigidError,
     NotSquare,
-    WorkCapExceeded,
 )
 from .fields import FieldCtx
 
@@ -54,7 +53,9 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
         raise DepthTooSmall("depth must be at least 2")
     if name == "auto":
         name = "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
-    key = "js:" if name.startswith("js:") else name
+    key = name
+    if name.startswith("js:"):  # js:m for a whole number m >= 1
+        key = "js:" if name[3:].isdecimal() and int(name[3:]) >= 1 else None
     if key not in _BASES:
         raise ValueError(f"unknown base {name!r}")
     base_family, decomposition = _BASES[key]
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, DimensionCapExceeded, WorkCapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError, KronRigidError) as exc:

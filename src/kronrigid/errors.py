@@ -25,15 +25,15 @@ class DimensionMismatch(KronRigidError):
     """Matrix dimensions do not chain."""
 
 
-class DimensionCapExceeded(KronRigidError):
-    """Result would exceed the configured dimension cap."""
-
-
 class CapExceeded(KronRigidError):
     """Requested size exceeds a materialization cap."""
 
 
-class WorkCapExceeded(KronRigidError):
+class DimensionCapExceeded(CapExceeded):
+    """Result would exceed the configured dimension cap."""
+
+
+class WorkCapExceeded(CapExceeded):
     """Estimated enumeration work exceeds the configured cap."""
 
     def __init__(self, estimated_work, cap):

@@ -16,9 +16,6 @@ from .errors import DivisionByZero, NoRootExists, RationalUnsupported
 
 MAX_PRIME_MODULUS = 2**31
 
-# Default prime modulus for generic tests (Mersenne prime 2**31 - 1).
-DEFAULT_MODULUS = 2147483647
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

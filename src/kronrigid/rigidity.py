@@ -62,15 +62,6 @@ class RigidityDecomposition:
             return False
         return sparse.rank(low) <= self.rank_bound
 
-    def report(self) -> dict:
-        return {
-            "q": self.target.rows,
-            "rank_bound": self.rank_bound,
-            "changes": self.changes,
-            "nnz_r_S": self.S.nnz_r,
-            "nnz_c_S": self.S.nnz_c,
-        }
-
 
 def low_rank_factor(m: SparseMatrix, r: int):
     """Rank factorization m = B x C with B m.rows x r, C r x m.cols.

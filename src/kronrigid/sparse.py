@@ -4,11 +4,12 @@ A matrix stores int64 ``indptr``/``indices`` arrays (columns sorted within
 each row) and a ``data`` array: int64 residues for F_p, an object array of
 ``Fraction`` for Q.  No stored value is zero, so ``nnz`` (the wire-count
 metric everything else is built on) is canonical.  All arithmetic is exact:
-F_p products go through one overflow-guarded kernel, Q products through a
-short row loop, and cancellations never leave explicit zeros.
+F_p products go through one overflow-guarded kernel, Q products are summed
+by position like any other triplets, and cancellations never leave
+explicit zeros.
 
-Row/column index layout for Kronecker products follows ``IndexCodec``: the
-left operand occupies the high digits.
+Kronecker products index rows and columns in numpy's C order (mixed
+radix): the left operand occupies the high digits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,35 +27,6 @@ from .fields import FieldCtx
 
 # Guardrail against accidental q**n explosion.
 DIMENSION_CAP = 2**26
-
-
-@dataclass(frozen=True)
-class IndexCodec:
-    """Mixed-radix index layout: x in [q]_0^n maps to sum x[i] * q^(n-1-i).
-
-    Slot 0 (the leftmost Kronecker operand) is the most significant digit.
-    """
-
-    q: int
-    n: int
-
-    def encode(self, digits) -> int:
-        if len(digits) != self.n:
-            raise ValueError(f"expected {self.n} digits")
-        idx = 0
-        for d in digits:
-            if not 0 <= d < self.q:
-                raise ValueError(f"digit {d} out of range for base {self.q}")
-            idx = idx * self.q + d
-        return idx
-
-    def decode(self, index: int):
-        digits = [0] * self.n
-        for slot in range(self.n - 1, -1, -1):
-            index, digits[slot] = divmod(index, self.q)
-        if index:
-            raise ValueError("index out of range")
-        return tuple(digits)
 
 
 class SparseMatrix:
@@ -168,10 +139,6 @@ class SparseMatrix:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.data, other.data)
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.ctx, self.indices.tobytes(),
-                     self.indptr.tobytes(), tuple(self.data.tolist())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {self.ctx}, nnz={self.nnz})"
@@ -446,40 +413,18 @@ def _csr_mulmod(x, y, p: int):
     return _mulmod(x, y, p, terms, bx, by)
 
 
-def _matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Row-by-row product with the field's own arithmetic (used for Q)."""
-    ctx = a.ctx
-    add = ctx.add_raw
-    mul = ctx.mul_raw
-    a_ptr, a_idx, a_val = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
-    b_ptr, b_idx, b_val = b.indptr.tolist(), b.indices.tolist(), b.data.tolist()
-    ii, jj, vv = [], [], []
-    for i in range(a.rows):
-        acc = {}
-        for k in range(a_ptr[i], a_ptr[i + 1]):
-            k_col, va = a_idx[k], a_val[k]
-            for kb in range(b_ptr[k_col], b_ptr[k_col + 1]):
-                j = b_idx[kb]
-                prod = mul(va, b_val[kb])
-                acc[j] = add(acc[j], prod) if j in acc else prod
-        for j in sorted(acc):
-            if acc[j]:
-                ii.append(i)
-                jj.append(j)
-                vv.append(acc[j])
-    return SparseMatrix._from_csr(
-        a.rows, b.cols, ctx, _indptr(a.rows, np.array(ii, dtype=np.int64)),
-        np.array(jj, dtype=np.int64), _value_array(vv, ctx),
-    )
-
-
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if not a.ctx.is_prime_field:
-        return _matmul_rows(a, b)
-    return _from_scipy(a.rows, b.cols, a.ctx, _csr_mulmod(a.to_csr(), b.to_csr(), a.ctx.modulus))
+    if a.ctx.is_prime_field:
+        return _from_scipy(a.rows, b.cols, a.ctx, _csr_mulmod(a.to_csr(), b.to_csr(), a.ctx.modulus))
+    # over Q: one product per entry a[i, k] and entry of B's row k, summed by position
+    seg_len = np.diff(b.indptr)[a.indices]
+    kb = np.repeat(b.indptr[a.indices] - (np.cumsum(seg_len) - seg_len), seg_len)
+    kb += np.arange(len(kb), dtype=np.int64)
+    return _summed(a.rows, b.cols, a.ctx, np.repeat(_row_ids(a), seg_len), b.indices[kb],
+                   np.repeat(a.data, seg_len) * b.data[kb])
 
 
 def add_mat(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

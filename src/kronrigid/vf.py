@@ -4,12 +4,13 @@ V_f factors as R_n x D_f x R_n where R_n is the disjointness transform
 and D_f holds the coefficients of f in the R_n basis.  Since R_n has a
 butterfly circuit with (N/2) log2 N additions, batch sums of the form
 sum_t f(s OR t) cost N log2 N additions and N multiplications instead of
-quadratic work.  Every digit-wise transform here is one
-`sparse.kron_apply`: R_n = R_1^{kron n} and its inverse (over Q on
-integers over one common denominator), the inclusion-exclusion expansion
-of f for bases q > 2 (where OR becomes entrywise max), and the truth
-table of the weighted-permutation conjugation turning any Kronecker
-product of 2x2 matrices into a V_f.
+quadratic work.  One builder, `vf_matrix`, makes V_f for every base
+q >= 2, where OR becomes the digit-wise max.  Every digit-wise transform
+here is one `sparse.kron_apply`: R_n = R_1^{kron n} and its inverse (over
+Q on integers over one common denominator), the inclusion-exclusion
+expansion of f for bases q > 2, and the truth table of the
+weighted-permutation conjugation turning any Kronecker product of 2x2
+matrices into a V_f.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ from .errors import (
     OuterZero,
 )
 from .fields import FieldCtx
-from .sparse import IndexCodec, SparseMatrix
+from .sparse import SparseMatrix
 
 GENERAL_CAP = 4096
 
 
 @dataclass(frozen=True)
 class TruthTable:
-    """f: [q]_0^n -> F as a value sequence in IndexCodec order."""
+    """f: [q]_0^n -> F as a value sequence in C order: digit 0 is the most
+    significant."""
 
     q: int
     n: int
@@ -51,19 +53,12 @@ class TruthTable:
             )
 
     def __call__(self, digits):
-        return self.values[IndexCodec(self.q, self.n).encode(digits)]
+        return self.values[int(np.ravel_multi_index(tuple(digits), (self.q,) * self.n))]
 
 
 def vf_matrix(f: TruthTable) -> SparseMatrix:
-    """V_f[x,y] = f(x OR y) for a q = 2 truth table: OR is the digit-wise
-    max on bits."""
-    if f.q != 2:
-        raise ValueError("vf_matrix is the q = 2 case; see vf_matrix_general")
-    return vf_matrix_general(f)
-
-
-def vf_matrix_general(f: TruthTable) -> SparseMatrix:
-    """V_f[x,y] = f(digit-wise max of x and y) for bases q >= 2."""
+    """V_f[x,y] = f(digit-wise max of x and y) for bases q >= 2; for q = 2
+    the max is x OR y."""
     q, size = f.q, f.q**f.n
     if size > GENERAL_CAP:
         raise CapExceeded(f"q^n = {size} exceeds the cap {GENERAL_CAP}")

@@ -1,7 +1,8 @@
 """Reference code for the tests, kept apart from the package.
 
 Each check here has its own loops and shares no algorithm with the code it
-checks: the seeded generator the randomized tests draw from, the quadratic
+checks: the seeded generator the randomized tests draw from, the
+row-by-row sparse product with a dict per row, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
@@ -12,12 +13,14 @@ candidate-by-candidate brute-force rigidity search.
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from kronrigid import sparse
 from kronrigid.disjoint import RECT, SQUARE, RectPartition
 from kronrigid.errors import ExceedsBound
 from kronrigid.rigidity import decomposition_from_low_rank
-from kronrigid.sparse import IndexCodec, SparseMatrix
-from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix_general
+from kronrigid.sparse import SparseMatrix
+from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix
 
 _MASK = (1 << 64) - 1
 
@@ -65,6 +68,25 @@ class SplitMix64:
         return 1 + self.randrange(ctx.modulus - 1)
 
 
+def matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a x b row by row with the field's own arithmetic: one dict of
+    partial sums per row of a, zero sums dropped."""
+    ctx = a.ctx
+    rows_a, rows_b = {}, {}
+    for rows, m in ((rows_a, a), (rows_b, b)):
+        for i, j, v in m.entries:
+            rows.setdefault(i, []).append((j, v))
+    entries = []
+    for i, row in rows_a.items():
+        acc = {}
+        for k, va in row:
+            for j, vb in rows_b.get(k, ()):
+                prod = ctx.mul_raw(va, vb)
+                acc[j] = ctx.add_raw(acc[j], prod) if j in acc else prod
+        entries += [(i, j, v) for j, v in acc.items() if v]
+    return SparseMatrix(a.rows, b.cols, ctx, entries)
+
+
 def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):
     """Quadratic reference: direct double loop over the multiset."""
     ctx = f.ctx
@@ -82,14 +104,12 @@ def inclusion_exclusion_reference(f: TruthTable):
     """f_S(w) = sum over T subset of S of (-1)^(|S|-|T|) f(x_T), each sum
     enumerated subset by subset."""
     q, n, ctx = f.q, f.n, f.ctx
-    codec = IndexCodec(q, n)
     out = {}
     for size in range(n + 1):
         for s in combinations(range(n), size):
-            sub = IndexCodec(q - 1, size)
             values = []
             for widx in range((q - 1) ** size):
-                w = sub.decode(widx)
+                w = np.unravel_index(widx, (q - 1,) * size)
                 acc = ctx.zero_raw()
                 for tsize in range(size + 1):
                     for t in combinations(s, tsize):
@@ -97,7 +117,7 @@ def inclusion_exclusion_reference(f: TruthTable):
                         for pos, slot in enumerate(s):
                             if slot in t:
                                 x[slot] = w[pos] + 1
-                        val = f.values[codec.encode(x)]
+                        val = f.values[np.ravel_multi_index(x, (q,) * n)]
                         if (size - tsize) % 2:
                             acc = ctx.sub_raw(acc, val)
                         else:
@@ -112,9 +132,8 @@ def expansion_identity_check(f: TruthTable, expansion=None) -> bool:
     if expansion is None:
         expansion = inclusion_exclusion_expand(f)
     q, n, ctx = f.q, f.n, f.ctx
-    codec = IndexCodec(q, n)
     for z in range(q**n):
-        dz = codec.decode(z)
+        dz = np.unravel_index(z, (q,) * n)
         supp = [i for i in range(n) if dz[i]]
         acc = ctx.zero_raw()
         for size in range(len(supp) + 1):
@@ -134,15 +153,14 @@ def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
         expansion = inclusion_exclusion_expand(f)
     q, n, ctx = f.q, f.n, f.ctx
     size = q**n
-    codec = IndexCodec(q, n)
-    target = vf_matrix_general(f)
+    target = vf_matrix(f)
     acc = {}
     for s, table in expansion.items():
         slots = sorted(s)
         for x in range(size):
-            dx = codec.decode(x)
+            dx = np.unravel_index(x, (q,) * n)
             for y in range(size):
-                dy = codec.decode(y)
+                dy = np.unravel_index(y, (q,) * n)
                 # the padded block covers pairs whose entrywise max is
                 # positive on every slot of S
                 if any(max(dx[i], dy[i]) == 0 for i in slots):

@@ -388,6 +388,20 @@ def test_bench_base_of_another_family_is_a_usage_error(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize("base,code,err", [
+    ("js:-1", 2, "error: unknown base 'js:-1'\n"),
+    ("js:0", 2, "error: unknown base 'js:0'\n"),
+    ("js:x", 2, "error: unknown base 'js:x'\n"),
+    ("js:", 2, "error: unknown base 'js:'\n"),
+    ("js:15", 3, "cap exceeded: n = 15 exceeds the partition cap 14\n"),
+])
+def test_js_base_needs_m_from_1_to_the_cap(capsys, command, base, code, err):
+    argv = [command, "--family", "disjointness", "--n", "8", "--depth", "2", "--base", base]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--family", "hadamard", "--n", "8", "--depth", "0"],
     ["synth", "--family", "disjointness", "--n", "8", "--depth", "0"],

@@ -13,9 +13,9 @@ from kronrigid.errors import (
 )
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.rigidity import hadamard_matrix
-from kronrigid.sparse import IndexCodec, SparseMatrix
+from kronrigid.sparse import SparseMatrix
 
-from reference import SplitMix64
+from reference import SplitMix64, matmul_rows
 
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
@@ -45,15 +45,6 @@ def dense_matmul_oracle(a, b):
             row.append(acc)
         out.append(row)
     return SparseMatrix.from_dense(out, ctx)
-
-
-def test_codec_roundtrip():
-    codec = IndexCodec(3, 4)
-    assert codec.encode((1, 0, 2, 1)) == 1 * 27 + 0 + 2 * 3 + 1
-    for idx in range(81):
-        assert codec.encode(codec.decode(idx)) == idx
-    with pytest.raises(ValueError):
-        codec.encode((3, 0, 0, 0))
 
 
 def test_entry_validation():
@@ -150,11 +141,24 @@ def test_matmul_against_dense_oracle():
 
 
 def test_matmul_kernel_matches_row_loop():
-    # the mod-p kernel against the field-generic row loop, on dense-ish input
+    # both product kernels against the field-generic row loop, on dense-ish
+    # input; over Q the entries have both signs and denominators 1 to 3
     rng = SplitMix64(25)
-    a = random_matrix(rng, 40, 40, F7, density=700)
-    b = random_matrix(rng, 40, 40, F7, density=700)
-    assert sparse.matmul(a, b) == sparse._matmul_rows(a, b)
+    pairs = [[random_matrix(rng, 40, 40, F7, density=700) for _ in range(2)]]
+    for _ in range(2):
+        pairs.append([SparseMatrix.from_triplets(40, 40, RATIONALS, [
+            (rng.randrange(40), rng.randrange(40), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            for _ in range(700)
+        ]) for _ in range(2)])
+    # (1, 1) . (1/2, -1/2) cancels: the product stores no zero there
+    half = Fraction(1, 2)
+    pairs.append([SparseMatrix.from_dense([[1, 1], [1, 2]], RATIONALS),
+                  SparseMatrix.from_dense([[half, 1], [-half, 1]], RATIONALS)])
+    for a, b in pairs:
+        got = sparse.matmul(a, b)
+        assert got == matmul_rows(a, b)  # the same CSR arrays
+        assert not (got.data == 0).any()
+    assert got.to_dense() == [[0, 2], [-half, 3]]
 
 
 def test_matmul_dimension_mismatch():

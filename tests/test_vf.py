@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kronrigid import sparse, vf
@@ -23,7 +24,6 @@ from kronrigid.vf import (
     inclusion_exclusion_expand,
     kron2_to_vf,
     vf_matrix,
-    vf_matrix_general,
 )
 
 from reference import (
@@ -298,17 +298,13 @@ def test_expansion_matches_the_subset_enumeration(ctx, q, n):
         assert expansion_identity_check(f, got)
 
 
-def test_vf_matrix_general_against_the_definition():
+def test_vf_matrix_against_the_definition():
     rng = SplitMix64(62)
     for q, n, ctx in [(2, 3, F7), (3, 2, F7), (4, 2, RATIONALS), (2, 0, F7)]:
         f = TruthTable(q, n, ctx, tuple(ctx.coerce(rng.randrange(3)) for _ in range(q**n)))
-        codec = sparse.IndexCodec(q, n)
-        want = [
-            [f(tuple(map(max, codec.decode(x), codec.decode(y)))) for y in range(q**n)]
-            for x in range(q**n)
-        ]
-        build = vf_matrix if q == 2 else vf_matrix_general
-        assert build(f) == SparseMatrix.from_dense(want, ctx)
+        digits = [np.unravel_index(x, (q,) * n) for x in range(q**n)]
+        want = [[f(tuple(map(max, dx, dy))) for dy in digits] for dx in digits]
+        assert vf_matrix(f) == SparseMatrix.from_dense(want, ctx)
 
 
 def test_vf_matrix_cap():
@@ -318,13 +314,21 @@ def test_vf_matrix_cap():
         vf_matrix(f)
 
 
-def test_vf_matrix_general_max_semantics():
+def test_vf_matrix_max_semantics():
     rng = SplitMix64(59)
     f = random_table(rng, 3, 2, F7)
-    m = vf_matrix_general(f)
-    codec = sparse.IndexCodec(3, 2)
-    x, y = codec.encode((1, 2)), codec.encode((2, 0))
-    assert m.get(x, y) == f.values[codec.encode((2, 2))]
+    # (1, 2) is row 1 * 3 + 2, (2, 0) column 2 * 3 + 0; their max (2, 2) is 8
+    assert vf_matrix(f).get(5, 6) == f.values[8] == f((2, 2))
+
+
+def test_truthtable_reads_digits_in_c_order():
+    f = TruthTable(3, 4, F101, tuple(range(81)))
+    assert f((1, 0, 2, 1)) == 1 * 27 + 0 * 9 + 2 * 3 + 1
+    assert [f(np.unravel_index(x, (3,) * 4)) for x in range(81)] == list(range(81))
+    for digits in [(3, 0, 0, 0), (1, -1, 0, 0), (1, 0, 2), (1, 0, 2, 1, 0)]:
+        with pytest.raises(ValueError):
+            f(digits)
+    assert TruthTable(3, 0, F101, (7,))(()) == 7
 
 
 def test_truthtable_file_roundtrip(tmp_path):
