@@ -32,12 +32,10 @@ from .circuits import (
     verify_circuit,
 )
 from .disjoint import (
-    RectPartition,
     RemovalReport,
     dense_removal,
     disjointness_matrix,
     js_factorization,
-    js_partition,
     rn_rigidity_decomposition,
 )
 from .vf import (
@@ -84,12 +82,10 @@ __all__ = [
     "balance_exponents",
     "balanced_exponent",
     "verify_circuit",
-    "RectPartition",
     "RemovalReport",
     "disjointness_matrix",
     "dense_removal",
     "rn_rigidity_decomposition",
-    "js_partition",
     "js_factorization",
     "TruthTable",
     "VfWitness",

@@ -27,7 +27,7 @@ from .errors import (
     DepthTooSmall,
     DimensionCapExceeded,
     DimensionMismatch,
-    GroupMismatch,
+    DivisorMismatch,
     NotSquare,
     UnverifiedInput,
 )
@@ -260,7 +260,7 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     divide the list length."""
     n = len(m_list)
     if n == 0 or n % group != 0:
-        raise GroupMismatch(f"group {group} does not divide {n}")
+        raise DivisorMismatch(f"group {group} does not divide {n}")
     ctx = m_list[0].ctx
     q = m_list[0].rows
     for m in m_list:
@@ -342,16 +342,17 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
     by the mixed-product property the product is the Kronecker product of
     the chain products between cuts.  Each distinct chain (identities
     dropped, compared by value) must be lambda_g unit^{kron t_g}, and the
-    lambda_g must multiply to 1.  None when the sizes are not q^n, a layer
-    stays one operand, there is no cut, or a chain is not a multiple of a
-    unit power.  Each unit power a chain is compared with is built once.
+    lambda_g must multiply to 1.  None when n < 1, the sizes are not q^n,
+    a layer stays one operand, there is no cut, or a chain is not a
+    multiple of a unit power.  Each unit power a chain is compared with
+    is built once.
 
     Over Q the proof runs on the circuit's images mod primes, as
     verify_circuit's block check does (see _on_images): an image that is
     not proved equal decides, and proofs on enough primes prove Q.
     """
     q, ctx = unit.rows, unit.ctx
-    if circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
+    if n < 1 or circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
         return None
     if not ctx.modulus:
         return _on_images(circ, [unit] * n, lambda image, ops: prove_power(image, ops[0], n, shapes))

@@ -128,6 +128,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"verify needs n >= 0, not n = {args.n}")
     # a unit has q >= 2 rows, so n above the cap's bit length makes q^n
     # pass the cap: refused before the n operands are listed
     if args.n > sparse.DIMENSION_CAP.bit_length():

@@ -3,9 +3,9 @@
 R_n is the 2^n x 2^n 0/1 matrix with a 1 exactly where the two index
 strings have disjoint supports (nnz = 3^n).  This module provides its
 generation, the dense row/column removal argument (low rank + sparse
-residual), the recursive all-ones partition into squares and 2:1
-rectangles with its induced two-factorization, and the entropy/binomial
-calculators the parameter analysis relies on.
+residual), the two-factorization induced by the recursive partition of
+its ones into all-ones squares and 2:1 rectangles, and the
+entropy/binomial calculators the parameter analysis relies on.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ def _popcount_table(n: int) -> np.ndarray:
 # -- dense row/column removal -------------------------------------------
 
 
-def binom_cum(n: int, k: int, inclusive: bool) -> int:
-    """Sum of C(n, i) for i <= k (inclusive) or i < k (exclusive)."""
-    top = k if inclusive else k - 1
-    return sum(comb(n, i) for i in range(0, top + 1))
+def binom_cum(n: int, k: int) -> int:
+    """Sum of C(n, i) for i < k."""
+    return sum(comb(n, i) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class RemovalReport:
     residual_col_nnz: int
     removed_count: int
     bound: int
-    method: str
 
     def as_csv_row(self) -> str:
         return (
@@ -98,8 +96,8 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     digits = sys.get_int_max_str_digits()
     if digits and n * log10(2) >= digits:
         raise CapExceeded(f"2^{n} has more than the {digits} digits Python converts to text")
-    removed_count = binom_cum(n, k, inclusive=False)
-    bound = best = 2 ** (n - k) - binom_cum(n - k, k, inclusive=False)
+    removed_count = binom_cum(n, k)
+    bound = best = 2 ** (n - k) - binom_cum(n - k, k)
     if method == "scan":
         heavy = _popcount_table(n) >= k
         # row lengths are integers of at most 2^n <= 2^26, so int32 is exact
@@ -107,7 +105,7 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         best = int(sparse.kron_apply(rn, heavy.astype(np.int32))[heavy].max())
     # R_n is symmetric, so columns mirror rows.
     row_nnz = col_nnz = best
-    return RemovalReport(n, k, row_nnz, col_nnz, removed_count, bound, method)
+    return RemovalReport(n, k, row_nnz, col_nnz, removed_count, bound)
 
 
 def rn_rigidity_decomposition(
@@ -134,9 +132,7 @@ def rn_rigidity_decomposition(
     in_s = ~(in_c | light[j])
 
     def matrix(rows, cols, ii, jj, vv):
-        return SparseMatrix._from_csr(
-            rows, cols, ctx, *sparse._csr_from_coo(rows, cols, ctx, ii, jj, vv, False)
-        )
+        return SparseMatrix._from_csr(rows, cols, ctx, *sparse._csr_from_coo(rows, cols, ctx, ii, jj, vv))
 
     b = matrix(size, 2 * h, np.concatenate((lights, i[in_b])),
                np.concatenate((np.arange(h), h + slot[j[in_b]])), np.concatenate((ones, v[in_b])))
@@ -148,37 +144,23 @@ def rn_rigidity_decomposition(
 
 # -- recursive all-ones partition ---------------------------------------
 
-SQUARE = "square"
-RECT = "rect"  # tall 2:1 rectangle
 
+def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
+    """R_n = A_n x B_n through one inner coordinate per piece of a
+    partition of R_n's ones into all-ones squares and tall 2:1
+    rectangles: piece p's rows are column p of A_n and its columns are
+    row p of B_n.  Piece p is a square when p is even and a rectangle
+    when p is odd.  R_n is symmetric, so the transposed pair gives the
+    primed ordering.  R_n itself is not built.
 
-@dataclass(frozen=True)
-class RectPartition:
-    n: int
-    pieces: tuple  # of (rows: tuple, cols: tuple, kind)
-
-    @property
-    def s_sum(self) -> int:
-        return sum(len(p[1]) for p in self.pieces if p[2] == SQUARE)
-
-    @property
-    def r_sum(self) -> int:
-        return sum(len(p[1]) for p in self.pieces if p[2] == RECT)
-
-    @property
-    def area(self) -> int:
-        return sum(len(p[0]) * len(p[1]) for p in self.pieces)
-
-
-def _js_pieces(n: int):
-    """Row p of A_n^T (of B_n) lists the rows (columns) of partition piece
-    p; both come as CSR (indptr, indices) pairs.
-
+    The pieces follow the block recursion R_n = [[R', R'], [R', 0]].
     From A_0 = B_0 = [1], level l turns piece p into the square 2p and
-    the tall rectangle 2p + 1, so p is a square iff p is even.  A square
-    keeps its (0,1)-block copy as a square and fuses its (0,0) and (1,0)
-    copies into a rectangle; a rectangle fuses its (0,0) and (0,1) copies
-    into a double-size square and keeps its (1,0) copy as a rectangle.
+    the rectangle 2p + 1.  A square keeps its (0,1)-block copy as a
+    square and fuses its (0,0) and (1,0) copies into a rectangle; a
+    rectangle fuses its (0,0) and (0,1) copies into a double-size square
+    and keeps its (1,0) copy as a rectangle.  The side-length sums of the
+    squares and of the rectangles follow
+    (s_n, r_n) = [[1,2],[1,1]] (s_{n-1}, r_{n-1}) with s_1 = r_1 = 1.
     """
     if n > LIST_CAP:
         raise CapExceeded(f"n = {n} exceeds the partition cap {LIST_CAP}")
@@ -192,34 +174,14 @@ def _js_pieces(n: int):
         ap = np.concatenate((2 * ap, 2 * ap + 1, 2 * ap[square] + 1))
         by = np.concatenate((by + off, by, by[rect]))
         bp = np.concatenate((2 * bp, 2 * bp + 1, 2 * bp[rect]))
-    return [(sparse._indptr(1 << n, p), x[np.lexsort((x, p))]) for p, x in ((ap, ax), (bp, by))]
-
-
-def js_partition(n: int) -> RectPartition:
-    """Partition the ones of R_n into all-ones squares and tall 2:1
-    rectangles by the block recursion R_n = [[R', R'], [R', 0]] (see
-    `_js_pieces`).  Side-length sums follow
-    (s_n, r_n) = [[1,2],[1,1]] (s_{n-1}, r_{n-1}) with s_1 = r_1 = 1.
-    """
-    groups = []
-    for ptr, idx in _js_pieces(n):
-        ptr, idx = ptr.tolist(), idx.tolist()
-        groups.append([tuple(idx[lo:hi]) for lo, hi in zip(ptr, ptr[1:])])
-    return RectPartition(n, tuple(zip(*groups, [SQUARE, RECT] * (1 << (n - 1)))))
-
-
-def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
-    """R_n = A_n x B_n through one inner coordinate per partition piece:
-    column p of A_n indicates the piece's rows, row p of B_n its columns.
-    R_n is symmetric, so the transposed pair gives the primed ordering.
-    R_n itself is not built.
-    """
     size = 1 << n  # also the number of pieces
+    # row p of A_n^T (of B_n) lists piece p's rows (columns)
     a_t, b = (
         SparseMatrix._from_csr(
-            size, size, ctx, ptr, idx, sparse._value_array([ctx.one_raw()] * idx.size, ctx)
+            size, size, ctx, sparse._indptr(size, p), x[np.lexsort((x, p))],
+            sparse._value_array([ctx.one_raw()] * x.size, ctx),
         )
-        for ptr, idx in _js_pieces(n)
+        for p, x in ((ap, ax), (bp, by))
     )
     return circuits.TwoFactorization(sparse.transpose(a_t), b, a_t, sparse.transpose(b))
 

@@ -64,12 +64,8 @@ class DepthTooSmall(KronRigidError):
     """Circuit depth must be at least 2."""
 
 
-class GroupMismatch(KronRigidError):
-    """Group size does not divide the number of factors."""
-
-
 class DivisorMismatch(KronRigidError):
-    """Block count does not divide the number of factors."""
+    """A block count or group size does not divide the number of factors."""
 
 
 class LengthMismatch(KronRigidError):

@@ -32,8 +32,7 @@ class NaiveBackend:
     """Schoolbook multiply; mults = m*n*p, adds = m*(n-1)*p."""
 
     def __init__(self):
-        self.mults = 0
-        self.adds = 0
+        self.reset()
 
     def reset(self):
         self.mults = 0
@@ -134,14 +133,14 @@ def butterflytomm_apply(m_list, k: int, v, backend):
     return cur.reshape(-1).tolist(), report
 
 
-def mm_cost_report(m_list, k: int, backend, probe=None):
-    """Measured cost of the k-round evaluation vs the dense baseline."""
+def mm_cost_report(m_list, k: int, backend):
+    """Measured cost of the k-round evaluation vs the dense baseline, on
+    the probe vector (1, 2, ..., q^n)."""
     q = m_list[0].rows
     n = len(m_list)
     big_n = q**n
     ctx = m_list[0].ctx
-    if probe is None:
-        probe = [ctx.coerce(i + 1) for i in range(big_n)]
+    probe = [ctx.coerce(i + 1) for i in range(big_n)]
     _, report = butterflytomm_apply(m_list, k, probe, backend)
     report = dict(report)
     report["dense_mults"] = big_n * big_n

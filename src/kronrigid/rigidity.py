@@ -194,23 +194,22 @@ def hadamard_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
     return sparse.kron_power(h1, n)
 
 
-def _rank1(col, row, ctx) -> tuple:
-    q = len(col)
-    b = SparseMatrix.from_dense([[v] for v in col], ctx)
-    c = SparseMatrix.from_dense([row], ctx)
-    assert b.rows == q
-    return b, c
+_H2_LOW = ([1, -1, -1, -1], [-1, 1, 1, 1])  # column and row of H_2's rank-1 part
+
+
+def _rank1_split(target: SparseMatrix, col, row) -> RigidityDecomposition:
+    """target = b c + S for the column b and the row c made of the values
+    in col and row; S is the rest."""
+    b = SparseMatrix.from_dense([[v] for v in col], target.ctx)
+    c = SparseMatrix.from_dense([row], target.ctx)
+    return RigidityDecomposition(target, 1, b, c, sparse.sub_mat(target, sparse.matmul(b, c)))
 
 
 def h2_rank1_decomposition(ctx: FieldCtx) -> RigidityDecomposition:
     """H_2 = rank-1 + 4 changes: first row of the rank-1 part is
     (-1, 1, 1, 1) and the other rows are its negation; the sparse part is
     twice a permutation, one entry per row and column."""
-    target = hadamard_matrix(2, ctx)
-    b, c = _rank1([1, -1, -1, -1], [-1, 1, 1, 1], ctx)
-    low = sparse.matmul(b, c)
-    s = sparse.sub_mat(target, low)
-    return RigidityDecomposition(target, 1, b, c, s)
+    return _rank1_split(hadamard_matrix(2, ctx), *_H2_LOW)
 
 
 def cube_rank1_decomposition(m: SparseMatrix) -> RigidityDecomposition:
@@ -232,26 +231,14 @@ def cube_rank1_decomposition(m: SparseMatrix) -> RigidityDecomposition:
     omega = m.get(1, 1)
     if not omega:
         raise OmegaZero("corner entry is zero; its inverse defines the low part")
-    target = sparse.kron_power(m, 3)
-    winv = ctx.inv_raw(omega)
-    u = [winv] + [one] * 7
-    v = [one] + [omega] * 7
-    b, c = _rank1(u, v, ctx)
-    low = sparse.matmul(b, c)
-    s = sparse.sub_mat(target, low)
-    return RigidityDecomposition(target, 1, b, c, s)
+    return _rank1_split(sparse.kron_power(m, 3), [ctx.inv_raw(omega)] + [one] * 7, [one] + [omega] * 7)
 
 
 def h4_rank1_decomposition(ctx: FieldCtx) -> RigidityDecomposition:
     """H_4 = rank-1 + 96 changes: the low part is the square Kronecker
     power of the 4x4 rank-1 matrix used for H_2."""
-    target = hadamard_matrix(4, ctx)
-    b2, c2 = _rank1([1, -1, -1, -1], [-1, 1, 1, 1], ctx)
-    b = sparse.kron(b2, b2)
-    c = sparse.kron(c2, c2)
-    low = sparse.matmul(b, c)
-    s = sparse.sub_mat(target, low)
-    return RigidityDecomposition(target, 1, b, c, s)
+    col, row = ([x * y for x in v for y in v] for v in _H2_LOW)
+    return _rank1_split(hadamard_matrix(4, ctx), col, row)
 
 
 def normalize_outer1(m: SparseMatrix):

@@ -32,20 +32,20 @@ DIMENSION_CAP = 2**26
 class SparseMatrix:
     """Immutable exact sparse matrix over a FieldCtx, stored as CSR arrays."""
 
-    __slots__ = ("rows", "cols", "ctx", "indptr", "indices", "data", "_entries")
+    __slots__ = ("rows", "cols", "ctx", "indptr", "indices", "data")
 
-    def __init__(self, rows, cols, ctx, entries, _checked=False):
+    def __init__(self, rows, cols, ctx, entries):
         """Build from (i, j, value) triplets of raw field values.
 
-        Unless _checked, every triplet must be in bounds, hold a nonzero
-        canonical value (a residue in [1, p) for F_p) and name a distinct
-        position.  Triplets may come in any order.
+        Every triplet must be in bounds, hold a nonzero canonical value (a
+        residue in [1, p) for F_p) and name a distinct position.  Triplets
+        may come in any order.
         """
         try:
             i, j, v = _triplet_arrays(entries, ctx)
         except OverflowError as exc:
             raise ValueError(f"entry does not fit the matrix: {exc}") from None
-        _init_csr(self, rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, not _checked))
+        _init_csr(self, rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v))
 
     @classmethod
     def _from_csr(cls, rows, cols, ctx, indptr, indices, data):
@@ -62,14 +62,9 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, dense_rows, ctx):
-        entries = []
         cols = len(dense_rows[0]) if dense_rows else 0
-        for i, row in enumerate(dense_rows):
-            for j, v in enumerate(row):
-                cv = ctx.coerce(v)
-                if cv:
-                    entries.append((i, j, cv))
-        return cls(len(dense_rows), cols, ctx, entries, _checked=True)
+        triplets = [(i, j, v) for i, row in enumerate(dense_rows) for j, v in enumerate(row)]
+        return cls.from_triplets(len(dense_rows), cols, ctx, triplets)
 
     # -- basic queries ----------------------------------------------------
 
@@ -88,15 +83,6 @@ class SparseMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @property
-    def entries(self):
-        """(i, j, value) triplets in row-major order, built on first use."""
-        if self._entries is None:
-            self._entries = tuple(
-                zip(_row_ids(self).tolist(), self.indices.tolist(), self.data.tolist())
-            )
-        return self._entries
 
     def get(self, i, j):
         if 0 <= i < self.rows:
@@ -150,7 +136,6 @@ class SparseMatrix:
 def _init_csr(m, rows, cols, ctx, indptr, indices, data):
     m.rows, m.cols, m.ctx = rows, cols, ctx
     m.indptr, m.indices, m.data = indptr, indices, data
-    m._entries = None
 
 
 def _value_array(values, ctx):
@@ -191,32 +176,29 @@ def _indptr(rows, row_ids):
     return indptr
 
 
-def _csr_from_coo(rows, cols, ctx, i, j, v, check):
-    """(indptr, indices, data) of triplets; with check, reject entries out
-    of bounds, non-canonical or zero values, and repeated positions."""
-    if check and i.size:
-        bad = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
+def _csr_from_coo(rows, cols, ctx, i, j, v):
+    """(indptr, indices, data) of triplets in any order; ValueError for an
+    entry out of bounds, a zero or non-canonical value, or a repeated
+    position.  Each test is a reduction; a mask is built only to name the
+    first bad entry."""
+    if i.size:
+        if min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols:
+            k = np.flatnonzero((i < 0) | (i >= rows) | (j < 0) | (j >= cols))[0]
             raise ValueError(f"entry ({i[k]}, {j[k]}) out of bounds")
-        bad = v == 0
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
+        if not v.all():
+            k = np.flatnonzero(v == 0)[0]
             raise ValueError(f"explicit zero stored at ({i[k]}, {j[k]})")
-        if ctx.is_prime_field:
-            bad = (v < 0) | (v >= ctx.modulus)
-            if bad.any():
-                k = np.flatnonzero(bad)[0]
-                raise ValueError(f"value {v[k]} at ({i[k]}, {j[k]}) is not a residue")
+        if ctx.is_prime_field and (v.min() < 0 or v.max() >= ctx.modulus):
+            k = np.flatnonzero((v < 0) | (v >= ctx.modulus))[0]
+            raise ValueError(f"value {v[k]} at ({i[k]}, {j[k]}) is not a residue")
     key = i * cols + j
     if key.size and not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         i, j, v, key = i[order], j[order], v[order], key[order]
-        if check:
-            dup = np.flatnonzero(key[1:] == key[:-1])
-            if dup.size:
-                k = dup[0]
-                raise ValueError(f"duplicate entry at ({i[k]}, {j[k]})")
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            k = dup[0]
+            raise ValueError(f"duplicate entry at ({i[k]}, {j[k]})")
     return _indptr(rows, i), j, v
 
 
@@ -266,13 +248,7 @@ def identity(k: int, ctx: FieldCtx) -> SparseMatrix:
 
 
 def diagonal(values, ctx: FieldCtx) -> SparseMatrix:
-    k = len(values)
-    entries = []
-    for i, v in enumerate(values):
-        cv = ctx.coerce(v)
-        if cv:
-            entries.append((i, i, cv))
-    return SparseMatrix(k, k, ctx, entries, _checked=True)
+    return SparseMatrix.from_triplets(len(values), len(values), ctx, [(i, i, v) for i, v in enumerate(values)])
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
@@ -491,9 +467,7 @@ def apply(a: SparseMatrix, x) -> list:
         raise DimensionMismatch(f"vector length {len(x)} != {a.cols}")
     ctx = a.ctx
     values = (ctx.coerce(v) for v in x)
-    column = SparseMatrix(
-        a.cols, 1, ctx, [(k, 0, v) for k, v in enumerate(values) if v], _checked=True
-    )
+    column = SparseMatrix(a.cols, 1, ctx, [(k, 0, v) for k, v in enumerate(values) if v])
     y = matmul(a, column)
     out = [ctx.zero_raw()] * a.rows
     for i, v in zip(_row_ids(y).tolist(), y.data.tolist()):
@@ -682,7 +656,7 @@ def _entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> Sparse
     given); ValueError unless all are in bounds, nonzero and distinct."""
     _check_dims(rows, cols)
     i, j, v = _numbers(text, ctx, 3, nnz)
-    return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v, True))
+    return SparseMatrix._from_csr(rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v))
 
 
 def _digit_table(width: int) -> np.ndarray:

@@ -202,12 +202,8 @@ def kron2_to_vf(m_list):
         )
         one = ctx.one_raw()
         # X x D = [[0, 1], [d0, 0]]; D' x X = [[0, b], [a, 0]]
-        pi_parts.append(
-            SparseMatrix(2, 2, ctx, [(0, 1, one), (1, 0, d0)], _checked=True)
-        )
-        pip_parts.append(
-            SparseMatrix(2, 2, ctx, [(0, 1, b), (1, 0, a)], _checked=True)
-        )
+        pi_parts.append(SparseMatrix(2, 2, ctx, [(0, 1, one), (1, 0, d0)]))
+        pip_parts.append(SparseMatrix(2, 2, ctx, [(0, 1, b), (1, 0, a)]))
         columns.append(SparseMatrix.from_dense([[g0], [one]], ctx))
     pi = sparse.kron_all(pi_parts)
     pip = sparse.kron_all(pip_parts)
@@ -280,10 +276,14 @@ def load_truthtable(path) -> TruthTable:
 
 
 def parse_points(text: str):
-    """One bitstring per line."""
+    """One bitstring of 0s and 1s per line; blank lines and surrounding
+    whitespace are ignored.  ValueError for any other character, as int()
+    alone would take "0b11", "1_0" or "+1"."""
     points = []
     for ln in text.splitlines():
         ln = ln.strip()
+        if ln.strip("01"):
+            raise ValueError(f"not a bitstring: {ln!r}")
         if ln:
             points.append(int(ln, 2))
     return points

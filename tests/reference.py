@@ -16,13 +16,18 @@ from itertools import combinations, product
 import numpy as np
 
 from kronrigid import sparse
-from kronrigid.disjoint import RECT, SQUARE, RectPartition
 from kronrigid.errors import ExceedsBound
 from kronrigid.rigidity import decomposition_from_low_rank
 from kronrigid.sparse import SparseMatrix
 from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix
 
 _MASK = (1 << 64) - 1
+SQUARE, RECT = "square", "rect"  # kinds of partition piece; a rect is a tall 2:1 rectangle
+
+
+def triplets(m: SparseMatrix) -> list:
+    """m's (i, j, value) triplets in row-major order."""
+    return list(zip(sparse._row_ids(m).tolist(), m.indices.tolist(), m.data.tolist()))
 
 
 class SplitMix64:
@@ -74,7 +79,7 @@ def matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     ctx = a.ctx
     rows_a, rows_b = {}, {}
     for rows, m in ((rows_a, a), (rows_b, b)):
-        for i, j, v in m.entries:
+        for i, j, v in triplets(m):
             rows.setdefault(i, []).append((j, v))
     entries = []
     for i, row in rows_a.items():
@@ -176,10 +181,11 @@ def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
     return rebuilt == target
 
 
-def validate_partition(part: RectPartition) -> bool:
-    """Exhaustive check: pieces disjoint, all-ones, covering exactly."""
+def validate_partition(pieces, n: int) -> bool:
+    """Exhaustive check that pieces (rows, cols, kind) partition the ones
+    of R_n: disjoint, all-ones, of their kind's shape, covering exactly."""
     seen = set()
-    for rows, cols, kind in part.pieces:
+    for rows, cols, kind in pieces:
         if kind == SQUARE and len(rows) != len(cols):
             return False
         if kind == RECT and len(rows) != 2 * len(cols):
@@ -192,7 +198,12 @@ def validate_partition(part: RectPartition) -> bool:
                 if cell in seen:
                     return False
                 seen.add(cell)
-    return len(seen) == 3**part.n
+    return len(seen) == 3**n
+
+
+def side_sums(pieces) -> tuple:
+    """(sum of the squares' sides, sum of the rectangles' short sides)."""
+    return tuple(sum(len(cols) for _, cols, k in pieces if k == kind) for kind in (SQUARE, RECT))
 
 
 def js_pieces_reference(n: int) -> tuple:
@@ -231,8 +242,8 @@ def js_factors_reference(pieces, n: int, ctx):
         for y in cols:
             b_entries.append((p, y, one))
     size, t = 1 << n, len(pieces)
-    a = SparseMatrix(size, t, ctx, sorted(a_entries), _checked=True)
-    b = SparseMatrix(t, size, ctx, sorted(b_entries), _checked=True)
+    a = SparseMatrix(size, t, ctx, a_entries)
+    b = SparseMatrix(t, size, ctx, b_entries)
     return a, b
 
 
@@ -249,7 +260,7 @@ def rn_split_reference(target, k: int):
     col_of = {x: i for i, x in enumerate(removed)}
     h = len(removed)
     b_entries, c_entries, s_entries = [], [], []
-    for i, j, v in target.entries:
+    for i, j, v in triplets(target):
         if i in col_of:
             c_entries.append((col_of[i], j, v))
         elif j in col_of:
@@ -259,9 +270,9 @@ def rn_split_reference(target, k: int):
     for x in removed:
         b_entries.append((x, col_of[x], one))
         c_entries.append((h + col_of[x], x, one))
-    b = SparseMatrix(size, 2 * h, ctx, sorted(b_entries), _checked=True)
-    c = SparseMatrix(2 * h, size, ctx, sorted(c_entries), _checked=True)
-    s = SparseMatrix(size, size, ctx, s_entries, _checked=True)
+    b = SparseMatrix(size, 2 * h, ctx, b_entries)
+    c = SparseMatrix(2 * h, size, ctx, c_entries)
+    s = SparseMatrix(size, size, ctx, s_entries)
     return 2 * h, b, c, s
 
 

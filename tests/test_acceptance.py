@@ -26,7 +26,6 @@ from kronrigid.disjoint import (
     binom_cum,
     dense_removal,
     js_factorization,
-    js_partition,
     js_side_sums,
 )
 from kronrigid.errors import ExceedsBound, ModulusTooSmallWarning, OmegaZero
@@ -41,6 +40,9 @@ from reference import (
     batch_sums_oracle,
     expansion_identity_check,
     expansion_matrix_identity_check,
+    js_factors_reference,
+    js_pieces_reference,
+    side_sums,
     validate_partition,
 )
 
@@ -140,7 +142,7 @@ def test_criterion_06_dense_removal_n14():
     count = dense_removal(14, 6, method="count")
     assert scan.removed_count == count.removed_count == 3473
     assert scan.residual_row_nnz == count.residual_row_nnz == 37
-    assert 37 == binom_cum(8, 2, inclusive=True)
+    assert 37 == binom_cum(8, 3)
     dec = disjoint.rn_rigidity_decomposition(14, Fraction(3, 7), F5)
     low = dec.low_rank
     assert sparse.add_mat(low, dec.S) == disjoint.disjointness_matrix(14, F5)
@@ -155,9 +157,11 @@ def test_criterion_06_dense_removal_n14():
 
 def test_criterion_07_js_factorization():
     for n in range(1, 13):
-        p = js_partition(n)
-        assert validate_partition(p)
-        assert (p.s_sum, p.r_sum) == js_side_sums(n)
+        pieces = js_pieces_reference(n)
+        assert validate_partition(pieces, n)
+        assert side_sums(pieces) == js_side_sums(n)
+        tf = js_factorization(n, F5)
+        assert (tf.B, tf.C) == js_factors_reference(pieces, n, F5)
     for n in (2, 6, 12):
         tf = js_factorization(n, F5)
         s, r = js_side_sums(n)

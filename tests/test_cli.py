@@ -171,6 +171,16 @@ def test_batch_command(tmp_path, capsys):
     assert captured.err.startswith("adds=")
 
 
+@pytest.mark.parametrize("line", ["0b11", "1_0", "+1", "-1"])
+def test_batch_refuses_a_point_that_is_not_a_bitstring(tmp_path, capsys, line):
+    ftab, pts = tmp_path / "f.tt", tmp_path / "pts.txt"
+    vf.save_truthtable(TruthTable(2, 2, F5, (1, 0, 0, 0)), ftab)
+    pts.write_text(f"00\n {line}\n")
+    assert main(["batch", "--f", str(ftab), "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: not a bitstring: {line!r}\n"
+
+
 def test_disjoint_stats_csv(capsys):
     rc = main(["disjoint-stats", "--n", "14", "--k", "6"])
     assert rc == 0
@@ -439,6 +449,30 @@ def test_verify_against_a_far_larger_n_exits_at_once(tmp_path, capsys, n, rc, er
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err)
+
+
+def _one_by_one(tmp_path, field, value):
+    """A depth-1 circuit file whose one factor is the 1x1 matrix [value]."""
+    path = tmp_path / f"one_{field}_{value}.circ"
+    path.write_text(f"circuit 1 1 1 {field} 1\nfactor 0 1 1 1\n0 0 {value}\n")
+    return str(path)
+
+
+def test_verify_refuses_a_negative_n_before_reading_the_file(tmp_path, capsys):
+    # [unit] * -3 would be the empty target, which [1] equals
+    for path in (_one_by_one(tmp_path, 5, 1), str(tmp_path / "missing.circ")):
+        assert main(["verify", "--circuit", path, "--family", "hadamard", "--n", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: verify needs n >= 0, not n = -3\n"
+
+
+@pytest.mark.parametrize("field", [5, 0], ids=["F5", "Q"])
+@pytest.mark.parametrize("value,rc", [(1, 0), (2, 1)])
+def test_verify_at_n_0_is_decided_by_the_block_check(tmp_path, capsys, field, value, rc):
+    # the target of n = 0 is the 1x1 identity
+    path = _one_by_one(tmp_path, field, value)
+    assert main(["verify", "--circuit", path, "--family", "disjointness", "--n", "0"]) == rc
+    assert capsys.readouterr().out == f"equal={rc == 0} wires=1 depth=1 method=block\n"
 
 
 def test_cap_exit_code(tmp_path, capsys):

@@ -1,14 +1,15 @@
-"""Fuzz the file readers: truncated or mutated matrix, truth-table and
-circuit files end the CLI with an exit code, never a traceback, and
-mutated witness files (which no command reads) are read or rejected with
-ValueError or KronRigidError."""
+"""Fuzz the file readers and the integer arguments: truncated or mutated
+matrix, truth-table and circuit files, and small or negative sizes, end
+the CLI with an exit code, never a traceback; mutated witness files
+(which no command reads) are read or rejected with ValueError or
+KronRigidError."""
 
 import contextlib
 import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronrigid import circuits, rigidity, sparse, vf
@@ -120,3 +121,40 @@ def test_mutated_witness_is_read_or_rejected(text, edits):
         rigidity.parse_witness(mutate(text, edits))
     except (ValueError, KronRigidError):
         pass
+
+
+# -- integer arguments ----------------------------------------------------
+
+ARG = st.integers(-3, 8)
+COMMANDS = ["synth", "bench", "mmcost", "disjoint-stats", "rigidity", "verify-F5", "verify-Q"]
+
+
+@pytest.fixture(scope="module")
+def arg_files(workdir):
+    files = {"rigidity": workdir / "f3.mat", "verify-F5": workdir / "one_f5.circ",
+             "verify-Q": workdir / "one_q.circ"}
+    files["rigidity"].write_text("2 2 3\n0 0 1\n0 1 2\n1 1 1\n")
+    for name, field in (("verify-F5", 5), ("verify-Q", 0)):
+        files[name].write_text(f"circuit 1 1 1 {field} 1\nfactor 0 1 1 1\n0 0 1\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+def _int_argv(command, family, a, b, files):
+    """argv of command with the integers a and b in its integer options."""
+    if command in ("synth", "bench"):
+        return [command, "--family", family, f"--n={a}", f"--depth={b}", "--base", "auto"]
+    if command in ("mmcost", "disjoint-stats"):
+        return [command, f"--n={a}", f"--k={b}"]
+    if command == "rigidity":
+        return [command, "--matrix", files[command], f"--rank={a}", f"--max-changes={b}"]
+    return ["verify", "--circuit", files[command], "--family", family, f"--n={a}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(COMMANDS), family=st.sampled_from(["hadamard", "disjointness"]),
+       a=ARG, b=ARG)
+@example(command="verify-Q", family="hadamard", a=0, b=0)
+def test_integer_arguments_end_with_an_exit_code(arg_files, command, family, a, b):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(_int_argv(command, family, a, b, arg_files))
+    assert rc in EXIT_CODES

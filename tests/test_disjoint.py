@@ -17,7 +17,6 @@ from kronrigid.disjoint import (
     entropy,
     entropy_identities_check,
     js_factorization,
-    js_partition,
     js_side_sums,
     rn_rigidity_decomposition,
 )
@@ -29,6 +28,7 @@ from reference import (
     js_factors_reference,
     js_pieces_reference,
     rn_split_reference,
+    side_sums,
     validate_partition,
 )
 
@@ -66,9 +66,9 @@ def test_cap():
 
 
 def test_binom_cum():
-    assert binom_cum(14, 6, inclusive=False) == 3473
-    assert binom_cum(8, 2, inclusive=True) == 37
-    assert binom_cum(20, 8, inclusive=False) == sum(
+    assert binom_cum(14, 6) == 3473
+    assert binom_cum(8, 3) == 37
+    assert binom_cum(20, 8) == sum(
         __import__("math").comb(20, i) for i in range(8)
     )
 
@@ -89,8 +89,8 @@ def test_dense_removal_n14():
 
 def test_dense_removal_n20_count_path():
     rep = dense_removal(20, 8, method="count")
-    assert rep.removed_count == binom_cum(20, 8, inclusive=False)
-    assert rep.bound == binom_cum(12, 4, inclusive=True) == 794
+    assert rep.removed_count == binom_cum(20, 8)
+    assert rep.bound == binom_cum(12, 5) == 794
     assert rep.residual_row_nnz <= rep.bound
 
 
@@ -134,8 +134,8 @@ def test_count_bound_is_the_old_sum_of_binomials():
     # 2^(n-k) less k binomials equals the sum of n - 2k + 1 binomials
     for n in range(2, 201):
         for k in range(1, n // 2 + 1):
-            old = binom_cum(n - k, n - 2 * k, inclusive=True)
-            assert 2 ** (n - k) - binom_cum(n - k, k, inclusive=False) == old
+            old = binom_cum(n - k, n - 2 * k + 1)
+            assert 2 ** (n - k) - binom_cum(n - k, k) == old
             assert dense_removal(n, k, method="count").bound == old, (n, k)
 
 
@@ -157,8 +157,8 @@ def test_removal_split_csr():
     assert sparse.add_mat(low, dec.S) == disjointness_matrix(14, F5)
     light = np.array([bin(x).count("1") < 6 for x in range(1 << 14)])
     assert (light[sparse._row_ids(low)] | light[low.indices]).all()
-    assert dec.rank_bound == dec.B_lr.cols == 2 * binom_cum(14, 6, inclusive=False) == 6946
-    assert dec.S.nnz_r <= binom_cum(8, 2, inclusive=True) == 37
+    assert dec.rank_bound == dec.B_lr.cols == 2 * binom_cum(14, 6) == 6946
+    assert dec.S.nnz_r <= binom_cum(8, 3) == 37
 
 
 @pytest.mark.parametrize("ctx", [F5, FieldCtx(2**31 - 1), RATIONALS], ids=str)
@@ -173,10 +173,10 @@ def test_rn_split_matches_the_entry_by_entry_reference(ctx):
 def test_rn_rigidity_decomposition():
     dec = rn_rigidity_decomposition(8, Fraction(5, 12), F5)
     # k = floor(8 * 5/12) = 3
-    assert dec.rank_bound == 2 * binom_cum(8, 3, inclusive=False)
+    assert dec.rank_bound == 2 * binom_cum(8, 3)
     assert sparse.add_mat(dec.low_rank, dec.S) == dec.target
     assert sparse.rank(dec.low_rank) <= dec.rank_bound
-    assert dec.S.nnz_r <= binom_cum(5, 2, inclusive=True)
+    assert dec.S.nnz_r <= binom_cum(5, 3)
 
 
 def test_rn_rigidity_decomposition_tiny():
@@ -187,11 +187,10 @@ def test_rn_rigidity_decomposition_tiny():
 
 
 def test_js_partition_small():
-    p1 = js_partition(1)
-    assert (p1.s_sum, p1.r_sum) == (1, 1)
-    p2 = js_partition(2)
-    assert (p2.s_sum, p2.r_sum) == (3, 2)
-    assert validate_partition(p1) and validate_partition(p2)
+    p1, p2 = js_pieces_reference(1), js_pieces_reference(2)
+    assert side_sums(p1) == (1, 1)
+    assert side_sums(p2) == (3, 2)
+    assert validate_partition(p1, 1) and validate_partition(p2, 2)
 
 
 def test_js_recursion_and_growth():
@@ -207,17 +206,16 @@ def test_js_recursion_and_growth():
 
 def test_js_partition_matches_recursion():
     for n in range(1, 11):
-        p = js_partition(n)
-        assert (p.s_sum, p.r_sum) == js_side_sums(n)
-        assert p.area == 3**n
-        assert len(p.pieces) == 2**n
-        assert validate_partition(p)
+        pieces = js_pieces_reference(n)
+        assert side_sums(pieces) == js_side_sums(n)
+        assert sum(len(rows) * len(cols) for rows, cols, _ in pieces) == 3**n
+        assert len(pieces) == 2**n
+        assert validate_partition(pieces, n)
 
 
 def test_js_arrays_match_the_tuple_recursion():
     for n in range(1, 13):
         pieces = js_pieces_reference(n)
-        assert js_partition(n).pieces == pieces
         tf = js_factorization(n, F5)
         assert (tf.B, tf.C) == js_factors_reference(pieces, n, F5)
     tf = js_factorization(3, RATIONALS)

@@ -9,6 +9,11 @@ REMOVED = [
     ("sparse", "_matmul_rows"),
     ("vf", "vf_matrix_general"),
     ("fields", "DEFAULT_MODULUS"),
+    ("disjoint", "js_partition"),
+    ("disjoint", "RectPartition"),
+    ("disjoint", "SQUARE"),
+    ("disjoint", "RECT"),
+    ("errors", "GroupMismatch"),
 ]
 
 
@@ -20,6 +25,7 @@ def test_every_exported_name_resolves_once():
         assert not hasattr(importlib.import_module(f"kronrigid.{module}"), name)
         assert name not in kronrigid.__all__
     assert "report" not in vars(kronrigid.RigidityDecomposition)
+    assert "entries" not in vars(kronrigid.SparseMatrix)
     assert kronrigid.SparseMatrix.__hash__ is None  # __eq__ without a hash
 
 

@@ -16,7 +16,7 @@ from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
-from reference import SplitMix64
+from reference import SplitMix64, triplets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ROUNDTRIP  # noqa: E402
@@ -40,7 +40,7 @@ def random_matrix(rng, rows, cols, ctx, fill=3):
 def changed(m, how, rng):
     """m with one value changed, one entry moved to an empty spot of its
     row, or one entry added there."""
-    entries = list(m.entries)
+    entries = triplets(m)
     open_rows = {i for i in range(m.rows) if m.indptr[i + 1] - m.indptr[i] < m.cols}
     ks = [k for k, (i, _, _) in enumerate(entries) if how == "value" or i in open_rows]
     k = ks[rng.randrange(len(ks))]
