@@ -48,7 +48,7 @@ class SynchronousCircuit:
     operand on the high digits; a plain SparseMatrix is a one-operand
     layer.  Kron multiplies shapes and nnz, so shapes and wires are
     products over the operands, and a layer is built as one explicit
-    matrix only when `factor`, `factors` or `product` asks for it.
+    matrix only when `factor` or `factors` asks for it.
 
     base_power, when known, is the t with the circuit computing the t-th
     Kronecker power of its base, which lets lift_power raise it further.
@@ -114,9 +114,6 @@ class SynchronousCircuit:
     def factors(self):
         """Every layer as an explicit matrix, built anew on each access."""
         return [self.factor(j) for j in range(self.depth)]
-
-    def product(self) -> SparseMatrix:
-        return functools.reduce(matmul, (self.factor(j) for j in range(self.depth)))
 
     def __repr__(self):
         return (
@@ -215,12 +212,21 @@ def lift_power(circ: SynchronousCircuit, n: int) -> SynchronousCircuit:
     return SynchronousCircuit(layers, base_power=n)
 
 
+def base_digits(tf: TwoFactorization, unit: SparseMatrix) -> int:
+    """The t with tf.q = unit.rows^t, the digits one base operand covers;
+    ValueError when tf.q is no power of the unit's size."""
+    q = unit.rows
+    t = max(1, round(math.log(tf.q, q)))
+    if q**t != tf.q:
+        raise ValueError(f"a base of {tf.q} rows is no Kronecker power of the {q}x{q} unit")
+    return t
+
+
 def synthesize(
     tf: TwoFactorization, unit: SparseMatrix, n: int, d: int
 ) -> SynchronousCircuit:
     """Depth-d circuit for unit^{kron n} from a two-factorization of
-    unit^{kron t}; t is read off the matrix sizes, and ValueError when
-    tf.q is no power of the unit's size.  Whether the base really is
+    unit^{kron t}; t is base_digits(tf, unit).  Whether the base really is
     unit^{kron t} is for prove_power to decide on the circuit.
 
     The largest multiple of t*d digits is the symmetrized circuit lifted
@@ -232,11 +238,7 @@ def synthesize(
         raise DepthTooSmall("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    q = unit.rows
-    t = max(1, round(math.log(tf.q, q)))
-    if q**t != tf.q:
-        raise ValueError(f"a base of {tf.q} rows is no Kronecker power of the {q}x{q} unit")
-    reps, k = divmod(n, t * d)
+    reps, k = divmod(n, base_digits(tf, unit) * d)
     sym = lift_power(symmetrized_depth_d(tf, d), reps * d).layers if reps else [[]] * d
     slots = _slots([unit] * k, [k // d + (j < k % d) for j in range(d)], identity(unit.rows, unit.ctx))
     return SynchronousCircuit([a + b for a, b in zip(sym, slots)], base_power=n)

@@ -66,12 +66,18 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     return circuits.two_factor_from_rigidity(decomposition(ctx))
 
 
-def _formula_bound(tf, n: int, depth: int) -> float:
+def _formula_bound(tf, unit, n: int, depth: int) -> float:
     """The formula bound d N^(1 + c/d) for a depth-d circuit of N = 2^n,
-    c the base's tf.exponent; CapExceeded beyond float range, before
-    anything of size n is built."""
+    c the base's tf.exponent.  When the base covers no digit (n below its
+    digits times d), synthesize builds the butterfly, and c is the unit's
+    own exponent log_q nnz(unit) - 1, whose bound is the butterfly's wires.
+    CapExceeded beyond float range, before anything of size n is built."""
+    if n < circuits.base_digits(tf, unit) * depth:
+        exponent = math.log(unit.nnz, unit.rows) - 1
+    else:
+        exponent = tf.exponent
     try:
-        bound = depth * (2.0**n) ** (1 + tf.exponent / depth)
+        bound = depth * (2.0**n) ** (1 + exponent / depth)
     except OverflowError:
         bound = math.inf
     if math.isinf(bound):
@@ -110,7 +116,7 @@ def cmd_synth(args) -> int:
     if args.n % args.depth:  # the butterfly of trivial= has n / depth digits per layer
         raise ValueError(f"n = {args.n} is not a multiple of depth {args.depth}")
     unit = _family_unit(args.family, ctx)
-    formula_bound = _formula_bound(tf, args.n, args.depth)
+    formula_bound = _formula_bound(tf, unit, args.n, args.depth)
     circ = circuits.synthesize(tf, unit, args.n, args.depth)
     trivial = _butterfly_wires(unit, args.n, args.depth)
     if args.out:
@@ -225,7 +231,7 @@ def cmd_bench(args) -> int:
             tf = _base_factorization(args.family, args.base, n, d, ctx)
             if n % d:
                 continue
-            formula_bound = _formula_bound(tf, n, d)
+            formula_bound = _formula_bound(tf, unit, n, d)
             wires = circuits.synthesize(tf, unit, n, d).wires
             trivial = _butterfly_wires(unit, n, d)
             ratio = wires / (2**n * n)

@@ -20,7 +20,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as _sp
 
 from .errors import ContextMismatch, DimensionCapExceeded, DimensionMismatch, RationalUnsupported
 from .fields import FieldCtx
@@ -108,10 +107,13 @@ class SparseMatrix:
         )
 
     def to_csr(self):
-        """scipy CSR of the residues (prime field only), on the same arrays."""
+        """scipy CSR of the residues (prime field only), on the same data
+        array; scipy may copy the index arrays to int32."""
         if not self.ctx.is_prime_field:
             raise ValueError("csr export requires a prime field")
-        return _sp.csr_matrix(
+        import scipy.sparse  # only the F_p product kernel needs scipy: load it on first use
+
+        return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.rows, self.cols)
         )
 

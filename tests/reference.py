@@ -2,7 +2,8 @@
 
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
-row-by-row sparse product with a dict per row, the quadratic
+row-by-row sparse product with a dict per row and a circuit's product
+made of it, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
@@ -10,6 +11,7 @@ split of R_n into a low-rank part and a sparse rest, and the
 candidate-by-candidate brute-force rigidity search.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -90,6 +92,11 @@ def matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                 acc[j] = ctx.add_raw(acc[j], prod) if j in acc else prod
         entries += [(i, j, v) for j, v in acc.items() if v]
     return SparseMatrix(a.rows, b.cols, ctx, entries)
+
+
+def circuit_product(circ) -> SparseMatrix:
+    """The product of a circuit's explicit factors, by matmul_rows."""
+    return functools.reduce(matmul_rows, circ.factors)
 
 
 def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):

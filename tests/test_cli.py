@@ -318,6 +318,20 @@ def test_digits_the_base_does_not_cover_go_into_butterfly_slots(tmp_path, capsys
     assert main(["bench"] + argv) == 2
 
 
+@pytest.mark.parametrize("family,base,n,d,wires", [
+    ("hadamard", "h4", 8, 4, 4096),  # h4 covers 4 digits, 16 with d = 4
+    ("disjointness", "js:12", 2, 2, 12),
+])
+def test_a_base_that_covers_no_digit_is_bounded_as_the_butterfly(capsys, family, base, n, d, wires):
+    # the circuit is the butterfly, so its formula bound is the butterfly's wires
+    argv = ["--family", family, "--base", base, "--n", str(n), "--depth", str(d)]
+    assert main(["synth"] + argv) == 0
+    assert f" wires={wires} trivial={wires} formula_bound={wires}.0\n" in capsys.readouterr().out
+    assert main(["bench"] + argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[4:8] == [base, str(wires), str(wires), f"{wires}.0"]
+
+
 def test_synth_counts_wires_without_building(tmp_path, capsys):
     # 10^10 wires: counted from the operands, never built
     argv = ["synth", "--family", "hadamard", "--n", "24", "--depth", "3"]

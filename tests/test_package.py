@@ -1,7 +1,14 @@
 import importlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import kronrigid
-from kronrigid import errors
+from kronrigid import errors, sparse, vf
+from kronrigid.fields import RATIONALS, FieldCtx
+from kronrigid.rigidity import hadamard_matrix
+
+from test_cli import _child_env
 
 # Names that were removed from the package; none may come back as an attribute.
 REMOVED = [
@@ -26,6 +33,7 @@ def test_every_exported_name_resolves_once():
         assert name not in kronrigid.__all__
     assert "report" not in vars(kronrigid.RigidityDecomposition)
     assert "entries" not in vars(kronrigid.SparseMatrix)
+    assert "product" not in vars(kronrigid.SynchronousCircuit)  # a test oracle now
     assert kronrigid.SparseMatrix.__hash__ is None  # __eq__ without a hash
 
 
@@ -33,3 +41,40 @@ def test_every_cap_is_a_cap_exceeded():
     # cli.main turns this one class into exit 3
     for cap in (errors.DimensionCapExceeded, errors.WorkCapExceeded):
         assert issubclass(cap, errors.CapExceeded)
+
+
+# Run in a fresh interpreter: the commands that multiply no F_p sparse
+# matrices must load no scipy module; synth, which does, still runs.
+_SCIPY_ON_DEMAND = """
+import sys
+import kronrigid, kronrigid.cli
+from kronrigid.cli import main
+
+kronrigid.cli.build_parser()
+tmp = sys.argv[1]
+pts = ["--points", f"{tmp}/pts.txt"]
+runs = [
+    ["batch", "--f", f"{tmp}/fp.tt", *pts],
+    ["batch", "--f", f"{tmp}/q.tt", *pts],
+    ["mmcost", "--n", "4", "--k", "2", "--backend", "naive"],
+    ["mmcost", "--n", "4", "--k", "2", "--backend", "strassen"],
+    ["disjoint-stats", "--n", "8", "--k", "3", "--method", "scan"],
+    ["rigidity", "--matrix", f"{tmp}/h2.mat", "--rank", "1", "--max-changes", "4"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert main(["synth", "--family", "hadamard", "--n", "8", "--depth", "2"]) == 0
+"""
+
+
+def test_scipy_is_loaded_only_by_an_fp_product(tmp_path):
+    vf.save_truthtable(vf.TruthTable(2, 2, FieldCtx(5), (1, 0, 3, 4)), tmp_path / "fp.tt")
+    table = (Fraction(1, 2), 0, Fraction(-3), 2)
+    vf.save_truthtable(vf.TruthTable(2, 2, RATIONALS, table), tmp_path / "q.tt")
+    (tmp_path / "pts.txt").write_text("00\n01\n11\n")
+    sparse.save_matrix(hadamard_matrix(2, FieldCtx(5)), tmp_path / "h2.mat")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -161,6 +161,17 @@ def test_matmul_kernel_matches_row_loop():
     assert got.to_dense() == [[0, 2], [-half, 3]]
 
 
+def test_to_csr_holds_the_same_arrays_over_fp_only():
+    m = random_matrix(SplitMix64(11), 6, 9, F7, density=20)
+    c = m.to_csr()
+    assert c.format == "csr" and c.shape == (6, 9)
+    for got, want in ((c.indptr, m.indptr), (c.indices, m.indices), (c.data, m.data)):
+        assert np.array_equal(got, want)
+    assert np.shares_memory(c.data, m.data)  # scipy may narrow the index arrays to int32
+    with pytest.raises(ValueError, match="^csr export requires a prime field$"):
+        SparseMatrix(2, 2, RATIONALS, [(0, 1, Fraction(1, 2))]).to_csr()
+
+
 def test_matmul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         sparse.matmul(sparse.identity(2, F5), sparse.identity(3, F5))
