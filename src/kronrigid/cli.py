@@ -15,7 +15,6 @@ from . import circuits, disjoint, mmbridge, rigidity, sparse, vf
 from .errors import (
     CapExceeded,
     DepthTooSmall,
-    DimensionCapExceeded,
     DivisorMismatch,
     ExceedsBound,
     KronRigidError,
@@ -136,10 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 0:
         raise ValueError(f"verify needs n >= 0, not n = {args.n}")
-    # a unit has q >= 2 rows, so n above the cap's bit length makes q^n
-    # pass the cap: refused before the n operands are listed
-    if args.n > sparse.DIMENSION_CAP.bit_length():
-        raise DimensionCapExceeded(f"2^{args.n} rows exceed the cap {sparse.DIMENSION_CAP}")
+    sparse.capped_power(2, args.n, "rows")  # before the n operands are listed
     circ = circuits.load_circuit(args.circuit)
     unit = _family_unit(args.family, circ.ctx)
     ok, method = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family, circ.ctx)), "structural"
@@ -192,9 +188,8 @@ def cmd_mmcost(args) -> int:
         raise DivisorMismatch(f"{args.k} rounds do not divide {args.n} factors")
     ctx = FieldCtx(args.field)
     h1 = rigidity.hadamard_matrix(1, ctx)
-    # the probe has q^n entries, q >= 2: n is cut at the cap's bit length first
-    if h1.rows ** min(args.n, sparse.DIMENSION_CAP.bit_length()) > sparse.DIMENSION_CAP:
-        raise DimensionCapExceeded(f"{h1.rows}^{args.n} probe entries exceed the cap {sparse.DIMENSION_CAP}")
+    sparse.capped_power(h1.rows, args.n, "probe entries")
+    sparse.capped_power(h1.rows, 2 * (args.n // args.k), "entries of a dense round block")
     backend = (
         mmbridge.NaiveBackend()
         if args.backend == "naive"
@@ -217,7 +212,7 @@ def _parse_range(spec: str):
         parts = [int(x) for x in spec.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
+        return range(start, stop + 1, step)
     return [int(x) for x in spec.split(",")]
 
 

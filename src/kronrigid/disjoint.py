@@ -91,8 +91,8 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
         method = "scan" if n <= 20 else "count"
     if method not in ("scan", "count"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "scan" and n >= sparse.DIMENSION_CAP.bit_length():
-        raise CapExceeded(f"2^{n} entries exceed the cap {sparse.DIMENSION_CAP}")
+    if method == "scan":
+        sparse.capped_power(2, n, "entries")
     digits = sys.get_int_max_str_digits()
     if digits and n * log10(2) >= digits:
         raise CapExceeded(f"2^{n} has more than the {digits} digits Python converts to text")

@@ -70,14 +70,15 @@ def low_rank_factor(m: SparseMatrix, r: int):
     B takes the pivot columns of m, C the nonzero rows of the RREF.
     """
     ctx = m.ctx
-    dense = m.to_dense()
-    rref = [list(row) for row in dense]
-    pivots = sparse._eliminate(rref, ctx)
-    rank = len(pivots)
+    dense = sparse._value_array(m.to_dense(), ctx).reshape(m.rows, m.cols)
+    rref = dense[None].copy()
+    rank = int(sparse._eliminate(rref, ctx.modulus)[0])
     if rank > r:
         raise ValueError(f"rank {rank} exceeds requested bound {r}")
-    b = [(i, k, row[c]) for i, row in enumerate(dense) for k, c in enumerate(pivots)]
-    c = [(k, j, v) for k, row in enumerate(rref[:rank]) for j, v in enumerate(row)]
+    rows = rref[0, :rank]
+    pivots = (np.cumsum(rows != 0, axis=1) == 0).sum(axis=1)  # each row's leading zeros
+    b = [(i, k, v) for i, row in enumerate(dense[:, pivots].tolist()) for k, v in enumerate(row)]
+    c = [(k, j, v) for k, row in enumerate(rows.tolist()) for j, v in enumerate(row)]
     return (
         SparseMatrix.from_triplets(m.rows, r, ctx, b),
         SparseMatrix.from_triplets(r, m.cols, ctx, c),
@@ -105,10 +106,11 @@ def brute_force_rigidity(
     than the originals to the changed cells (product order, last cell
     fastest); the first hit wins, so output is deterministic.  Candidates
     are tested in F_p batches: a chunk of consecutive candidates is
-    decoded from its index range in base p - 1 and goes through one
-    `_rank_at_most`.  Returns (minimum, witness); raises ExceedsBound if
-    no pattern of size <= max_changes works, and WorkCapExceeded up front
-    if the candidates times the matrix cells exceed work_cap.
+    decoded from its index range in base p - 1, and a copy of it goes
+    through one `sparse._eliminate`.  Returns (minimum, witness); raises
+    ExceedsBound if no pattern of size <= max_changes works, and
+    WorkCapExceeded up front if the candidates times the matrix cells
+    exceed work_cap.
     """
     ctx = m.ctx
     if not ctx.is_prime_field:
@@ -117,13 +119,14 @@ def brute_force_rigidity(
         raise ValueError("rank bound and change budget must be non-negative")
     p = ctx.modulus
     cells = m.rows * m.cols
-    est = cells * sum(comb(cells, k) * (p - 1) ** k for k in range(max_changes + 1))
+    sizes = range(min(max_changes, cells) + 1)  # no pattern has more changes than cells
+    est = cells * sum(comb(cells, k) * (p - 1) ** k for k in sizes)
     if est > work_cap:
         raise WorkCapExceeded(est, work_cap)
     flat = np.array(m.to_dense(), dtype=np.int64).reshape(cells)
     batch = max(1, min(CHUNK_CANDIDATES, CHUNK_CELLS // max(cells, 1)))
     base = p - 1  # a changed cell takes one of the p - 1 other values
-    for size in range(min(max_changes, cells) + 1):
+    for size in sizes:
         per = base**size  # assignments of one pattern, below the work cap
         place = base ** np.arange(size - 1, -1, -1, dtype=np.int64)
         step = min(per, batch)
@@ -137,52 +140,11 @@ def brute_force_rigidity(
                 cand = np.tile(flat, (len(group), len(digits), 1))
                 np.put_along_axis(cand, np.broadcast_to(at, values.shape), values, axis=2)
                 cand = cand.reshape(len(group) * len(digits), m.rows, m.cols)
-                hits = _rank_at_most(cand, r, p)
+                hits = sparse._eliminate(cand.copy(), p, r) <= r  # cand keeps the witness
                 if hits.any():
                     low = SparseMatrix.from_dense(cand[hits.argmax()].tolist(), ctx)
                     return size, decomposition_from_low_rank(m, low, r)
     raise ExceedsBound(max_changes)
-
-
-def _rank_at_most(mats, r: int, p: int):
-    """rank <= r over F_p for each matrix of an int64 residue array of
-    shape (K, rows, cols), by one batched Gaussian elimination.
-
-    Each matrix keeps its own rank counter k; its pivot in a column is the
-    first nonzero row at or below row k, scaled by a Fermat inverse and
-    subtracted from every row.  Row k moves to the pivot's place, and the
-    pivot row is not written back, since rows above the rank are never
-    read again.  A matrix stops once its rank passes r.  Since p < 2^31,
-    every product of two residues is below 2^62.
-    """
-    a = np.array(mats, dtype=np.int64)
-    count, rows, cols = a.shape
-    rank = np.zeros(count, dtype=np.intp)
-    below = np.arange(rows)
-    for c in range(cols):
-        nonzero = (a[:, :, c] != 0) & (below >= rank[:, None])
-        sel = np.flatnonzero(nonzero.any(axis=1) & (rank <= r))
-        if not sel.size:
-            continue
-        k, piv = rank[sel], nonzero[sel].argmax(axis=1)
-        prow = a[sel, piv]
-        a[sel, piv] = a[sel, k]
-        prow = prow * _inverse(prow[:, c], p)[:, None] % p
-        a[sel] = (a[sel] - a[sel, :, c, None] * prow[:, None, :]) % p
-        rank[sel] += 1
-    return rank <= r
-
-
-def _inverse(v, p: int):
-    """v^(p - 2) mod p entrywise: the inverse of each nonzero residue."""
-    out = np.ones_like(v)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * v % p
-        v = v * v % p
-        e >>= 1
-    return out
 
 
 # -- explicit constructions ---------------------------------------------

@@ -540,38 +540,64 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
 
 def rank(a: SparseMatrix) -> int:
     """Exact rank by Gaussian elimination (modular or over the rationals)."""
-    return len(_eliminate(a.to_dense(), a.ctx))
+    dense = _value_array(a.to_dense(), a.ctx).reshape(1, a.rows, a.cols)
+    return int(_eliminate(dense, a.ctx.modulus)[0])
 
 
-def _eliminate(rows, ctx: FieldCtx) -> list:
-    """Reduce dense rows of raw values to reduced row echelon form, in
-    place, and return the pivot columns; the first len(pivots) rows are
-    then the nonzero RREF rows."""
-    p = ctx.modulus
+def _eliminate(a: np.ndarray, p: int, r=None) -> np.ndarray:
+    """Gaussian elimination of each matrix of a (K, rows, cols) array, in
+    place; returns the ranks.  Over F_p (p > 0) a holds int64 residues and
+    a pivot is scaled by its Fermat inverse; over Q (p = 0) a is an
+    object array of Fractions and a pivot is scaled by 1 / x.
 
-    def minus(row, f, prow):  # row - f * prow, entrywise
-        if p:
-            return [(v - f * w) % p for v, w in zip(row, prow)]
-        return [v - f * w for v, w in zip(row, prow)]
-
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        for piv in range(k, len(rows)):
-            if rows[piv][c]:
-                break
-        else:
+    Each matrix keeps its own rank counter k.  Its pivot in a column is
+    the first nonzero row at or below row k; it is scaled to a leading 1,
+    subtracted from every row and written back at row k, and row k takes
+    the pivot's old place.  With no r, every matrix ends in reduced row
+    echelon form.  With r, a matrix stops once its rank passes r, so
+    its rank reads r + 1 for any true rank above r.  Since p < 2^31,
+    every product of two residues is below 2^62.
+    """
+    count, rows, cols = a.shape
+    rank = np.zeros(count, dtype=np.intp)
+    below = np.arange(rows)
+    for c in range(cols):
+        nonzero = (a[:, :, c] != 0) & (below >= rank[:, None])
+        live = nonzero.any(axis=1)
+        if r is not None:
+            live &= rank <= r
+        sel = np.flatnonzero(live)
+        if not sel.size:
             continue
-        pivots.append(c)
-        prow, rows[piv] = rows[piv], rows[k]
-        inv = ctx.inv_raw(prow[c])
-        if inv != 1:  # v - (1 - inv) v = inv v: scale to a leading 1
-            prow = minus(prow, ctx.sub_raw(1, inv), prow)
-        rows[k] = prow
-        for i, row in enumerate(rows):
-            if i != k and row[c]:
-                rows[i] = minus(row, row[c], prow)
-    return pivots
+        k, piv = rank[sel], nonzero[sel].argmax(axis=1)
+        x = a if sel.size == count else a[sel]  # no copy when every matrix takes part
+        at = np.arange(sel.size)
+        prow = x[at, piv]
+        x[at, piv] = x[at, k]
+        if p:
+            prow = prow * _inverse(prow[:, c], p)[:, None] % p
+        else:
+            prow = prow * (1 / prow[:, c])[:, None]
+        x -= x[:, :, c, None] * prow[:, None, :]
+        if p:
+            x %= p
+        x[at, k] = prow
+        if x is not a:
+            a[sel] = x
+        rank[sel] += 1
+    return rank
+
+
+def _inverse(v, p: int):
+    """v^(p - 2) mod p entrywise: the inverse of each nonzero residue."""
+    out = np.ones_like(v)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * v % p
+        v = v * v % p
+        e >>= 1
+    return out
 
 
 # -- text formats -------------------------------------------------------
@@ -613,6 +639,16 @@ def _check_dims(*dims) -> None:
         raise ValueError(f"negative size in {dims}")
     if max(dims) > DIMENSION_CAP:
         raise DimensionCapExceeded(f"size {max(dims)} exceeds cap {DIMENSION_CAP}")
+
+
+def capped_power(q: int, n: int, what: str) -> int:
+    """q^n, the count of `what`, or DimensionCapExceeded when it passes
+    DIMENSION_CAP.  n is cut at the cap's bit length first (q >= 2 makes
+    q^n >= 2^n), so a huge n costs nothing."""
+    size = q ** min(n, DIMENSION_CAP.bit_length())
+    if size > DIMENSION_CAP:
+        raise DimensionCapExceeded(f"{q}^{n} {what} exceed the cap {DIMENSION_CAP}")
+    return size
 
 
 def _numbers(text: str, ctx: FieldCtx, width: int, count=None) -> list:

@@ -257,9 +257,7 @@ def parse_truthtable(text: str) -> TruthTable:
     (q, n, field), body = sparse._header(text.lstrip(), "truthtable", 3)
     if q < 1 or n < 0:
         raise ValueError(f"a truth table needs q >= 1 and n >= 0, not q = {q}, n = {n}")
-    # q >= 2 makes q^n >= 2^n, so n is cut at the cap's bit length first
-    size = q ** min(n, sparse.DIMENSION_CAP.bit_length())
-    sparse._check_dims(size)
+    size = sparse.capped_power(q, n, "values")
     ctx = FieldCtx(field)
     (values,) = sparse._numbers(body, ctx, 1, size)
     return TruthTable(q, n, ctx, tuple(values.tolist()))

@@ -7,8 +7,9 @@ made of it, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
-split of R_n into a low-rank part and a sparse rest, and the
-candidate-by-candidate brute-force rigidity search.
+split of R_n into a low-rank part and a sparse rest, the row-list
+Gaussian elimination, and the candidate-by-candidate brute-force
+rigidity search built on it.
 """
 
 import functools
@@ -19,6 +20,7 @@ import numpy as np
 
 from kronrigid import sparse
 from kronrigid.errors import ExceedsBound
+from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import decomposition_from_low_rank
 from kronrigid.sparse import SparseMatrix
 from kronrigid.vf import TruthTable, inclusion_exclusion_expand, vf_matrix
@@ -283,6 +285,37 @@ def rn_split_reference(target, k: int):
     return 2 * h, b, c, s
 
 
+def eliminate_reference(rows, ctx: FieldCtx) -> list:
+    """Reduce dense rows of raw values to reduced row echelon form, in
+    place, and return the pivot columns; the first len(pivots) rows are
+    then the nonzero RREF rows."""
+    p = ctx.modulus
+
+    def minus(row, f, prow):  # row - f * prow, entrywise
+        if p:
+            return [(v - f * w) % p for v, w in zip(row, prow)]
+        return [v - f * w for v, w in zip(row, prow)]
+
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        for piv in range(k, len(rows)):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        pivots.append(c)
+        prow, rows[piv] = rows[piv], rows[k]
+        inv = ctx.inv_raw(prow[c])
+        if inv != 1:  # v - (1 - inv) v = inv v: scale to a leading 1
+            prow = minus(prow, ctx.sub_raw(1, inv), prow)
+        rows[k] = prow
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = minus(row, row[c], prow)
+    return pivots
+
+
 def brute_force_reference(m: SparseMatrix, r: int, max_changes: int):
     """(minimum, witness) of rigidity.brute_force_rigidity, one candidate
     at a time: patterns by size in combinations order, the values other
@@ -299,7 +332,7 @@ def brute_force_reference(m: SparseMatrix, r: int, max_changes: int):
             for assignment in product(*choices):
                 for (i, j), v in zip(coords, assignment):
                     dense[i][j] = v
-                if len(sparse._eliminate([list(row) for row in dense], ctx)) <= r:
+                if len(eliminate_reference([list(row) for row in dense], ctx)) <= r:
                     low = SparseMatrix.from_dense(dense, ctx)
                     return size, decomposition_from_low_rank(m, low, r)
             for (i, j), v in zip(coords, originals):

@@ -121,6 +121,19 @@ def test_rigidity_work_counts_matrix_cells(tmp_path, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_rigidity_budget_beyond_the_cells_is_the_whole_search(tmp_path, capsys):
+    # no pattern changes more than the 4 cells: a budget of 10^9 changes
+    # costs no more than one of 4
+    mat = tmp_path / "f3.mat"
+    mat.write_text("2 2 3\n0 0 1\n0 1 2\n1 1 1\n")
+    argv = ["rigidity", "--matrix", str(mat), "--rank", "0", "--max-changes"]
+    assert main(argv + ["4"]) == 0
+    want = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "kronrigid.cli", *argv, "1000000000"],
+                          capture_output=True, text=True, env=_child_env(), timeout=10)
+    assert proc.returncode == 0 and proc.stdout == want == "3\n"
+
+
 @pytest.mark.parametrize("header,rc", [("4294967296 4 5", 3), ("4 -1 5", 2)])
 def test_matrix_shape_out_of_range(tmp_path, capsys, header, rc):
     mat = tmp_path / "bad.mat"
@@ -531,6 +544,8 @@ def test_console_entry_point():
     ["synth", "--family", "hadamard", "--n", "400000000", "--depth", "2"],
     ["mmcost", "--n", "40", "--k", "2"],
     ["mmcost", "--n", "1000000000", "--k", "2"],
+    ["mmcost", "--n", "16", "--k", "1"],  # a round block of 2^32 entries
+    ["bench", "--family", "hadamard", "--n", "1:1000000000", "--depth", "2"],
 ])
 def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):
     # a list of n operands would be gigabytes: in a 1.5 GB address space

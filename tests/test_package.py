@@ -21,6 +21,8 @@ REMOVED = [
     ("disjoint", "SQUARE"),
     ("disjoint", "RECT"),
     ("errors", "GroupMismatch"),
+    ("rigidity", "_rank_at_most"),
+    ("rigidity", "_inverse"),
 ]
 
 

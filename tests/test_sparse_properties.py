@@ -14,6 +14,8 @@ from kronrigid.circuits import SynchronousCircuit
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
+from reference import eliminate_reference
+
 FIELDS = [FieldCtx(5), FieldCtx(2**31 - 1), RATIONALS]
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -221,34 +223,44 @@ def test_low_rank_factor_at_the_rank(data):
             rigidity.low_rank_factor(m, r - 1)
 
 
+def _batch(data, ctx):
+    """Up to 4 matrices of one shape, as the (K, rows, cols) array that
+    sparse._eliminate reduces, and as dense lists."""
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    batch = data.draw(st.lists(dense(ctx, rows, cols), min_size=1, max_size=4))
+    dtype = np.int64 if ctx.is_prime_field else object
+    return np.array(batch, dtype=dtype).reshape(len(batch), rows, cols), batch
+
+
 @PROPS
 @given(st.data())
 def test_eliminate_leaves_the_rref(data):
     ctx = data.draw(st.sampled_from(FIELDS))
-    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-    reduced = [list(row) for row in data.draw(dense(ctx, rows, cols))]
-    pivots = sparse._eliminate(reduced, ctx)
-    assert pivots == sorted(set(pivots))
-    for k, row in enumerate(reduced):
-        if k >= len(pivots):
-            assert not any(row)
-            continue
-        assert not any(row[: pivots[k]]) and row[pivots[k]] == 1
-        assert [reduced[i][pivots[k]] for i in range(len(pivots)) if i != k] == [0] * (len(pivots) - 1)
+    a, batch = _batch(data, ctx)
+    ranks = sparse._eliminate(a, ctx.modulus)
+    for got, rank, d in zip(a, ranks, batch):
+        want = [list(row) for row in d]
+        pivots = eliminate_reference(want, ctx)
+        assert rank == len(pivots) and got.tolist() == want
+        # and both are in RREF: a leading 1 in each of the first rank rows,
+        # alone in its column, and zero rows below
+        assert pivots == sorted(set(pivots))
+        for k, row in enumerate(want):
+            if k >= len(pivots):
+                assert not any(row)
+                continue
+            assert not any(row[: pivots[k]]) and row[pivots[k]] == 1
+            assert [want[i][pivots[k]] for i in range(len(pivots)) if i != k] == [0] * (len(pivots) - 1)
 
 
 @PROPS
 @given(st.data())
 def test_eliminate_stops_above_the_bound(data):
-    # the brute-force search's batched rank <= r test, one matrix of a
-    # batch at a time against the one elimination
-    ctx = data.draw(st.sampled_from(FIELDS[:2]))
-    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-    batch = data.draw(st.lists(dense(ctx, rows, cols), min_size=1, max_size=4))
+    ctx = data.draw(st.sampled_from(FIELDS))
+    a, batch = _batch(data, ctx)
     r = data.draw(st.integers(0, 5))
-    mats = np.array(batch, dtype=np.int64).reshape(len(batch), rows, cols)
-    got = rigidity._rank_at_most(mats, r, ctx.modulus)
-    assert got.tolist() == [sparse.rank(to_sparse(d, rows, cols, ctx)) <= r for d in batch]
+    got = sparse._eliminate(a, ctx.modulus, r) <= r
+    assert got.tolist() == [len(eliminate_reference([list(row) for row in d], ctx)) <= r for d in batch]
 
 
 # -- text formats -------------------------------------------------------------
