@@ -36,8 +36,11 @@ from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix, identity, kron, kron_all, kron_power, matmul
 
 
-# Most wires a circuit may have to be built as explicit factors: building
-# takes about 25 B of peak memory per wire, so 2^27 wires is about 3.4 GB.
+# Most wires a circuit may have to be built as explicit factors or written:
+# `factor`/`factors` take about 25 B of peak memory per wire, so 2^27 wires
+# is about 3.4 GB; the writer builds a layer one block at a time, so for
+# `--out` the cap bounds the file: about 14 B per wire at F_5 (1.8 GB),
+# more for larger fields.
 WIRE_CAP = 2**27
 
 
@@ -540,17 +543,45 @@ def _mod(integers, ctx: FieldCtx) -> SparseMatrix:
 # `factor idx rows cols nnz` followed by its triplets.
 
 
+# Entries of a layer the writer builds at a time (see _layer_text).  Of
+# 2^12..2^20, 2^15..2^17 wrote the synth_large configs fastest on a 2-core
+# machine; 2^14 took about a third longer for 16 MB less peak RSS.
+WRITE_BLOCK = 1 << 16
+
+
 def _circuit_text(circ: SynchronousCircuit):
     """The circuit file as a sequence of ASCII bytes, one whole block each."""
     yield f"circuit {circ.depth} {circ.rows} {circ.cols} {circ.ctx.modulus} {circ.wires}\n".encode()
-    for idx in range(circ.depth):
-        f = circ.factor(idx)
-        yield f"factor {idx} {f.rows} {f.cols} {f.nnz}\n".encode()
-        yield from sparse._format_entries(f)
-        del f  # built one layer at a time: drop it before the next is built
+    for idx, (ops, (rows, cols), nnz) in enumerate(zip(circ.layers, circ.shapes, circ.per_factor_nnz)):
+        yield f"factor {idx} {rows} {cols} {nnz}\n".encode()
+        yield from _layer_text(ops)
+
+
+def _layer_text(ops):
+    """The entry lines of kron_all(ops), built from the operands one block
+    of about WRITE_BLOCK entries at a time.
+
+    The layer is head x tail: tail is the Kronecker product of the longest
+    operand suffix after the first operand with at most WRITE_BLOCK
+    entries, head that of the operands before it.  Rows lo..hi-1 of head x
+    tail are head's rows lo..hi-1 x tail (Van Loan 2000), so head's rows
+    are cut where their entries times tail's pass a multiple of
+    WRITE_BLOCK, and each run of rows is written at row lo * tail.rows.
+    """
+    s = 1
+    while s < len(ops) and math.prod(m.nnz for m in ops[s:]) > WRITE_BLOCK:
+        s += 1
+    head = kron_all(ops[:s])
+    tail = kron_all(ops[s:]) if s < len(ops) else identity(1, head.ctx)
+    ends = head.indptr * tail.nnz
+    # The head row holding entry k * WRITE_BLOCK of the layer, for every k.
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], WRITE_BLOCK), side="right") - 1)
+    for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), head.rows]):
+        yield from sparse._format_entries(kron(head.row_block(lo, hi), tail), lo * tail.rows)
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:
+    circ.check_caps()
     return b"".join(_circuit_text(circ)).decode()
 
 

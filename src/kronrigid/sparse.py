@@ -731,14 +731,15 @@ def _text_lines(*columns: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _format_entries(m: SparseMatrix):
-    """m's "i j value" lines as bytes, a block of at most 2^14 entries and rows at a time."""
+def _format_entries(m: SparseMatrix, row0: int = 0):
+    """m's "i j value" lines as bytes, a block of at most 2^14 entries and rows at a time;
+    row0 is added to every row index."""
     lo = 0
     while lo < m.nnz:
         first = int(np.searchsorted(m.indptr, lo, side="right")) - 1
         stop = min(first + (1 << 14), m.rows)
         hi = min(lo + (1 << 14), int(m.indptr[stop]))
-        rows = np.repeat(np.arange(first, stop), np.diff(np.clip(m.indptr[first : stop + 1], lo, hi)))
+        rows = np.repeat(np.arange(first, stop) + row0, np.diff(np.clip(m.indptr[first : stop + 1], lo, hi)))
         yield _text_lines(rows, m.indices[lo:hi], m.data[lo:hi])
         lo = hi
 

@@ -3,7 +3,7 @@
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
 row-by-row sparse product with a dict per row and a circuit's product
-made of it, the quadratic
+made of it, the entry-by-entry Kronecker product, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
@@ -94,6 +94,18 @@ def matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                 acc[j] = ctx.add_raw(acc[j], prod) if j in acc else prod
         entries += [(i, j, v) for j, v in acc.items() if v]
     return SparseMatrix(a.rows, b.cols, ctx, entries)
+
+
+def kron_reference(ops) -> SparseMatrix:
+    """The Kronecker product of a list of operands, left operand on the
+    high digits, one entry of each operand at a time from its triplets."""
+    ctx = ops[0].ctx
+    rows, cols, entries = 1, 1, [(0, 0, ctx.one_raw())]
+    for m in ops:
+        entries = [(i * m.rows + a, j * m.cols + b, ctx.mul_raw(v, w))
+                   for i, j, v in entries for a, b, w in triplets(m)]
+        rows, cols = rows * m.rows, cols * m.cols
+    return SparseMatrix(rows, cols, ctx, entries)
 
 
 def circuit_product(circ) -> SparseMatrix:

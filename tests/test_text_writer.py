@@ -1,8 +1,13 @@
 """Byte identity of the table-driven text writer with the %-formatter it
-replaced, over F_5, F_(2^31 - 1) and Q; its memory bound; the sha256 of
-`synth --out` files; and the reuse of repeated operands in kron_all."""
+replaced, over F_5, F_(2^31 - 1) and Q; byte identity of circuit files
+written from each layer's Kronecker operands, one row block at a time, with
+the explicit layers of an entry-by-entry Kronecker product; the memory
+bound of both writers; the cap check before a circuit is written; the
+sha256 of `synth --out` files; and the reuse of repeated operands in
+kron_all."""
 
 import hashlib
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,10 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronrigid import sparse, vf
+from kronrigid import circuits, rigidity, sparse, vf
+from kronrigid.circuits import SynchronousCircuit
 from kronrigid.cli import main
+from kronrigid.errors import CapExceeded
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
+
+from reference import kron_reference
 
 P31 = 2**31 - 1
 FIELDS = [FieldCtx(5), FieldCtx(P31), RATIONALS]
@@ -146,6 +155,78 @@ def test_dump_matrix_memory_is_bounded_by_the_block(n, rows):
     assert text == f"{n} {n} 5\n" + "".join(f"{i} {j} {v}\n" for i, j, v in zip(at, cols, [1, 4, 2]))
     assert elapsed < 1.0
     assert peak < 10 * 2**20
+
+
+@st.composite
+def operands(draw, ctx, rows, cols):
+    """A rows x cols operand with at most 8 entries, so rows with none are common."""
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                         max_size=min(rows * cols, 8)))
+    return SparseMatrix(rows, cols, ctx, [(i, j, draw(values(ctx))) for i, j in cells])
+
+
+@st.composite
+def operand_circuits(draw):
+    """Circuits of 1-3 layers of 1-4 small operands each: the column sides
+    of one layer, in runs, multiply to the row sides of the next."""
+    ctx = draw(st.sampled_from(FIELDS))
+    sides = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = draw(st.lists(st.integers(1, 4), min_size=len(sides), max_size=len(sides)))
+        layers.append([draw(operands(ctx, r, c)) for r, c in zip(sides, cols)])
+        cuts = sorted(draw(st.sets(st.integers(1, len(cols) - 1)))) if len(cols) > 1 else []
+        sides = [math.prod(cols[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cols)])]
+    return SynchronousCircuit(layers)
+
+
+@PROPS
+@given(operand_circuits(), st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]))
+def test_dump_circuit_matches_the_explicit_layers(circ, block):
+    """Small blocks cut the layers between head rows, and a run of head
+    rows can straddle several of them."""
+    explicit = [kron_reference(ops) for ops in circ.layers]
+    expect = f"circuit {circ.depth} {circ.rows} {circ.cols} {circ.ctx.modulus} "
+    expect += f"{sum(m.nnz for m in explicit)}\n"
+    for idx, m in enumerate(explicit):
+        expect += f"factor {idx} {m.rows} {m.cols} {m.nnz}\n" + percent_lines(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "WRITE_BLOCK", block)
+        assert circuits.dump_circuit(circ) == expect
+
+
+def h4_circuit(n, d):
+    ctx = FieldCtx(5)
+    tf = circuits.two_factor_from_rigidity(rigidity.h4_rank1_decomposition(ctx))
+    return circuits.synthesize(tf, rigidity.hadamard_matrix(1, ctx), n, d)
+
+
+def test_save_circuit_memory_is_bounded_by_the_block(tmp_path):
+    """Layers of 1.84M entries are written without building one whole."""
+    circ = h4_circuit(14, 2)
+    assert min(circ.per_factor_nnz) > 1_800_000
+    path = tmp_path / "c.circ"
+    tracemalloc.start()
+    try:
+        circuits.save_circuit(circ, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path, "rb") as fh:
+        assert fh.readline() == f"circuit 2 16384 16384 5 {circ.wires}\n".encode()
+    assert peak < 40 * 2**20
+
+
+def test_caps_are_checked_before_a_circuit_is_written(tmp_path):
+    circ = h4_circuit(24, 3)
+    assert circ.wires > 10**10 > circuits.WIRE_CAP
+    path = tmp_path / "c.circ"
+    for write in (circuits.dump_circuit, lambda c: circuits.save_circuit(c, path)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            write(circ)
+        assert time.perf_counter() - start < 1.0
+    assert not path.exists()
 
 
 @PROPS
