@@ -33,11 +33,11 @@ from .errors import (
 )
 from .fields import FieldCtx, is_prime
 from .rigidity import RigidityDecomposition
-from .sparse import SparseMatrix, identity, kron, kron_all, kron_power, matmul
+from .sparse import SparseMatrix, identity, kron, kron_all, matmul
 
 
 # Most wires a circuit may have to be built as explicit factors or written:
-# `factor`/`factors` take about 25 B of peak memory per wire, so 2^27 wires
+# `factors` takes about 25 B of peak memory per wire, so 2^27 wires
 # is about 3.4 GB; the writer builds a layer one block at a time, so for
 # `--out` the cap bounds the file: about 14 B per wire at F_5 (1.8 GB),
 # more for larger fields.
@@ -51,7 +51,7 @@ class SynchronousCircuit:
     operand on the high digits; a plain SparseMatrix is a one-operand
     layer.  Kron multiplies shapes and nnz, so shapes and wires are
     products over the operands, and a layer is built as one explicit
-    matrix only when `factor` or `factors` asks for it.
+    matrix only when `factors` asks for it.
 
     base_power, when known, is the t with the circuit computing the t-th
     Kronecker power of its base, which lets lift_power raise it further.
@@ -108,15 +108,11 @@ class SynchronousCircuit:
         if self.wires > WIRE_CAP:
             raise CapExceeded(f"{self.wires} wires exceed the cap {WIRE_CAP} for explicit factors")
 
-    def factor(self, j: int) -> SparseMatrix:
-        """Layer j as an explicit matrix, after check_caps."""
-        self.check_caps()
-        return kron_all(self.layers[j])
-
     @property
     def factors(self):
-        """Every layer as an explicit matrix, built anew on each access."""
-        return [self.factor(j) for j in range(self.depth)]
+        """Every layer as an explicit matrix, after check_caps; built anew on each access."""
+        self.check_caps()
+        return [kron_all(ops) for ops in self.layers]
 
     def __repr__(self):
         return (
@@ -349,8 +345,8 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
     dropped, compared by value) must be lambda_g unit^{kron t_g}, and the
     lambda_g must multiply to 1.  None when n < 1, the sizes are not q^n,
     a layer stays one operand, there is no cut, or a chain is not a
-    multiple of a unit power.  Each unit power a chain is compared with
-    is built once.
+    multiple of a unit power.  A chain is multiplied out one row block of
+    unit^{kron t_g} at a time (_row_blocks), with one lambda_g for all.
 
     Over Q the proof runs on the circuit's images mod primes, as
     verify_circuit's block check does (see _on_images): an image that is
@@ -378,7 +374,7 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
             cuts.append(ks)
     if len(cuts) == 1:
         return None
-    powers, seen, total = {}, {}, ctx.one_raw()
+    seen, total = {}, ctx.one_raw()
     for lo, hi in zip(cuts, cuts[1:] + [ends]):
         chain = tuple(kron_all(ops[a:b]) for ops, a, b in zip(layers, lo, hi)
                       if not all(m == identity(m.rows, ctx) for m in ops[a:b]))
@@ -391,9 +387,9 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
             t = round(math.log(size, q))
             if q**t != size or not chain:
                 return None
-            if t not in powers:
-                powers[t] = kron_power(unit, t)
-            lam = _multiple(functools.reduce(matmul, chain), powers[t])
+            lams = {_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u)
+                    for r, u in _row_blocks([unit] * t)}
+            lam = lams.pop() if len(lams) == 1 else None
             seen.setdefault(key, []).append((chain, lam))
         if lam is None:
             return None
@@ -543,9 +539,9 @@ def _mod(integers, ctx: FieldCtx) -> SparseMatrix:
 # `factor idx rows cols nnz` followed by its triplets.
 
 
-# Entries of a layer the writer builds at a time (see _layer_text).  Of
-# 2^12..2^20, 2^15..2^17 wrote the synth_large configs fastest on a 2-core
-# machine; 2^14 took about a third longer for 16 MB less peak RSS.
+# Entries _row_blocks builds at a time, for written layers and proved unit
+# powers.  Of 2^12..2^20, 2^15..2^17 wrote the synth_large configs fastest on
+# a 2-core machine; 2^14 took about a third longer for 16 MB less peak RSS.
 WRITE_BLOCK = 1 << 16
 
 
@@ -554,19 +550,21 @@ def _circuit_text(circ: SynchronousCircuit):
     yield f"circuit {circ.depth} {circ.rows} {circ.cols} {circ.ctx.modulus} {circ.wires}\n".encode()
     for idx, (ops, (rows, cols), nnz) in enumerate(zip(circ.layers, circ.shapes, circ.per_factor_nnz)):
         yield f"factor {idx} {rows} {cols} {nnz}\n".encode()
-        yield from _layer_text(ops)
+        for row, block in _row_blocks(ops):
+            yield from sparse._format_entries(block, row)
+            del block  # before the next block is built
 
 
-def _layer_text(ops):
-    """The entry lines of kron_all(ops), built from the operands one block
-    of about WRITE_BLOCK entries at a time.
+def _row_blocks(ops):
+    """kron_all(ops) as (first row, block) pairs in row order, each block
+    of about WRITE_BLOCK entries built from the operands; none if all zero.
 
-    The layer is head x tail: tail is the Kronecker product of the longest
+    The product is head x tail: tail is the Kronecker product of the longest
     operand suffix after the first operand with at most WRITE_BLOCK
     entries, head that of the operands before it.  Rows lo..hi-1 of head x
     tail are head's rows lo..hi-1 x tail (Van Loan 2000), so head's rows
-    are cut where their entries times tail's pass a multiple of
-    WRITE_BLOCK, and each run of rows is written at row lo * tail.rows.
+    are cut at 0 and where their entries times tail's pass a multiple of
+    WRITE_BLOCK.
     """
     s = 1
     while s < len(ops) and math.prod(m.nnz for m in ops[s:]) > WRITE_BLOCK:
@@ -574,10 +572,11 @@ def _layer_text(ops):
     head = kron_all(ops[:s])
     tail = kron_all(ops[s:]) if s < len(ops) else identity(1, head.ctx)
     ends = head.indptr * tail.nnz
-    # The head row holding entry k * WRITE_BLOCK of the layer, for every k.
+    # The head row holding entry k * WRITE_BLOCK, for every k; the first run starts at 0.
     cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], WRITE_BLOCK), side="right") - 1)
+    cuts[:1] = 0
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), head.rows]):
-        yield from sparse._format_entries(kron(head.row_block(lo, hi), tail), lo * tail.rows)
+        yield lo * tail.rows, kron(head.row_block(lo, hi), tail)
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:

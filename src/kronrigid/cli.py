@@ -188,8 +188,8 @@ def cmd_mmcost(args) -> int:
         raise DivisorMismatch(f"{args.k} rounds do not divide {args.n} factors")
     ctx = FieldCtx(args.field)
     h1 = rigidity.hadamard_matrix(1, ctx)
-    sparse.capped_power(h1.rows, args.n, "probe entries")
-    sparse.capped_power(h1.rows, 2 * (args.n // args.k), "entries of a dense round block")
+    # a round makes q^(n + n/k) products, no fewer than the probe or a round block holds
+    sparse.capped_power(h1.rows, args.n + args.n // args.k, "scalar products per round")
     backend = (
         mmbridge.NaiveBackend()
         if args.backend == "naive"

@@ -545,6 +545,7 @@ def test_console_entry_point():
     ["mmcost", "--n", "40", "--k", "2"],
     ["mmcost", "--n", "1000000000", "--k", "2"],
     ["mmcost", "--n", "16", "--k", "1"],  # a round block of 2^32 entries
+    ["mmcost", "--n", "24", "--k", "2"],  # a 2^24-entry round block and probe
     ["bench", "--family", "hadamard", "--n", "1:1000000000", "--depth", "2"],
 ])
 def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):

@@ -4,6 +4,7 @@ the block check only when the proof is undecided."""
 
 import dataclasses
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from reference import SplitMix64, triplets
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ROUNDTRIP  # noqa: E402
 
-F7, FBIG, Q = FieldCtx(7), FieldCtx(2**31 - 1), FieldCtx(0)
+F5, F7, FBIG, Q = FieldCtx(5), FieldCtx(7), FieldCtx(2**31 - 1), FieldCtx(0)
 FIELDS = [F7, FBIG, Q]
 
 
@@ -194,6 +195,47 @@ def test_chains_of_one_shape_are_compared_by_value(ctx):
     tampered = SynchronousCircuit(layers)
     assert prove_power(tampered, unit, 12) is None
     assert decide(SynchronousCircuit(tampered.factors), "hadamard", 12)[0] is False
+
+
+def test_the_js14_proof_holds_one_row_block_of_each_chain():
+    # the chain products B_14 C_14 and R_14 hold 4.8M entries each; built
+    # whole, they put the proof's traced peak near 200 MiB
+    tf, unit = family_tf("disjointness", "js:14", 64, 4, F5)
+    circ = synthesize(tf, unit, 64, 4)
+    tracemalloc.start()
+    try:
+        assert prove_power(circ, unit, 64) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+
+
+def test_every_row_block_of_a_chain_needs_the_same_multiple():
+    # R_1^{x11} (177,147 entries) is proved in two row blocks, rows
+    # 0..1023 and 1024..2047; doubling the second block's rows of R_11 makes
+    # a chain that is a multiple of the unit power on each block, but with
+    # lambda 1 on one and 2 on the other
+    r1 = cli._family_unit("disjointness", F5)
+    r10 = sparse.kron_power(r1, 10)
+    assert [r for r, _ in circuits._row_blocks([r1] * 11)] == [0, 1024]
+    for rows, proved in [([[1, 1], [1, 0]], True), ([[1, 1], [2, 0]], None)]:
+        x = kron(SparseMatrix.from_dense(rows, F5), r10)
+        circ = SynchronousCircuit([[x, r1], [identity(2048, F5), identity(2, F5)]])
+        assert prove_power(circ, r1, 12) is proved
+        assert verify_circuit(circ, [r1] * 12) is bool(proved)
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_the_row_blocks_cover_the_empty_rows_of_a_unit_power(ctx):
+    # the unit's row 0 is empty: a chain with an entry there is no multiple
+    # of it, though its other rows match
+    unit = SparseMatrix.from_dense([[0, 0], [1, 1]], ctx)
+    assert [r for r, _ in circuits._row_blocks([unit])] == [0]
+    extra = SparseMatrix.from_dense([[1, 0], [1, 1]], ctx)
+    assert prove_power(SynchronousCircuit([[unit, unit]]), unit, 2) is True
+    assert prove_power(SynchronousCircuit([[extra, unit]]), unit, 2) is None
+    assert verify_circuit(SynchronousCircuit([[extra, unit]]), [unit] * 2) is False
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=str)
