@@ -123,12 +123,12 @@ def cmd_synth(args) -> int:
     if not circuits.prove_power(circ, unit, args.n):
         print("error: the circuit was not proved equal to its target", file=sys.stderr)
         return EXIT_VERIFY
+    if args.out:  # first: a failed write prints no summary
+        circuits.save_circuit(circ, args.out)
     print(
         f"family={args.family} n={args.n} d={args.depth} wires={circ.wires} "
         f"trivial={trivial} formula_bound={formula_bound:.1f}"
     )
-    if args.out:
-        circuits.save_circuit(circ, args.out)
     return EXIT_OK
 
 
@@ -156,9 +156,9 @@ def cmd_rigidity(args) -> int:
     except ExceedsBound:
         print(f"no decomposition with at most {args.max_changes} changes")
         return EXIT_VERIFY
-    print(minimum)
     if args.out:
         rigidity.save_witness(witness, args.out)
+    print(minimum)
     return EXIT_OK
 
 

@@ -73,7 +73,8 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     """Remove the dense rows/columns of R_n (popcount < k) and report the
     residual sparsity.
 
-    Two exact paths, which must agree where both run.  The scan counts
+    Two exact paths, which must agree where both run; "auto" is the
+    count path, and the scan is its measured cross-check.  The scan counts
     actual entries: row x keeps every y disjoint from x with |y| >= k,
     so its length is (R_n 1[|y| >= k])[x], one `sparse.kron_apply` of
     [R_1] * n over the integers, maximized over the surviving rows
@@ -87,9 +88,7 @@ def dense_removal(n: int, k: int, method: str = "auto") -> RemovalReport:
     """
     if not 1 <= k <= n / 2:
         raise ValueError("need 1 <= k <= n/2")
-    if method == "auto":
-        method = "scan" if n <= 20 else "count"
-    if method not in ("scan", "count"):
+    if method not in ("auto", "scan", "count"):
         raise ValueError(f"unknown method {method!r}")
     if method == "scan":
         sparse.capped_power(2, n, "entries")
@@ -126,7 +125,7 @@ def rn_rigidity_decomposition(
     lights = np.flatnonzero(light)
     h = lights.size
     slot = np.cumsum(light) - 1  # position of a light index among the light ones
-    ones = sparse._value_array([ctx.one_raw()] * h, ctx)
+    ones = np.full(h, ctx.one_raw(), ctx.dtype)
     i, j, v = sparse._row_ids(target), target.indices, target.data
     in_c, in_b = light[i], ~light[i] & light[j]
     in_s = ~(in_c | light[j])
@@ -179,7 +178,7 @@ def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
     a_t, b = (
         SparseMatrix._from_csr(
             size, size, ctx, sparse._indptr(size, p), x[np.lexsort((x, p))],
-            sparse._value_array([ctx.one_raw()] * x.size, ctx),
+            np.full(x.size, ctx.one_raw(), ctx.dtype),
         )
         for p, x in ((ap, ax), (bp, by))
     )

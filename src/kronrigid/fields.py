@@ -64,6 +64,19 @@ class FieldCtx:
     def is_prime_field(self) -> bool:
         return self.modulus != 0
 
+    @property
+    def dtype(self):
+        """numpy dtype of an array of raw values: int64 residues over F_p,
+        objects (Fractions, or integer numerators) over Q."""
+        return "int64" if self.is_prime_field else object
+
+    def reduce(self, values):
+        """values brought back into the field: an array of integers is
+        reduced mod p in place over F_p; over Q it is returned as it is."""
+        if self.is_prime_field:
+            values %= self.modulus
+        return values
+
     # Raw-value arithmetic.  These operate on the internal representation
     # (int residues or Fractions) and are the hot path for matrix code.
 

@@ -20,14 +20,6 @@ from .errors import DivisorMismatch, LengthMismatch
 from .sparse import SparseMatrix
 
 
-def _reduced(x, ctx):
-    return x % ctx.modulus if ctx.is_prime_field else x
-
-
-def _dense(m: SparseMatrix):
-    return np.array(m.to_dense(), dtype=object).reshape(m.rows, m.cols)
-
-
 class NaiveBackend:
     """Schoolbook multiply; mults = m*n*p, adds = m*(n-1)*p."""
 
@@ -43,7 +35,7 @@ class NaiveBackend:
         (m, n), p = a.shape, b.shape[1]
         self.mults += m * n * p
         self.adds += m * max(n - 1, 0) * p
-        return _reduced(a.dot(b), ctx)
+        return ctx.reduce(a.dot(b))
 
 
 class StrassenBackend(NaiveBackend):
@@ -66,7 +58,7 @@ class StrassenBackend(NaiveBackend):
         bp = ap.copy()
         ap[:m, :n] = a
         bp[:n, :p] = b
-        return _reduced(self._rec(ap, bp, ctx)[:m, :p], ctx)
+        return ctx.reduce(self._rec(ap, bp, ctx)[:m, :p])
 
     def _rec(self, a, b, ctx):
         """Product of two size x size squares.  Quadrant sums are not
@@ -96,7 +88,7 @@ def kron_identity_apply(m: SparseMatrix, copies: int, v, backend):
         raise LengthMismatch(f"expected {m.cols * copies} values, got {len(v)}")
     backend.reset()
     b = np.array(v, dtype=object).reshape(m.cols, copies)
-    return backend.multiply(_dense(m), b, m.ctx).reshape(-1).tolist()
+    return backend.multiply(m.to_array().astype(object), b, m.ctx).reshape(-1).tolist()
 
 
 def butterflytomm_apply(m_list, k: int, v, backend):
@@ -119,7 +111,7 @@ def butterflytomm_apply(m_list, k: int, v, backend):
     cur = np.array(v, dtype=object)
     per_round = []
     for ell in range(k):
-        block = _dense(sparse.kron_all(m_list[ell * g : (ell + 1) * g]))
+        block = sparse.kron_all(m_list[ell * g : (ell + 1) * g]).to_array().astype(object)
         x = cur.reshape(q ** (g * ell), q**g, -1)
         before = backend.mults
         cur = np.stack([backend.multiply(block, piece, ctx) for piece in x])

@@ -70,9 +70,9 @@ def low_rank_factor(m: SparseMatrix, r: int):
     B takes the pivot columns of m, C the nonzero rows of the RREF.
     """
     ctx = m.ctx
-    dense = sparse._value_array(m.to_dense(), ctx).reshape(m.rows, m.cols)
+    dense = m.to_array()
     rref = dense[None].copy()
-    rank = int(sparse._eliminate(rref, ctx.modulus)[0])
+    rank = int(sparse._eliminate(rref, ctx)[0])
     if rank > r:
         raise ValueError(f"rank {rank} exceeds requested bound {r}")
     rows = rref[0, :rank]
@@ -123,7 +123,7 @@ def brute_force_rigidity(
     est = cells * sum(comb(cells, k) * (p - 1) ** k for k in sizes)
     if est > work_cap:
         raise WorkCapExceeded(est, work_cap)
-    flat = np.array(m.to_dense(), dtype=np.int64).reshape(cells)
+    flat = m.to_array().reshape(cells)
     batch = max(1, min(CHUNK_CANDIDATES, CHUNK_CELLS // max(cells, 1)))
     base = p - 1  # a changed cell takes one of the p - 1 other values
     for size in sizes:
@@ -140,7 +140,7 @@ def brute_force_rigidity(
                 cand = np.tile(flat, (len(group), len(digits), 1))
                 np.put_along_axis(cand, np.broadcast_to(at, values.shape), values, axis=2)
                 cand = cand.reshape(len(group) * len(digits), m.rows, m.cols)
-                hits = sparse._eliminate(cand.copy(), p, r) <= r  # cand keeps the witness
+                hits = sparse._eliminate(cand.copy(), ctx, r) <= r  # cand keeps the witness
                 if hits.any():
                     low = SparseMatrix.from_dense(cand[hits.argmax()].tolist(), ctx)
                     return size, decomposition_from_low_rank(m, low, r)

@@ -91,11 +91,10 @@ class SparseMatrix:
                 return self.data[k : k + 1].tolist()[0]
         return self.ctx.zero_raw()
 
-    def to_dense(self):
-        zero = self.ctx.zero_raw()
-        dense = [[zero] * self.cols for _ in range(self.rows)]
-        for i, j, v in zip(_row_ids(self).tolist(), self.indices.tolist(), self.data.tolist()):
-            dense[i][j] = v
+    def to_array(self) -> np.ndarray:
+        """The dense rows x cols array of the values, in the field's dtype."""
+        dense = np.full((self.rows, self.cols), self.ctx.zero_raw(), self.ctx.dtype)
+        dense[_row_ids(self), self.indices] = self.data
         return dense
 
     def row_block(self, start: int, stop: int) -> "SparseMatrix":
@@ -138,13 +137,6 @@ class SparseMatrix:
 def _init_csr(m, rows, cols, ctx, indptr, indices, data):
     m.rows, m.cols, m.ctx = rows, cols, ctx
     m.indptr, m.indices, m.data = indptr, indices, data
-
-
-def _value_array(values, ctx):
-    """Raw field values as the data array of a matrix over ctx."""
-    if ctx.is_prime_field:
-        return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
 
 
 def _triplet_arrays(entries, ctx):
@@ -213,8 +205,7 @@ def _summed(rows, cols, ctx, i, j, v):
     if key.size:
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         key, v = key[starts], np.add.reduceat(v, starts)
-    if ctx.is_prime_field:
-        v %= ctx.modulus
+    ctx.reduce(v)
     keep = v != 0
     key, v = key[keep], v[keep]
     i, j = np.divmod(key, cols) if cols else (key, key)
@@ -224,7 +215,7 @@ def _summed(rows, cols, ctx, i, j, v):
 def _empty(rows, cols, ctx):
     return SparseMatrix._from_csr(
         rows, cols, ctx, np.zeros(rows + 1, dtype=np.int64),
-        np.zeros(0, dtype=np.int64), _value_array((), ctx),
+        np.zeros(0, dtype=np.int64), np.zeros(0, ctx.dtype),
     )
 
 
@@ -245,7 +236,7 @@ def _require_ctx(a: SparseMatrix, b: SparseMatrix):
 
 def identity(k: int, ctx: FieldCtx) -> SparseMatrix:
     idx = np.arange(k, dtype=np.int64)
-    data = _value_array([ctx.one_raw()] * k, ctx)
+    data = np.full(k, ctx.one_raw(), ctx.dtype)
     return SparseMatrix._from_csr(k, k, ctx, np.arange(k + 1, dtype=np.int64), idx, data)
 
 
@@ -286,8 +277,7 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     indices += b.indices[kb]
     data = np.repeat(a.data[ka], seg_len)
     data *= b.data[kb]
-    if a.ctx.is_prime_field:
-        data %= a.ctx.modulus
+    a.ctx.reduce(data)
     return SparseMatrix._from_csr(rows, cols, a.ctx, indptr, indices, data)
 
 
@@ -425,9 +415,7 @@ def scale(a: SparseMatrix, s) -> SparseMatrix:
     sv = a.ctx.coerce(s)
     if not sv:
         return _empty(a.rows, a.cols, a.ctx)
-    data = a.data * sv
-    if a.ctx.is_prime_field:
-        data %= a.ctx.modulus
+    data = a.ctx.reduce(a.data * sv)
     return SparseMatrix._from_csr(a.rows, a.cols, a.ctx, a.indptr, a.indices, data)
 
 
@@ -463,20 +451,6 @@ def stack_v(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     )
 
 
-def apply(a: SparseMatrix, x) -> list:
-    """A times x for a raw-value vector x of length a.cols."""
-    if len(x) != a.cols:
-        raise DimensionMismatch(f"vector length {len(x)} != {a.cols}")
-    ctx = a.ctx
-    values = (ctx.coerce(v) for v in x)
-    column = SparseMatrix(a.cols, 1, ctx, [(k, 0, v) for k, v in enumerate(values) if v])
-    y = matmul(a, column)
-    out = [ctx.zero_raw()] * a.rows
-    for i, v in zip(_row_ids(y).tolist(), y.data.tolist()):
-        out[i] = v
-    return out
-
-
 def kron_apply(ops, u: np.ndarray) -> np.ndarray:
     """(ops[0] kron ... kron ops[-1]) times the vector u, one operand per
     pass from the last one (the low digits), as in Yates' method: pass i
@@ -492,8 +466,7 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
     long as the largest stage, so it is consumed.
     """
     ctx = ops[0].ctx if ops else None
-    p = ctx.modulus if ctx else 0
-    minus_one = p - 1 if p else -1
+    minus_one = ctx.coerce(-1) if ops else None
     u = np.ascontiguousarray(u).reshape(-1)
     # stage k holds the rows of ops[k:] and the columns of ops[:k]
     stages = [math.prod(op.cols for op in ops[:k]) * math.prod(op.rows for op in ops[k:])
@@ -515,9 +488,7 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
             for b, c in zip(idx[ptr[a] : ptr[a + 1]], data[ptr[a] : ptr[a + 1]]):
                 y = x[:, b]
                 if c != 1 and c != minus_one:
-                    y = y * c
-                    if p:
-                        y %= p
+                    y = ctx.reduce(y * c)
                 parts.append((c != minus_one, y))
             if not parts:
                 o[...] = ctx.zero_raw()
@@ -531,8 +502,7 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
                 y = np.negative(y, out=o)
             for added, z in parts[1:]:
                 y = (np.add if added else np.subtract)(y, z, out=o)
-            if p:
-                np.remainder(o, p, out=o)
+            ctx.reduce(o)
         cur = out
         spare, other = other, spare
     return cur.reshape(-1)
@@ -540,15 +510,13 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
 
 def rank(a: SparseMatrix) -> int:
     """Exact rank by Gaussian elimination (modular or over the rationals)."""
-    dense = _value_array(a.to_dense(), a.ctx).reshape(1, a.rows, a.cols)
-    return int(_eliminate(dense, a.ctx.modulus)[0])
+    return int(_eliminate(a.to_array()[None], a.ctx)[0])
 
 
-def _eliminate(a: np.ndarray, p: int, r=None) -> np.ndarray:
-    """Gaussian elimination of each matrix of a (K, rows, cols) array, in
-    place; returns the ranks.  Over F_p (p > 0) a holds int64 residues and
-    a pivot is scaled by its Fermat inverse; over Q (p = 0) a is an
-    object array of Fractions and a pivot is scaled by 1 / x.
+def _eliminate(a: np.ndarray, ctx: FieldCtx, r=None) -> np.ndarray:
+    """Gaussian elimination of each matrix of a (K, rows, cols) array of
+    values over ctx, in place; returns the ranks.  Over F_p a pivot is
+    scaled by its Fermat inverse, over Q by 1 / x.
 
     Each matrix keeps its own rank counter k.  Its pivot in a column is
     the first nonzero row at or below row k; it is scaled to a leading 1,
@@ -574,13 +542,10 @@ def _eliminate(a: np.ndarray, p: int, r=None) -> np.ndarray:
         at = np.arange(sel.size)
         prow = x[at, piv]
         x[at, piv] = x[at, k]
-        if p:
-            prow = prow * _inverse(prow[:, c], p)[:, None] % p
-        else:
-            prow = prow * (1 / prow[:, c])[:, None]
+        inverse = _inverse(prow[:, c], ctx.modulus) if ctx.modulus else 1 / prow[:, c]
+        prow = ctx.reduce(prow * inverse[:, None])
         x -= x[:, :, c, None] * prow[:, None, :]
-        if p:
-            x %= p
+        ctx.reduce(x)
         x[at, k] = prow
         if x is not a:
             a[sel] = x
@@ -686,7 +651,7 @@ def _numbers(text: str, ctx: FieldCtx, width: int, count=None) -> list:
         index = [np.array(table[:, k], dtype=np.int64) for k in range(width - 1)]
     except OverflowError:
         raise ValueError("index out of range") from None
-    return [*index, _value_array(values, ctx)]
+    return [*index, np.array(values, ctx.dtype)]
 
 
 def _entries(text: str, rows: int, cols: int, ctx: FieldCtx, nnz=None) -> SparseMatrix:

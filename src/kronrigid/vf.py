@@ -68,7 +68,7 @@ def vf_matrix(f: TruthTable) -> SparseMatrix:
         index = (q * index[:, None, :, None] + digit_max[:, None, :]).reshape(
             index.shape[0] * q, -1
         )
-    values = sparse._value_array(f.values, f.ctx)[index]
+    values = np.array(f.values, f.ctx.dtype)[index]
     i, j = np.nonzero(values)
     return SparseMatrix._from_csr(size, size, f.ctx, sparse._indptr(size, i), j, values[i, j])
 
@@ -157,13 +157,9 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
         # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z); ~z is size - 1 - z
         values = values[::-1]
         work = size - 1 - work
-    counts = np.bincount(work, minlength=size)
-    counts = counts % p if p else counts.astype(object)
+    counts = ctx.reduce(np.bincount(work, minlength=size).astype(ctx.dtype))
     # residues below 2^31, so each product is below 2^62
-    mid = _rn(ctx, values, inverse=True) * _rn(ctx, counts)
-    if p:
-        mid %= p
-    w = _rn(ctx, mid).tolist()
+    w = _rn(ctx, ctx.reduce(_rn(ctx, values, inverse=True) * _rn(ctx, counts))).tolist()
     answers = {s: w[ws] if p else Fraction(w[ws], den) for s, ws in zip(points, work.tolist())}
     return answers, {"adds": n * size, "mults": size}
 
@@ -208,7 +204,7 @@ def kron2_to_vf(m_list):
     pi = sparse.kron_all(pi_parts)
     pip = sparse.kron_all(pip_parts)
     # f(z) = prod_i g_i(z[i]): the Kronecker product of the columns (g_i(0), g_i(1))
-    values = sparse.kron_apply(columns, sparse._value_array([ctx.one_raw()], ctx)).tolist()
+    values = sparse.kron_apply(columns, np.full(1, ctx.one_raw(), ctx.dtype)).tolist()
     f = TruthTable(2, n, ctx, tuple(values))
     return pi, f, pip
 
@@ -233,7 +229,7 @@ def inclusion_exclusion_expand(f: TruthTable):
         raise CapExceeded(f"q^n = {q ** n} exceeds the cap {GENERAL_CAP}")
     step = [[int(j == i) - int(j == 0 < i) for j in range(q)] for i in range(q)]
     g = sparse.kron_apply(
-        [SparseMatrix.from_dense(step, ctx)] * n, sparse._value_array(f.values, ctx)
+        [SparseMatrix.from_dense(step, ctx)] * n, np.array(f.values, ctx.dtype)
     ).reshape((q,) * n)
     out = {}
     for size in range(n + 1):
@@ -247,7 +243,7 @@ def inclusion_exclusion_expand(f: TruthTable):
 
 
 def dump_truthtable(f: TruthTable) -> str:
-    values = sparse._value_array(f.values, f.ctx)
+    values = np.array(f.values, f.ctx.dtype)
     return f"truthtable {f.q} {f.n} {f.ctx.modulus}\n" + sparse._text_lines(values).decode()
 
 

@@ -2,8 +2,8 @@
 
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
-row-by-row sparse product with a dict per row and a circuit's product
-made of it, the entry-by-entry Kronecker product, the quadratic
+row-by-row sparse product with a dict per row, a matrix-vector product
+and a circuit's product made of it, the entry-by-entry Kronecker product, the quadratic
 oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
@@ -94,6 +94,18 @@ def matmul_rows(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                 acc[j] = ctx.add_raw(acc[j], prod) if j in acc else prod
         entries += [(i, j, v) for j, v in acc.items() if v]
     return SparseMatrix(a.rows, b.cols, ctx, entries)
+
+
+def apply_reference(a: SparseMatrix, x) -> list:
+    """a times the vector x of raw values, as the product of a and the
+    column x by matmul_rows."""
+    ctx = a.ctx
+    x = [ctx.coerce(v) for v in x]
+    column = SparseMatrix(len(x), 1, ctx, [(k, 0, v) for k, v in enumerate(x) if v])
+    out = [ctx.zero_raw()] * a.rows
+    for i, _, v in triplets(matmul_rows(a, column)):
+        out[i] = v
+    return out
 
 
 def kron_reference(ops) -> SparseMatrix:
@@ -334,7 +346,7 @@ def brute_force_reference(m: SparseMatrix, r: int, max_changes: int):
     than the originals in product order, one Gaussian elimination of a
     copied dense list per candidate; ExceedsBound past max_changes."""
     ctx, p = m.ctx, m.ctx.modulus
-    dense = m.to_dense()
+    dense = m.to_array().tolist()
     flat = [(i, j) for i in range(m.rows) for j in range(m.cols)]
     for size in range(max_changes + 1):
         for pattern in combinations(range(len(flat)), size):

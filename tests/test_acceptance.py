@@ -37,6 +37,7 @@ from kronrigid.vf import TruthTable, batch_sums
 
 from reference import (
     SplitMix64,
+    apply_reference,
     batch_sums_oracle,
     circuit_product,
     expansion_identity_check,
@@ -219,7 +220,7 @@ def test_criterion_11_mm_bridge_h8():
     h1 = hadamard_matrix(1, F101)
     rng = SplitMix64(111)
     v = [F101.coerce(rng.randrange(101)) for _ in range(256)]
-    expected = sparse.apply(hadamard_matrix(8, F101), v)
+    expected = apply_reference(hadamard_matrix(8, F101), v)
     out_n, rep_n = butterflytomm_apply([h1] * 8, 2, v, NaiveBackend())
     assert out_n == expected
     assert rep_n["mults"] == 8192 and rep_n["per_round_mults"] == [4096, 4096]

@@ -93,6 +93,20 @@ def test_rigidity_witness_of_a_non_square_matrix_is_refused_first(tmp_path, caps
     assert not wit.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "rigidity"])
+def test_a_failed_out_write_prints_no_result(tmp_path, capsys, command):
+    mat, out = tmp_path / "h2.mat", tmp_path / "missing" / "out"
+    sparse.save_matrix(hadamard_matrix(2, F5), mat)
+    argv = {
+        "synth": ["synth", "--family", "hadamard", "--n", "4", "--depth", "2", "--base", "h2"],
+        "rigidity": ["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "4"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not out.exists()
+
+
 def test_rigidity_bound_too_small(tmp_path, capsys):
     mat = tmp_path / "h2.mat"
     sparse.save_matrix(hadamard_matrix(2, F5), mat)
@@ -604,18 +618,34 @@ def _bad_circuit_texts(tmp_path):
     text = path.read_text()
     header, rest = text.split("\n", 1)
     lines = text.splitlines(keepends=True)
+    tag, depth, rows, cols, field, wires = header.split()
+    first, second = rest.split("\nfactor 1", 1)
+    _, j, v = lines[-1].split()
     return {
         "empty": "",
         "truncated": "".join(lines[: len(lines) // 2]),
         "wire_mismatch": " ".join(header.split()[:-1] + ["7"]) + "\n" + rest,
+        "huge_index": "".join(lines[:-1]) + f"{2**64} {j} {v}\n",
+        "shape_mismatch": f"{tag} {depth} {2 * int(rows)} {cols} {field} {wires}\n{rest}",
+        "factor_order": f"{header}\nfactor 1{second}{first}\n",
+        "no_factor": "circuit 0 1 1 5 0\n",
     }
 
 
-@pytest.mark.parametrize("case", ["empty", "truncated", "wire_mismatch"])
+_BAD_CIRCUIT_ERRORS = {
+    "huge_index": "index out of range",
+    "shape_mismatch": "header shape does not match factors",
+    "factor_order": "factor 1 found where factor 0 belongs",
+    "no_factor": "a circuit needs at least one factor",
+}
+
+
+@pytest.mark.parametrize("case", ["empty", "truncated", "wire_mismatch", *_BAD_CIRCUIT_ERRORS])
 def test_bad_circuit_file_is_a_usage_error(tmp_path, capsys, case):
     bad = tmp_path / "bad.circ"
     bad.write_text(_bad_circuit_texts(tmp_path)[case])
     capsys.readouterr()
     rc = main(["verify", "--circuit", str(bad), "--family", "hadamard", "--n", "8"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and _BAD_CIRCUIT_ERRORS.get(case, "") in err

@@ -45,7 +45,7 @@ def rn_circuit(n, d):
 
 def test_r1_definition():
     r1 = disjointness_matrix(1, F5)
-    assert r1.to_dense() == [[1, 1], [1, 0]]
+    assert r1.to_array().tolist() == [[1, 1], [1, 0]]
 
 
 def test_r2_is_kron_square():
@@ -100,6 +100,7 @@ def test_removal_paths_agree_small():
         for k in range(1, n // 2 + 1):
             scan = dense_removal(n, k, method="scan")
             count = dense_removal(n, k, method="count")
+            assert dense_removal(n, k) == count  # auto is the closed form
             assert scan.residual_row_nnz == count.residual_row_nnz, (n, k)
             assert scan.residual_row_nnz <= scan.bound
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kronrigid.errors import DivisionByZero, NoRootExists, RationalUnsupported
@@ -44,6 +45,18 @@ def test_zero_inverse():
         F5.inv_raw(F5.zero_raw())
     with pytest.raises(DivisionByZero):
         RATIONALS.inv_raw(RATIONALS.zero_raw())
+
+
+def test_reduce_works_in_place_over_fp_only():
+    a = np.array([-6, 0, 4, 5, 2**40], F5.dtype)
+    assert F5.reduce(a) is a and a.tolist() == [4, 0, 4, 0, 2**40 % 5]
+    view = a[1:3]  # a view is reduced through to its base
+    view += 3
+    F5.reduce(view)
+    assert a.tolist() == [4, 3, 2, 0, 2**40 % 5]
+    q = np.array([Fraction(-6), Fraction(7, 2)], RATIONALS.dtype)
+    assert RATIONALS.reduce(q) is q and q.tolist() == [Fraction(-6), Fraction(7, 2)]
+    assert np.dtype(F5.dtype) == np.int64 and RATIONALS.dtype is object
 
 
 def test_field_axioms_random():

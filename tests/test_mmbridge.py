@@ -17,7 +17,7 @@ from kronrigid.mmbridge import (
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 
-from reference import SplitMix64
+from reference import SplitMix64, apply_reference
 
 F7 = FieldCtx(7)
 P31 = FieldCtx(2**31 - 1)
@@ -31,7 +31,7 @@ def test_kron_identity_single_copy():
     h1 = hadamard_matrix(1, F7)
     v = [F7.coerce(1), F7.coerce(2)]
     out = kron_identity_apply(h1, 1, v, NaiveBackend())
-    assert out == sparse.apply(h1, v)
+    assert out == apply_reference(h1, v)
 
 
 def test_kron_identity_two_copies_rational():
@@ -40,7 +40,7 @@ def test_kron_identity_two_copies_rational():
     out = kron_identity_apply(h1, 2, v, NaiveBackend())
     assert out == [RATIONALS.coerce(x) for x in (4, 6, -2, -2)]
     big = sparse.kron(h1, sparse.identity(2, RATIONALS))
-    assert out == sparse.apply(big, v)
+    assert out == apply_reference(big, v)
 
 
 def test_kron_identity_random_vs_dense():
@@ -52,7 +52,7 @@ def test_kron_identity_random_vs_dense():
     backend = NaiveBackend()
     out = kron_identity_apply(m, 5, v, backend)
     big = sparse.kron(m, sparse.identity(5, F7))
-    assert out == sparse.apply(big, v)
+    assert out == apply_reference(big, v)
     assert backend.mults == 3 * 3 * 5
 
 
@@ -66,7 +66,7 @@ def test_butterflytomm_h8_two_rounds():
     h1 = hadamard_matrix(1, F7)
     rng = SplitMix64(72)
     v = [F7.coerce(rng.randrange(7)) for _ in range(256)]
-    expected = sparse.apply(hadamard_matrix(8, F7), v)
+    expected = apply_reference(hadamard_matrix(8, F7), v)
     out, report = butterflytomm_apply([h1] * 8, 2, v, NaiveBackend())
     assert out == expected
     assert report["rounds"] == 2
@@ -80,7 +80,7 @@ def test_butterflytomm_k_equals_n():
     rng = SplitMix64(73)
     v = [F7.coerce(rng.randrange(7)) for _ in range(16)]
     out, report = butterflytomm_apply([h1] * 4, 4, v, NaiveBackend())
-    assert out == sparse.apply(hadamard_matrix(4, F7), v)
+    assert out == apply_reference(hadamard_matrix(4, F7), v)
     assert report["rounds"] == 4
     # degenerate case: k = n is the plain butterfly, 2*N mults per round
     assert report["per_round_mults"] == [32, 32, 32, 32]
@@ -93,7 +93,7 @@ def test_butterflytomm_mixed_factors():
     rng = SplitMix64(74)
     v = [F7.coerce(rng.randrange(7)) for _ in range(16)]
     out, _ = butterflytomm_apply(m_list, 2, v, NaiveBackend())
-    assert out == sparse.apply(sparse.kron_all(m_list), v)
+    assert out == apply_reference(sparse.kron_all(m_list), v)
 
 
 def test_butterflytomm_bad_round_count():
@@ -143,7 +143,7 @@ def test_strassen_in_butterflytomm():
     h1 = hadamard_matrix(1, F7)
     rng = SplitMix64(77)
     v = [F7.coerce(rng.randrange(7)) for _ in range(256)]
-    expected = sparse.apply(hadamard_matrix(8, F7), v)
+    expected = apply_reference(hadamard_matrix(8, F7), v)
     out, report = butterflytomm_apply([h1] * 8, 2, v, StrassenBackend(threshold=4))
     assert out == expected
     # round 0 is a single square 16x16 product and beats schoolbook there;
@@ -172,7 +172,7 @@ def test_butterflytomm_exact_at_the_largest_residue(make, n):
     top = P31.modulus - 1
     m = SparseMatrix.from_dense([[top, top], [top, top]], P31)
     v = [top] * 2**n
-    expected = sparse.apply(sparse.kron_all([m] * n), v)
+    expected = apply_reference(sparse.kron_all([m] * n), v)
     for k in (1, 2, n):
         out, report = butterflytomm_apply([m] * n, k, v, make())
         assert out == expected
@@ -186,7 +186,7 @@ def test_butterflytomm_exact_over_q(make, n):
         [[Fraction(1, 3), Fraction(-5, 7)], [Fraction(-5, 7), Fraction(1, 3)]], RATIONALS
     )
     v = [Fraction(i + 1, 3) - Fraction(5, 7) for i in range(2**n)]
-    expected = sparse.apply(sparse.kron_all([m] * n), v)
+    expected = apply_reference(sparse.kron_all([m] * n), v)
     for k in (1, 2):
         out, _ = butterflytomm_apply([m] * n, k, v, make())
         assert out == expected

@@ -24,7 +24,7 @@ def test_h2_decomposition():
     assert sparse.rank(d.low_rank) == 1
     assert d.S.nnz_r == 1 and d.S.nnz_c == 1
     # first row of the rank-1 part is (-1, 1, 1, 1), the rest its negation
-    low = d.low_rank.to_dense()
+    low = d.low_rank.to_array().tolist()
     assert low[0] == [F5.coerce(v) for v in (-1, 1, 1, 1)]
     for row in low[1:]:
         assert row == [F5.coerce(v) for v in (1, -1, -1, -1)]
@@ -232,21 +232,21 @@ def test_shparlinski_values():
 
 def test_dft_matrix_f5():
     f4 = rigidity.dft_matrix(4, F5)
-    assert f4.to_dense() == [
+    assert f4.to_array().tolist() == [
         [1, 1, 1, 1],
         [1, 2, 4, 3],
         [1, 4, 1, 4],
         [1, 3, 4, 2],
     ]
     f1 = rigidity.dft_matrix(1, F5)
-    assert f1.to_dense() == [[1]]
+    assert f1.to_array().tolist() == [[1]]
 
 
 def test_dft_consecutive_rows_full_rank():
     # any r consecutive rows against any r columns form a full-rank block
     ctx = FieldCtx(17)
     f8 = rigidity.dft_matrix(8, ctx)
-    dense = f8.to_dense()
+    dense = f8.to_array().tolist()
     rng = SplitMix64(45)
     for r in (1, 2, 3):
         for _ in range(10):

@@ -15,7 +15,7 @@ from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 
-from reference import SplitMix64, matmul_rows
+from reference import SplitMix64, apply_reference, matmul_rows, triplets
 
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
@@ -34,7 +34,7 @@ def random_matrix(rng, rows, cols, ctx, density=10):
 
 def dense_matmul_oracle(a, b):
     ctx = a.ctx
-    da, db = a.to_dense(), b.to_dense()
+    da, db = a.to_array().tolist(), b.to_array().tolist()
     out = []
     for i in range(a.rows):
         row = []
@@ -54,6 +54,10 @@ def test_entry_validation():
         SparseMatrix(2, 2, F5, [(0, 0, 1), (0, 0, 2)])  # duplicate
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, F5, [(2, 0, 1)])  # out of bounds
+    with pytest.raises(ValueError, match="is not a residue"):
+        SparseMatrix(2, 2, F5, [(0, 0, 7)])
+    with pytest.raises(ValueError, match="does not fit the matrix"):
+        SparseMatrix(2, 2, F5, [(0, 0, 2**64)])
 
 
 def test_kron_h2_display():
@@ -158,7 +162,24 @@ def test_matmul_kernel_matches_row_loop():
         got = sparse.matmul(a, b)
         assert got == matmul_rows(a, b)  # the same CSR arrays
         assert not (got.data == 0).any()
-    assert got.to_dense() == [[0, 2], [-half, 3]]
+    assert got.to_array().tolist() == [[0, 2], [-half, 3]]
+
+
+@pytest.mark.parametrize("ctx", [F5, FieldCtx(2**31 - 1), RATIONALS], ids=str)
+def test_to_array_matches_the_triplets(ctx):
+    rng = SplitMix64(12)
+    # with empty rows, and with no rows or no columns at all
+    mats = [random_matrix(rng, 6, 5, F5, density=12), sparse.identity(3, F5),
+            SparseMatrix(4, 3, F5, [(2, 1, 4)]), SparseMatrix(0, 3, F5, []), SparseMatrix(3, 0, F5, [])]
+    big = SparseMatrix(2, 2, ctx, [(0, 1, ctx.coerce(-1)), (1, 1, ctx.coerce(Fraction(2, 3)))])
+    for m in [SparseMatrix.from_triplets(m.rows, m.cols, ctx, triplets(m)) for m in mats] + [big]:
+        got = m.to_array()
+        assert got.shape == (m.rows, m.cols) and got.dtype == np.dtype(ctx.dtype)
+        want = [[ctx.zero_raw()] * m.cols for _ in range(m.rows)]
+        for i, j, v in triplets(m):
+            want[i][j] = v
+        assert got.tolist() == want
+        assert all(type(v) is type(ctx.zero_raw()) for v in got.ravel().tolist())
 
 
 def test_to_csr_holds_the_same_arrays_over_fp_only():
@@ -206,7 +227,7 @@ def test_kron_power_h3():
 
 def test_apply_identity():
     v = [F5.coerce(x) for x in (1, 2, 3, 4)]
-    assert sparse.apply(sparse.identity(4, F5), v) == v
+    assert sparse.kron_apply([sparse.identity(4, F5)], np.array(v)).tolist() == v
 
 
 def _mixed_operands(rng, ctx, pick):
@@ -219,8 +240,8 @@ def _mixed_operands(rng, ctx, pick):
 
 
 def _check_kron_apply(ops, u, ctx):
-    want = sparse.apply(sparse.kron_all(ops), u)
-    got = sparse.kron_apply(ops, sparse._value_array(u, ctx))
+    want = apply_reference(sparse.kron_all(ops), u)
+    got = sparse.kron_apply(ops, np.array(u, ctx.dtype))
     assert got.tolist() == want
 
 
@@ -336,7 +357,7 @@ def test_numbers_fall_back_when_numpy_only_warns(monkeypatch):
 
     monkeypatch.setattr(np, "fromstring", fromstring)
     m = sparse.parse_matrix("1 1 0\n0 0 1/2\n")
-    assert m.to_dense() == [[Fraction(1, 2)]]
+    assert m.to_array().tolist() == [[Fraction(1, 2)]]
 
 
 @pytest.mark.parametrize("value,calls", [(1, 1), (2**31 - 2, 3)])
@@ -349,7 +370,7 @@ def test_mulmod_splits_only_for_large_entries(monkeypatch, value, calls):
     col = SparseMatrix(8, 1, ctx, [(k, 0, value) for k in range(8)])
     seen, mulmod = [], sparse._mulmod
     monkeypatch.setattr(sparse, "_mulmod", lambda *args: seen.append(args) or mulmod(*args))
-    assert sparse.matmul(row, col).to_dense() == [[8 * value * value % ctx.modulus]]
+    assert sparse.matmul(row, col).to_array().tolist() == [[8 * value * value % ctx.modulus]]
     assert len(seen) == calls
 
 
@@ -361,5 +382,5 @@ def test_matmul_long_inner_product_at_largest_prime():
     n = 70000
     row = SparseMatrix(1, n, ctx, [(0, k, p - 1) for k in range(n)])
     col = SparseMatrix(n, 1, ctx, [(k, 0, p - 1) for k in range(n)])
-    assert sparse.matmul(row, col).to_dense() == [[n]]
-    assert sparse.apply(row, [p - 1] * n) == [n]
+    assert sparse.matmul(row, col).to_array().tolist() == [[n]]
+    assert sparse.kron_apply([row], np.full(n, p - 1)).tolist() == [n]

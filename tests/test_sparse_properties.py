@@ -101,7 +101,7 @@ def assert_canonical(m):
 def check(m, ref, rows, cols):
     assert_canonical(m)
     assert (m.rows, m.cols) == (rows, cols)
-    assert m.to_dense() == ref
+    assert m.to_array().tolist() == ref
 
 
 # -- kernels ----------------------------------------------------------------
@@ -140,7 +140,8 @@ def test_matmul_and_apply_match_dense(data):
     check(sparse.matmul(a, to_sparse(db, inner, cols, ctx)), ref_matmul(p, da, db, cols), rows, cols)
     x = [data.draw(values(ctx)) for _ in range(inner)]
     expected = [row[0] for row in ref_matmul(p, da, [[v] for v in x], 1)]
-    assert sparse.apply(a, x) == expected
+    if rows and inner:  # kron_apply takes no empty operand
+        assert sparse.kron_apply([a], np.array(x, ctx.dtype)).tolist() == expected
 
 
 @PROPS
@@ -228,8 +229,7 @@ def _batch(data, ctx):
     sparse._eliminate reduces, and as dense lists."""
     rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
     batch = data.draw(st.lists(dense(ctx, rows, cols), min_size=1, max_size=4))
-    dtype = np.int64 if ctx.is_prime_field else object
-    return np.array(batch, dtype=dtype).reshape(len(batch), rows, cols), batch
+    return np.array(batch, dtype=ctx.dtype).reshape(len(batch), rows, cols), batch
 
 
 @PROPS
@@ -237,7 +237,7 @@ def _batch(data, ctx):
 def test_eliminate_leaves_the_rref(data):
     ctx = data.draw(st.sampled_from(FIELDS))
     a, batch = _batch(data, ctx)
-    ranks = sparse._eliminate(a, ctx.modulus)
+    ranks = sparse._eliminate(a, ctx)
     for got, rank, d in zip(a, ranks, batch):
         want = [list(row) for row in d]
         pivots = eliminate_reference(want, ctx)
@@ -259,7 +259,7 @@ def test_eliminate_stops_above_the_bound(data):
     ctx = data.draw(st.sampled_from(FIELDS))
     a, batch = _batch(data, ctx)
     r = data.draw(st.integers(0, 5))
-    got = sparse._eliminate(a, ctx.modulus, r) <= r
+    got = sparse._eliminate(a, ctx, r) <= r
     assert got.tolist() == [len(eliminate_reference([list(row) for row in d], ctx)) <= r for d in batch]
 
 
