@@ -385,11 +385,14 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
                 break
         else:
             t = round(math.log(size, q))
-            if q**t != size or not chain:
+            if size == 1:  # a 1 x 1 chain product is its lambda, times unit^{kron 0}
+                lam = functools.reduce(matmul, chain, identity(1, ctx)).get(0, 0)
+            elif q**t != size or not chain:
                 return None
-            lams = {_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u)
-                    for r, u in _row_blocks([unit] * t)}
-            lam = lams.pop() if len(lams) == 1 else None
+            else:
+                lams = {_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u)
+                        for r, u in _row_blocks([unit] * t)}
+                lam = lams.pop() if len(lams) == 1 else None
             seen.setdefault(key, []).append((chain, lam))
         if lam is None:
             return None

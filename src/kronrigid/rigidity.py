@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice
 from math import comb
 
 import numpy as np
@@ -111,6 +111,12 @@ def brute_force_rigidity(
     ExceedsBound if no pattern of size <= max_changes works, and
     WorkCapExceeded up front if the candidates times the matrix cells
     exceed work_cap.
+
+    A matrix of rank <= r has every (r+1)-minor zero, so a pattern that
+    misses a nonsingular (r+1)-minor of m cannot succeed and is skipped
+    before its values are enumerated (_minor_incidence, _meeting).  The
+    patterns left keep their order, so the first hit is the same; the
+    work cap still counts every candidate.
     """
     ctx = m.ctx
     if not ctx.is_prime_field:
@@ -123,14 +129,16 @@ def brute_force_rigidity(
     est = cells * sum(comb(cells, k) * (p - 1) ** k for k in sizes)
     if est > work_cap:
         raise WorkCapExceeded(est, work_cap)
-    flat = m.to_array().reshape(cells)
+    dense = m.to_array()
+    flat = dense.reshape(cells)
+    hit = _minor_incidence(dense, ctx, r, est)
     batch = max(1, min(CHUNK_CANDIDATES, CHUNK_CELLS // max(cells, 1)))
     base = p - 1  # a changed cell takes one of the p - 1 other values
     for size in sizes:
         per = base**size  # assignments of one pattern, below the work cap
         place = base ** np.arange(size - 1, -1, -1, dtype=np.int64)
         step = min(per, batch)
-        patterns = combinations(range(cells), size)
+        patterns = _meeting(combinations(range(cells), size), size, hit)
         while group := list(islice(patterns, max(1, batch // per))):
             at = np.array(group, dtype=np.intp).reshape(len(group), 1, size)
             for start in range(0, per, step):
@@ -145,6 +153,44 @@ def brute_force_rigidity(
                     low = SparseMatrix.from_dense(cand[hits.argmax()].tolist(), ctx)
                     return size, decomposition_from_low_rank(m, low, r)
     raise ExceedsBound(max_changes)
+
+
+def _minor_incidence(a: np.ndarray, ctx: FieldCtx, r: int, est: int) -> np.ndarray:
+    """Cell-by-minor incidence (a.size x K booleans) of nonsingular
+    (r+1)-minors of the dense matrix a: the first K <= CHUNK_CELLS // a.size
+    of them in (row set, column set) combinations order.  K = 0 when the
+    minors' (r+1)^2 cells in all exceed est, the search's own work.
+
+    Any subset of the nonsingular minors prunes exactly.  The minors are
+    tested in chunks of about CHUNK_CELLS cells, one batched
+    `sparse._eliminate` with the rank bound r each.
+    """
+    rows, cols = a.shape
+    k = r + 1
+    limit = CHUNK_CELLS // max(a.size, 1)
+    found = []
+    if comb(rows, k) * comb(cols, k) * k * k <= est:
+        sets = (i + j for i in combinations(range(rows), k) for j in combinations(range(cols), k))
+        flat = chain.from_iterable(sets)
+        step = 2 * k * max(1, CHUNK_CELLS // (k * k))
+        while len(found) < limit and (idx := np.fromiter(islice(flat, step), dtype=np.intp)).size:
+            idx = idx.reshape(-1, 2, k)
+            i, j = idx[:, 0, :, None], idx[:, 1, None, :]
+            full = sparse._eliminate(a[i, j], ctx, r) > r
+            found.extend((i * cols + j).reshape(-1, k * k)[full])
+    found = np.array(found[:limit], dtype=np.intp).reshape(-1, k * k)
+    hit = np.zeros((a.size, len(found)), dtype=bool)
+    hit[found, np.arange(len(found))[:, None]] = True
+    return hit
+
+
+def _meeting(patterns, size: int, hit: np.ndarray):
+    """The patterns (tuples of `size` cells) that share a cell with every
+    minor of the incidence hit, in their order, tested a chunk at a time."""
+    chunk = max(1, CHUNK_CELLS // max(size * hit.shape[1], 1))
+    while group := list(islice(patterns, chunk)):
+        at = np.array(group, dtype=np.intp).reshape(len(group), size)
+        yield from compress(group, hit[at].any(axis=1).all(axis=1))
 
 
 # -- explicit constructions ---------------------------------------------

@@ -291,6 +291,8 @@ def kron_all(mats) -> SparseMatrix:
     """Kronecker product of a non-empty list, folded as a balanced tree:
     kron is associative, so the result is the same as a left fold, with
     far fewer entries in the intermediate products; equal halves are built once."""
+    if not mats:
+        raise ValueError("kron_all needs at least one matrix")
     if len(mats) == 1:
         return mats[0]
     half = len(mats) // 2

@@ -83,6 +83,62 @@ def test_rigidity_command(tmp_path, capsys):
     assert wit.read_text().startswith("rigidity 4 1 4 5")
 
 
+# `rigidity --rank 1 --max-changes 4 --out` of H_2, as written before the
+# search skipped the patterns that miss a nonsingular 2-minor
+H2_WITNESS = {
+    3: (
+        "rigidity 4 1 4 3\n"
+        "4 1 3\n"
+        "0 0 2\n"
+        "1 0 1\n"
+        "2 0 1\n"
+        "3 0 1\n"
+        "---\n"
+        "1 4 3\n"
+        "0 0 1\n"
+        "0 1 2\n"
+        "0 2 2\n"
+        "0 3 2\n"
+        "---\n"
+        "4 4 3\n"
+        "0 0 2\n"
+        "1 2 2\n"
+        "2 1 2\n"
+        "3 3 2\n"
+    ),
+    5: (
+        "rigidity 4 1 4 5\n"
+        "4 1 5\n"
+        "0 0 4\n"
+        "1 0 1\n"
+        "2 0 1\n"
+        "3 0 1\n"
+        "---\n"
+        "1 4 5\n"
+        "0 0 1\n"
+        "0 1 4\n"
+        "0 2 4\n"
+        "0 3 4\n"
+        "---\n"
+        "4 4 5\n"
+        "0 0 2\n"
+        "1 2 2\n"
+        "2 1 2\n"
+        "3 3 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rigidity_witness_of_h2_is_byte_stable(tmp_path, capsys, p):
+    mat, wit = tmp_path / "h2.mat", tmp_path / "h2.rig"
+    sparse.save_matrix(hadamard_matrix(2, FieldCtx(p)), mat)
+    argv = ["rigidity", "--matrix", str(mat), "--rank", "1", "--max-changes", "4", "--out", str(wit)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "4\n"
+    assert wit.read_bytes() == H2_WITNESS[p].encode()
+
+
 def test_rigidity_witness_of_a_non_square_matrix_is_refused_first(tmp_path, capsys):
     mat, wit = tmp_path / "wide.mat", tmp_path / "wide.rig"
     mat.write_text("2 3 5\n0 0 1\n0 1 2\n1 2 3\n")

@@ -184,6 +184,21 @@ def test_q_proof_takes_a_second_prime_for_an_entry_moved_by_the_first(monkeypatc
     assert decide(SynchronousCircuit(tampered.factors), "hadamard", 8)[0] is False
 
 
+@pytest.mark.parametrize("scalar,proved", [(3, False), (1, True)])
+def test_a_one_by_one_operand_is_a_chain_of_size_one(scalar, proved):
+    # the [[scalar]] operand is a chain of size 1 between the cuts, so it is
+    # its own lambda: 3 H_1 is not H_1, and [[1]] is an identity
+    h1 = SparseMatrix.from_dense([[1, 1], [1, -1]], F5)
+    circ = SynchronousCircuit([[SparseMatrix.from_dense([[scalar]], F5), h1]])
+    assert prove_power(circ, h1, 1) is proved
+    assert verify_circuit(circ, [h1]) is proved
+
+
+def test_kron_all_of_no_matrix_is_refused():
+    with pytest.raises(ValueError):
+        sparse.kron_all([])
+
+
 @pytest.mark.parametrize("ctx", FIELDS, ids=str)
 def test_chains_of_one_shape_are_compared_by_value(ctx):
     # positions 0 and 1 both multiply B by C; C at position 1 gets one

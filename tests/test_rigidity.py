@@ -1,6 +1,9 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
+import numpy as np
 import pytest
 
 from kronrigid import disjoint, rigidity, sparse
@@ -122,6 +125,20 @@ def _search(fn, m, r, changes):
         return "exceeds"
 
 
+def _agrees_with_the_reference(m, r, changes):
+    got = _search(rigidity.brute_force_rigidity, m, r, changes)
+    want = _search(brute_force_reference, m, r, changes)
+    if want == "exceeds":
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        if m.is_square:
+            assert rigidity.dump_witness(got[1]) == rigidity.dump_witness(want[1])
+        else:
+            assert got[1] == want[1]
+    return got
+
+
 def test_brute_force_matches_the_candidate_by_candidate_reference():
     # up to 3x3, square and non-square, p in {3, 5, 7}, r <= 2, at most 4 changes
     rng = SplitMix64(43)
@@ -133,23 +150,81 @@ def test_brute_force_matches_the_candidate_by_candidate_reference():
         m = SparseMatrix.from_dense(
             [[rng.field_element(ctx) for _ in range(cols)] for _ in range(rows)], ctx
         )
-        got = _search(rigidity.brute_force_rigidity, m, r, changes)
-        want = _search(brute_force_reference, m, r, changes)
+        got = _agrees_with_the_reference(m, r, changes)
         seen.add((rows == cols, got == "exceeds"))
-        if want == "exceeds":
-            assert got == want
-            continue
-        assert got[0] == want[0]
-        if m.is_square:
-            assert rigidity.dump_witness(got[1]) == rigidity.dump_witness(want[1])
-        else:
-            assert got[1] == want[1]
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_brute_force_matches_the_reference_at_4x4_over_f3():
+    # 4 x 4 and 4 x k at F_3, r <= 3, at most 3 changes; and H_2's 4 changes
+    rng = SplitMix64(47)
+    seen = set()
+    for _ in range(40):
+        rows, cols = 4, rng.randint(1, 4)
+        if rng.randint(0, 1):
+            rows, cols = cols, rows
+        r, changes = rng.randint(0, 3), rng.randint(0, 3)
+        m = SparseMatrix.from_dense(
+            [[rng.field_element(F3) for _ in range(cols)] for _ in range(rows)], F3
+        )
+        got = _agrees_with_the_reference(m, r, changes)
+        seen.add("exceeds" if got == "exceeds" else got[0])
+    assert seen >= {"exceeds", 0, 1, 2, 3}
+    assert _agrees_with_the_reference(hadamard_matrix(2, F3), 1, 4)[0] == 4
+
+
+def test_every_pattern_the_minor_prune_drops_has_no_hit():
+    # up to 4x4, p in {3, 5, 7}, r <= 3: every assignment of values other
+    # than the originals to a dropped pattern leaves rank > r
+    rng = SplitMix64(48)
+    dropped = kept = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        ctx = rng.choice((F3, F5, F7))
+        r, p, cells = rng.randint(0, 3), ctx.modulus, rows * cols
+        zeros = rng.randint(0, 2)  # some matrices with many zero entries
+        a = np.array(
+            [[0 if rng.randint(0, 3) < zeros else rng.field_element(ctx) for _ in range(cols)]
+             for _ in range(rows)], dtype=np.int64,
+        )
+        hit = rigidity._minor_incidence(a, ctx, r, 10**9)
+        assert hit.shape[0] == cells and hit.shape[1] <= rigidity.CHUNK_CELLS // cells
+        assert (hit.sum(axis=0) == (r + 1) ** 2).all()
+        if not hit.shape[1]:
+            continue
+        flat = a.reshape(cells)
+        for size in range(cells + 1):
+            if comb(cells, size) * (p - 1) ** size > 20_000:
+                break
+            every = list(combinations(range(cells), size))
+            meeting = list(rigidity._meeting(iter(every), size, hit))
+            assert meeting == [
+                x for x in every if all(hit[list(x), k].any() for k in range(hit.shape[1]))
+            ]
+            kept += len(meeting)
+            for pattern in sorted(set(every) - set(meeting)):
+                dropped += 1
+                others = [[v for v in range(p) if v != flat[c]] for c in pattern]
+                values = np.array(list(product(*others)), dtype=np.int64)
+                cand = np.tile(flat, ((p - 1) ** size, 1))
+                cand[:, list(pattern)] = values.reshape(len(cand), size)
+                ranks = sparse._eliminate(cand.reshape(-1, rows, cols), ctx)
+                assert (ranks > r).all()
+    assert dropped > 1000 and kept > 100
+
+
+def test_no_minor_is_listed_when_listing_them_costs_more_than_the_search():
+    a = hadamard_matrix(2, F5).to_array()
+    # 36 minors of 4 cells each, 24 nonsingular: listed at a work estimate
+    # of 144, not 143
+    assert rigidity._minor_incidence(a, F5, 1, 144).shape == (16, 24)
+    assert rigidity._minor_incidence(a, F5, 1, 143).shape == (16, 0)
+
+
 def test_brute_force_at_a_large_prime_builds_no_array_of_size_p():
-    # p - 1 one-change candidates on the zero cell fail before the other
-    # cell's first value, 0, is a hit
+    # the one nonsingular 1-minor is the cell holding 5, so the zero cell's
+    # p - 1 one-change candidates are pruned, not tried; the other cell's
+    # first value, 0, is a hit
     ctx = FieldCtx(1_000_003)
     m = SparseMatrix.from_dense([[0, 5]], ctx)
     tracemalloc.start()
