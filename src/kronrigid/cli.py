@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import circuits, disjoint, mmbridge, rigidity, sparse, vf
 from .errors import (
     CapExceeded,
@@ -167,9 +169,18 @@ def cmd_batch(args) -> int:
     with open(args.points) as fh:
         points = vf.parse_points(fh.read())
     answers, ops = vf.batch_sums(table, points, convention=args.convention)
-    width = table.n
-    for p in points:
-        print(f"{p:0{width}b} {answers[p]}")
+    if points:
+        at = np.array(points, dtype=np.int64)
+        width = max(table.n, 1)  # f"{0:00b}" is "0"
+        digits = (at[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8) + ord("0")
+        distinct, slot = np.unique(at, return_inverse=True)
+        sums = list(map(answers.__getitem__, distinct.tolist()))
+        if table.ctx.is_prime_field:
+            column = np.array(sums, np.int64)
+        else:  # one str() per distinct point, not per line
+            column = np.array(list(map(str, sums)), "S")
+        lines = sparse._text_lines(digits.view(f"S{width}").ravel(), column[slot])
+        sys.stdout.write(lines.decode())
     print(f"adds={ops['adds']} mults={ops['mults']}", file=sys.stderr)
     return EXIT_OK
 

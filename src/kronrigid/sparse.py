@@ -679,8 +679,10 @@ _HIGH[0] = 0  # no digits above
 
 
 def _text_lines(*columns: np.ndarray) -> bytes:
-    """Lines of the (non-empty) columns' values joined by spaces, each as str() writes it."""
-    columns = [np.array([str(v) for v in c.tolist()], "S") if c.dtype == object or c.min() < 0 else c
+    """Lines of the (non-empty) columns' values joined by spaces, each as str() writes it;
+    the bytes of an S column are taken as they are."""
+    columns = [np.array([str(v) for v in c.tolist()], "S")
+               if c.dtype == object or c.dtype.kind != "S" and c.min() < 0 else c
                for c in columns]
     widths = [(c.itemsize if c.dtype.kind == "S" else len(str(c.max()))) // 4 + 1 for c in columns]
     words = np.empty((columns[0].size, sum(widths)), np.uint32)

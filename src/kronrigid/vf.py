@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -128,8 +128,8 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     Cost: one diagonal scaling between two forward butterflies, i.e.
     N log2 N additions and N multiplications.  Multiplicities are counted
     in the field, so in F_p they wrap at p (warned); use the rationals
-    for plain integer counts.  Returns (dict point -> raw field value,
-    op counts).
+    for plain integer counts.  Returns (answers, op counts), answers a
+    dict keyed by the distinct points: point -> raw field value.
     """
     if f.q != 2:
         raise ValueError("batch sums operate on q = 2 truth tables")
@@ -145,9 +145,10 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
             "wrap; consider the rational field",
             ModulusTooSmallWarning,
         )
-    for s in points:
-        if not 0 <= s < size:
-            raise LengthMismatch(f"point {s} does not fit in {n} bits")
+    # on the Python integers: a point may be too long for int64
+    if len(points) and not (0 <= min(points) and max(points) < size):
+        bad = next(s for s in points if not 0 <= s < size)
+        raise LengthMismatch(f"point {bad} does not fit in {n} bits")
     if p:
         den, values = 1, np.array(f.values, dtype=np.int64)
     else:  # integers over one denominator; a Fraction only per answer
@@ -157,10 +158,14 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
         # f(s AND t) = f'(~s OR ~t) with f'(z) = f(~z); ~z is size - 1 - z
         values = values[::-1]
         work = size - 1 - work
-    counts = ctx.reduce(np.bincount(work, minlength=size).astype(ctx.dtype))
+    multiplicity = np.bincount(work, minlength=size)
+    # before the reduction: a point repeated a multiple of p times has count 0
+    hit = np.flatnonzero(multiplicity)
+    keys = (hit if convention == "or" else size - 1 - hit).tolist()
+    counts = ctx.reduce(multiplicity.astype(ctx.dtype))
     # residues below 2^31, so each product is below 2^62
-    w = _rn(ctx, ctx.reduce(_rn(ctx, values, inverse=True) * _rn(ctx, counts))).tolist()
-    answers = {s: w[ws] if p else Fraction(w[ws], den) for s, ws in zip(points, work.tolist())}
+    w = _rn(ctx, ctx.reduce(_rn(ctx, values, inverse=True) * _rn(ctx, counts)))[hit].tolist()
+    answers = dict(zip(keys, w if p else map(Fraction, w, repeat(den))))
     return answers, {"adds": n * size, "mults": size}
 
 
@@ -272,12 +277,17 @@ def load_truthtable(path) -> TruthTable:
 def parse_points(text: str):
     """One bitstring of 0s and 1s per line; blank lines and surrounding
     whitespace are ignored.  ValueError for any other character, as int()
-    alone would take "0b11", "1_0" or "+1"."""
-    points = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln.strip("01"):
-            raise ValueError(f"not a bitstring: {ln!r}")
-        if ln:
-            points.append(int(ln, 2))
-    return points
+    alone would take "0b11", "1_0" or "+1".
+
+    Every line boundary is whitespace to str.split, so the text is valid
+    when each token is made of 0s and 1s and no line holds two tokens;
+    the lines are read one by one only to name the first bad one."""
+    tokens = text.split()
+    lines = text.splitlines()
+    filled = len(lines) - lines.count("") - sum(map(str.isspace, lines))
+    joined = "".join(tokens)  # bytes.translate deletes far faster than str.strip("01") walks
+    if not joined.isascii() or joined.encode().translate(None, b"01") or len(tokens) != filled:
+        for ln in lines:
+            if ln.strip().strip("01"):
+                raise ValueError(f"not a bitstring: {ln.strip()!r}")
+    return list(map(int, tokens, repeat(2)))

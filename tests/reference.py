@@ -3,8 +3,8 @@
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
 row-by-row sparse product with a dict per row, a matrix-vector product
-and a circuit's product made of it, the entry-by-entry Kronecker product, the quadratic
-oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
+and a circuit's product made of it, the entry-by-entry Kronecker product, the line-by-line
+points reader, the quadratic oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
 split of R_n into a low-rank part and a sparse rest, the row-list
@@ -123,6 +123,19 @@ def kron_reference(ops) -> SparseMatrix:
 def circuit_product(circ) -> SparseMatrix:
     """The product of a circuit's explicit factors, by matmul_rows."""
     return functools.reduce(matmul_rows, circ.factors)
+
+
+def parse_points_reference(text: str):
+    """One bitstring per line, read line by line: what vf.parse_points
+    must accept, return and refuse."""
+    points = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln.strip("01"):
+            raise ValueError(f"not a bitstring: {ln!r}")
+        if ln:
+            points.append(int(ln, 2))
+    return points
 
 
 def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):

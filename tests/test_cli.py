@@ -1,7 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 import time
+import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -10,9 +13,12 @@ from kronrigid import sparse, vf
 from kronrigid.circuits import butterfly_circuit
 from kronrigid.cli import main
 from kronrigid.disjoint import disjointness_matrix
+from kronrigid.errors import ModulusTooSmallWarning
 from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.vf import TruthTable
+
+from reference import batch_sums_oracle
 
 F5 = FieldCtx(5)
 
@@ -252,6 +258,49 @@ def test_batch_command(tmp_path, capsys):
     assert rc == 0
     assert captured.out.splitlines() == ["00 1", "01 0"]
     assert captured.err.startswith("adds=")
+
+
+def _batch(tmp_path, f, text, convention="or"):
+    ftab, pts = tmp_path / "f.tt", tmp_path / "pts.txt"
+    vf.save_truthtable(f, ftab)
+    pts.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModulusTooSmallWarning)
+        return main(["batch", "--f", str(ftab), "--points", str(pts), "--convention", convention])
+
+
+@pytest.mark.parametrize("convention", ["or", "and"])
+@pytest.mark.parametrize("field", [3, 5, 2**31 - 1, 0])
+def test_batch_prints_the_oracle_sums(tmp_path, capsys, field, convention):
+    ctx, rng = FieldCtx(field), random.Random(field)
+    draw = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))) if not field else (
+        lambda: rng.randrange(field))
+    f = TruthTable(2, 4, ctx, tuple(ctx.coerce(draw()) for _ in range(16)))
+    # unsorted, repeated, 0b0101 three times: its count is 0 mod 3
+    points = [0b1011, 0b0001, 0b0101, 0b1011, 0b0110, 0b0101, 0b0000, 0b1111, 0b0001, 0b0101]
+    text = "".join(f" {s:04b}\n" for s in points[:-1]) + "\n000101\n"
+    assert _batch(tmp_path, f, text, convention) == 0
+    want = batch_sums_oracle(f, points, convention)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{s:04b} {want[s]}" for s in points]
+    assert captured.err == "adds=64 mults=16\n"
+
+
+def test_batch_with_no_bits_prints_one_digit(tmp_path, capsys):
+    assert _batch(tmp_path, TruthTable(2, 0, F5, (3,)), "0\n000\n") == 0
+    assert capsys.readouterr().out == "0 1\n0 1\n"
+
+
+def test_batch_with_no_points_prints_nothing(tmp_path, capsys):
+    assert _batch(tmp_path, TruthTable(2, 2, F5, (1, 0, 0, 0)), "\n \n") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "adds=8 mults=4\n"
+
+
+def test_batch_names_the_first_point_out_of_range(tmp_path, capsys):
+    assert _batch(tmp_path, TruthTable(2, 2, F5, (1, 0, 0, 0)), "01\n111\n100\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: point 7 does not fit in 2 bits\n"
 
 
 @pytest.mark.parametrize("line", ["0b11", "1_0", "+1", "-1"])

@@ -1,5 +1,6 @@
 """Byte identity of the table-driven text writer with the %-formatter it
-replaced, over F_5, F_(2^31 - 1) and Q; byte identity of circuit files
+replaced, over F_5, F_(2^31 - 1) and Q, and with str() beside a bytes
+column; byte identity of circuit files
 written from each layer's Kronecker operands, one row block at a time, with
 the explicit layers of an entry-by-entry Kronecker product; the memory
 bound of both writers; the cap check before a circuit is written; the
@@ -129,6 +130,17 @@ def test_text_lines_is_str_of_every_int64():
     assert sparse._text_lines(signed, column[:4]) == (
         b"-1 0\n0 7\n-9223372036854775808 1000000000000000000\n12 9223372036854775807\n"
     )
+
+
+@PROPS
+@given(st.lists(st.tuples(st.text("01", min_size=1, max_size=13),
+                          st.integers(0, 2**63 - 1) | st.sampled_from(EDGES),
+                          values(RATIONALS)), min_size=1, max_size=30))
+def test_text_lines_takes_a_bytes_column_as_it_is(rows):
+    bits, ints, fracs = zip(*rows)
+    columns = np.array(bits, "S"), np.array(ints, np.int64), np.array(fracs, object)
+    expect = "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
+    assert sparse._text_lines(*columns) == expect
 
 
 @pytest.mark.parametrize("n, rows", [

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronrigid import sparse, vf
 from kronrigid.disjoint import disjointness_matrix
@@ -33,6 +35,7 @@ from reference import (
     expansion_identity_check,
     expansion_matrix_identity_check,
     inclusion_exclusion_reference,
+    parse_points_reference,
 )
 
 F5 = FieldCtx(5)
@@ -185,7 +188,7 @@ def test_batch_sums_vs_oracle():
             warnings.simplefilter("ignore", ModulusTooSmallWarning)
             fast, ops = batch_sums(f, pts, convention=conv)
         slow = batch_sums_oracle(f, pts, convention=conv)
-        assert all(fast[p] == slow[p] for p in pts)
+        assert fast == slow  # keyed by the distinct points
         assert ops["adds"] == 256 * 8
         assert ops["mults"] <= 3 * 256
 
@@ -206,6 +209,16 @@ def test_batch_sums_point_beyond_n_bits(convention):
     f = TruthTable(2, 2, F5, (1, 0, 0, 0))
     with pytest.raises(LengthMismatch):
         batch_sums(f, [0b01, 0b111], convention=convention)
+
+
+@pytest.mark.parametrize("convention", ["or", "and"])
+def test_batch_sums_answers_a_point_repeated_p_times(convention):
+    # the count of 0b101 is 0 in F_3, yet it is one of the points
+    f = random_table(SplitMix64(57), 2, 3, FieldCtx(3))
+    pts = [0b101, 0b010, 0b101, 0b101]
+    with pytest.warns(ModulusTooSmallWarning):
+        fast, _ = batch_sums(f, pts, convention=convention)
+    assert fast == batch_sums_oracle(f, pts, convention=convention)
 
 
 def test_batch_sums_multiplicity_warning():
@@ -344,3 +357,24 @@ def test_truthtable_file_roundtrip(tmp_path):
 
 def test_parse_points():
     assert vf.parse_points("101\n000\n 11 \n") == [5, 0, 3]
+
+
+# 0s and 1s, characters int() would take in a bitstring, and whitespace:
+# every line boundary of str.splitlines here, and \t, \xa0 and space, which are not
+POINTS_TEXT = st.text(st.sampled_from(
+    ["0", "1", "b", "_", "+", "-", "\r", "\n", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+     "\u2028", " "]
+), max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(POINTS_TEXT)
+def test_parse_points_matches_the_line_by_line_reader(text):
+    try:
+        want = parse_points_reference(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            vf.parse_points(text)
+        assert str(got.value) == str(e)
+    else:
+        assert vf.parse_points(text) == want
