@@ -63,7 +63,7 @@ class SynchronousCircuit:
             raise ValueError("a circuit needs at least one factor, and a factor an operand")
         ctx = self.layers[0][0].ctx
         if any(m.ctx != ctx for ops in self.layers for m in ops):
-            raise DimensionMismatch("factors in different fields")
+            raise ContextMismatch("factors in different fields")
         self.shapes = [
             (math.prod(m.rows for m in ops), math.prod(m.cols for m in ops))
             for ops in self.layers
@@ -165,33 +165,20 @@ def two_factor_from_rigidity(d: RigidityDecomposition) -> TwoFactorization:
     return TwoFactorization(b, c, b_prime, c_prime)
 
 
-def _expressions(tf: TwoFactorization, d: int):
-    """The d ways to write M as a product of d terms.
-
-    Expression i (0-based i < d-1) is I...I B C I...I with B at position
-    i; the last expression is C' I_h...I_h B'.  The interior identities
-    of the last expression live in the inner dimension h so the chain
-    types check.
-    """
-    q = tf.q
-    ctx = tf.B.ctx
-    iq = identity(q, ctx)
-    ih = identity(tf.h, ctx)
-    exprs = []
-    for i in range(d - 1):
-        exprs.append([iq] * i + [tf.B, tf.C] + [iq] * (d - i - 2))
-    exprs.append([tf.C_prime] + [ih] * (d - 2) + [tf.B_prime])
-    return exprs
-
-
 def symmetrized_depth_d(tf: TwoFactorization, d: int) -> SynchronousCircuit:
     """Depth-d circuit for M^{kron d}: factor j is the Kronecker product,
-    over the d expressions, of their position-j terms.  The mixed-product
+    over the d ways to write M as a product of d terms, of their
+    position-j terms.  Expression i < d-1 is I_q...I_q B C I_q...I_q with
+    B at position i; the last is C' I_h...I_h B', its interior identities
+    in the inner dimension h so the chain types check.  The mixed-product
     property makes the factor product equal M^{kron d} directly, with no
     explicit permutations."""
     if d < 2:
         raise DepthTooSmall("depth must be at least 2")
-    exprs = _expressions(tf, d)
+    iq = identity(tf.q, tf.B.ctx)
+    ih = identity(tf.h, tf.B.ctx)
+    exprs = [[iq] * i + [tf.B, tf.C] + [iq] * (d - i - 2) for i in range(d - 1)]
+    exprs.append([tf.C_prime] + [ih] * (d - 2) + [tf.B_prime])
     layers = [[e[j] for e in exprs] for j in range(d)]
     return SynchronousCircuit(layers, base_power=d)
 

@@ -86,11 +86,6 @@ def _formula_bound(tf, unit, n: int, depth: int) -> float:
     return bound
 
 
-def _butterfly_wires(unit, n: int, depth: int) -> int:
-    """Wires of the family's depth-d butterfly, d | n, counted on its structure."""
-    return circuits.butterfly_circuit([unit] * n, n // depth).wires
-
-
 def _family_unit(family: str, ctx: FieldCtx):
     """The 2x2 matrix whose Kronecker powers make up the family."""
     if family == "hadamard":
@@ -111,15 +106,27 @@ def _base_shapes(family: str, ctx: FieldCtx):
     return shapes
 
 
+def _synth_row(family: str, base: str, n: int, depth: int, ctx: FieldCtx):
+    """(unit, circuit, trivial, formula_bound) of one synth, or None when
+    depth does not divide n: trivial is the wires of the family's depth-d
+    butterfly, n / depth digits per layer.  The base is resolved first, so
+    a base of the other family fails whatever n is; the formula bound
+    comes before anything of size n is built, so its cap stops a huge n."""
+    tf = _base_factorization(family, base, n, depth, ctx)
+    if n % depth:
+        return None
+    unit = _family_unit(family, ctx)
+    formula_bound = _formula_bound(tf, unit, n, depth)
+    circ = circuits.synthesize(tf, unit, n, depth)
+    trivial = circuits.butterfly_circuit([unit] * n, n // depth).wires
+    return unit, circ, trivial, formula_bound
+
+
 def cmd_synth(args) -> int:
-    ctx = FieldCtx(args.field)
-    tf = _base_factorization(args.family, args.base, args.n, args.depth, ctx)
-    if args.n % args.depth:  # the butterfly of trivial= has n / depth digits per layer
+    built = _synth_row(args.family, args.base, args.n, args.depth, FieldCtx(args.field))
+    if built is None:
         raise ValueError(f"n = {args.n} is not a multiple of depth {args.depth}")
-    unit = _family_unit(args.family, ctx)
-    formula_bound = _formula_bound(tf, unit, args.n, args.depth)
-    circ = circuits.synthesize(tf, unit, args.n, args.depth)
-    trivial = _butterfly_wires(unit, args.n, args.depth)
+    unit, circ, trivial, formula_bound = built
     if args.out:
         circ.check_caps()  # before anything is printed or built
     if not circuits.prove_power(circ, unit, args.n):
@@ -229,20 +236,16 @@ def _parse_range(spec: str):
 
 def cmd_bench(args) -> int:
     ctx = FieldCtx(args.field)
-    unit = _family_unit(args.family, ctx)
     rows = []
     for n in _parse_range(args.n):
         for d in _parse_range(args.depth):
-            # before the n % d skip: a base of the other family fails on any grid
-            tf = _base_factorization(args.family, args.base, n, d, ctx)
-            if n % d:
+            built = _synth_row(args.family, args.base, n, d, ctx)
+            if built is None:
                 continue
-            formula_bound = _formula_bound(tf, unit, n, d)
-            wires = circuits.synthesize(tf, unit, n, d).wires
-            trivial = _butterfly_wires(unit, n, d)
-            ratio = wires / (2**n * n)
+            _, circ, trivial, formula_bound = built
+            ratio = circ.wires / (2**n * n)
             rows.append(
-                f"{args.family},{n},{2**n},{d},{args.base},{wires},"
+                f"{args.family},{n},{2**n},{d},{args.base},{circ.wires},"
                 f"{trivial},{formula_bound:.1f},{ratio:.6f}"
             )
     print("\n".join(["family,n,N,d,base,wires,trivial_wires,formula_bound,ratio_nlogn", *rows]))

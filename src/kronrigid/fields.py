@@ -101,9 +101,6 @@ class FieldCtx:
     def add_raw(self, x, y):
         return (x + y) % self.modulus if self.is_prime_field else x + y
 
-    def sub_raw(self, x, y):
-        return (x - y) % self.modulus if self.is_prime_field else x - y
-
     def mul_raw(self, x, y):
         return (x * y) % self.modulus if self.is_prime_field else x * y
 

@@ -252,28 +252,26 @@ def h4_rank1_decomposition(ctx: FieldCtx) -> RigidityDecomposition:
 def normalize_outer1(m: SparseMatrix):
     """Split M = D x M' x D' with D, D' invertible diagonal and M' outer-1.
 
-    Requires every entry of row 0 and column 0 nonzero.
+    D = diag(M[i,0]) and D' = diag(M[0,j] / M[0,0]), so M' has 1 in every
+    entry of row 0 and column 0.  Requires those entries of M nonzero:
+    OuterZero names the first zero, column 0 scanned before row 0.
     """
     ctx = m.ctx
-    for i in range(m.rows):
-        if not m.get(i, 0):
+    col = [m.get(i, 0) for i in range(m.rows)]
+    row = [m.get(0, j) for j in range(m.cols)]
+    for i, x in enumerate(col):
+        if not x:
             raise OuterZero(i, 0)
-    for j in range(m.cols):
-        if not m.get(0, j):
+    for j, x in enumerate(row):
+        if not x:
             raise OuterZero(0, j)
-    m00 = m.get(0, 0)
-    # G scales row i by 1/M[i,0], G' scales col j by M[0,0]/M[0,j];
-    # D, D' are their inverses.
-    g = sparse.diagonal([ctx.inv_raw(m.get(i, 0)) for i in range(m.rows)], ctx)
-    gp = sparse.diagonal(
-        [ctx.mul_raw(m00, ctx.inv_raw(m.get(0, j))) for j in range(m.cols)], ctx
-    )
-    mprime = sparse.matmul(sparse.matmul(g, m), gp)
-    d = sparse.diagonal([m.get(i, 0) for i in range(m.rows)], ctx)
-    dp = sparse.diagonal(
-        [ctx.mul_raw(m.get(0, j), ctx.inv_raw(m00)) for j in range(m.cols)], ctx
-    )
-    return d, mprime, dp
+    inv_col = [ctx.inv_raw(x) for x in col]
+    d = sparse.diagonal(col, ctx)
+    dp = sparse.diagonal([ctx.mul_raw(x, inv_col[0]) for x in row], ctx)
+    # M' = D^-1 M D'^-1: row i over M[i,0], column j times M[0,0] / M[0,j]
+    d_inv = sparse.diagonal(inv_col, ctx)
+    dp_inv = sparse.diagonal([ctx.mul_raw(col[0], ctx.inv_raw(x)) for x in row], ctx)
+    return d, sparse.matmul(sparse.matmul(d_inv, m), dp_inv), dp
 
 
 def compose_nonrigid(

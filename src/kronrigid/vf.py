@@ -28,9 +28,9 @@ from .errors import (
     LengthMismatch,
     LengthNotPowerOfTwo,
     ModulusTooSmallWarning,
-    OuterZero,
 )
 from .fields import FieldCtx
+from .rigidity import normalize_outer1
 from .sparse import SparseMatrix
 
 GENERAL_CAP = 4096
@@ -172,46 +172,28 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
 def kron2_to_vf(m_list):
     """Write a Kronecker product of 2x2 matrices as Pi x V_f x Pi'.
 
-    Each base M is conjugated by the bit swap and split off diagonals:
-    M = X D V_g D' X with g(0) = M[1,1] M[0,0] / (M[1,0] M[0,1]) and
-    g(1) = 1, so Pi and Pi' are weighted permutations and
+    Each base splits as M = D M' D' by `rigidity.normalize_outer1`, and
+    its outer-1 part is M' = X V_g X for the bit swap X, with
+    g(0) = M'[1,1] and g(1) = 1.  So Pi = kron of the D X and
+    Pi' = kron of the X D' are weighted permutations and
     f(z) = prod_i g_i(z[i]).  The three outer entries of each M must be
-    nonzero; the corner M[1,1] (hence g(0)) may be zero.
+    nonzero (OuterZero); the corner M'[1,1], hence g(0), may be zero.
     """
-    n = len(m_list)
-    if n == 0:
+    if not m_list:
         raise ValueError("need at least one base matrix")
     ctx = m_list[0].ctx
-    pi_parts = []
-    pip_parts = []
-    columns = []
+    one = ctx.one_raw()
+    swap = SparseMatrix(2, 2, ctx, [(0, 1, one), (1, 0, one)])
+    pi_parts, pip_parts, columns = [], [], []
     for m in m_list:
-        a = m.get(0, 0)
-        b = m.get(0, 1)
-        c = m.get(1, 0)
-        d = m.get(1, 1)
-        if not a:
-            raise OuterZero(0, 0)
-        if not b:
-            raise OuterZero(0, 1)
-        if not c:
-            raise OuterZero(1, 0)
-        # M = X D V_g D' X with D = diag(c/a, 1), D' = diag(b, a)
-        d0 = ctx.mul_raw(c, ctx.inv_raw(a))
-        g0 = ctx.mul_raw(
-            ctx.mul_raw(d, a), ctx.inv_raw(ctx.mul_raw(c, b))
-        )
-        one = ctx.one_raw()
-        # X x D = [[0, 1], [d0, 0]]; D' x X = [[0, b], [a, 0]]
-        pi_parts.append(SparseMatrix(2, 2, ctx, [(0, 1, one), (1, 0, d0)]))
-        pip_parts.append(SparseMatrix(2, 2, ctx, [(0, 1, b), (1, 0, a)]))
-        columns.append(SparseMatrix.from_dense([[g0], [one]], ctx))
-    pi = sparse.kron_all(pi_parts)
-    pip = sparse.kron_all(pip_parts)
+        d, mprime, dp = normalize_outer1(m)
+        pi_parts.append(sparse.matmul(d, swap))
+        pip_parts.append(sparse.matmul(swap, dp))
+        columns.append(SparseMatrix.from_dense([[mprime.get(1, 1)], [one]], ctx))
     # f(z) = prod_i g_i(z[i]): the Kronecker product of the columns (g_i(0), g_i(1))
-    values = sparse.kron_apply(columns, np.full(1, ctx.one_raw(), ctx.dtype)).tolist()
-    f = TruthTable(2, n, ctx, tuple(values))
-    return pi, f, pip
+    values = sparse.kron_apply(columns, np.full(1, one, ctx.dtype)).tolist()
+    f = TruthTable(2, len(m_list), ctx, tuple(values))
+    return sparse.kron_all(pi_parts), f, sparse.kron_all(pip_parts)
 
 
 # -- inclusion-exclusion expansion for general bases ---------------------

@@ -170,7 +170,7 @@ def inclusion_exclusion_reference(f: TruthTable):
                                 x[slot] = w[pos] + 1
                         val = f.values[np.ravel_multi_index(x, (q,) * n)]
                         if (size - tsize) % 2:
-                            acc = ctx.sub_raw(acc, val)
+                            acc = ctx.add_raw(acc, -val)
                         else:
                             acc = ctx.add_raw(acc, val)
                 values.append(acc)
@@ -345,7 +345,7 @@ def eliminate_reference(rows, ctx: FieldCtx) -> list:
         prow, rows[piv] = rows[piv], rows[k]
         inv = ctx.inv_raw(prow[c])
         if inv != 1:  # v - (1 - inv) v = inv v: scale to a leading 1
-            prow = minus(prow, ctx.sub_raw(1, inv), prow)
+            prow = minus(prow, ctx.add_raw(1, -inv), prow)
         rows[k] = prow
         for i, row in enumerate(rows):
             if i != k and row[c]:

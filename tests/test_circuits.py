@@ -16,6 +16,7 @@ from kronrigid.circuits import (
 )
 from kronrigid.disjoint import disjointness_matrix, js_factorization
 from kronrigid.errors import (
+    ContextMismatch,
     DepthTooSmall,
     DimensionMismatch,
     DivisorMismatch,
@@ -180,6 +181,14 @@ def test_synthesize_rejects_a_base_of_another_unit():
     cube = two_factor_from_rigidity(rigidity.cube_rank1_decomposition(hadamard_matrix(1, F5)))
     with pytest.raises(ValueError):
         circuits.synthesize(cube, hadamard_matrix(2, F5), 4, 2)
+
+
+def test_factors_in_different_fields_are_a_context_mismatch():
+    # the package's one error for operands of different fields, as in sparse
+    with pytest.raises(ContextMismatch):
+        SynchronousCircuit([[hadamard_matrix(1, F5), hadamard_matrix(1, FieldCtx(7))]])
+    with pytest.raises(ContextMismatch):
+        SynchronousCircuit([hadamard_matrix(1, F5), hadamard_matrix(1, FieldCtx(0))])
 
 
 def test_verify_circuit_shape_mismatch():

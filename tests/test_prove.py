@@ -9,15 +9,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from kronrigid import cli, circuits, sparse
+from kronrigid import cli, circuits, rigidity, sparse
 from kronrigid.circuits import SynchronousCircuit, prove_power, synthesize, verify_circuit
 from kronrigid.cli import main
 from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
-from reference import SplitMix64, triplets
+from reference import SplitMix64, circuit_product, triplets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ROUNDTRIP  # noqa: E402
@@ -324,6 +326,95 @@ def test_a_base_with_one_entry_changed_is_not_proved(monkeypatch, capsys, ctx, s
     assert main(["synth", *argv, "--field", str(ctx.modulus)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "not proved equal" in captured.err
+
+
+# -- soundness fuzz -------------------------------------------------------
+
+FUZZ_FIELDS = [FieldCtx(3), F5, F7, Q]
+KEEP = ["merge", "split identity", "scale and unscale", "explicit layer", "insert 1x1"]
+BREAK = ["change entry", "swap", "transpose", "unmatched scale"]
+
+
+def elements(ctx, skip=()):
+    pool = range(ctx.modulus) if ctx.modulus else {Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)}
+    return st.sampled_from(sorted(x for x in pool if x not in skip))
+
+
+@st.composite
+def fuzz_circuits(draw):
+    """(circuit, unit, n, shapes): a butterfly or a synthesized circuit of
+    H_1, R_1 or a random q x q unit, q in {2, 3}, at n <= 6 (n <= 4 at q = 3)."""
+    ctx = draw(st.sampled_from(FUZZ_FIELDS))
+    family = draw(st.sampled_from(["hadamard", "disjointness", "random"]))
+    if family == "random":
+        q = draw(st.sampled_from([2, 3]))
+        unit = SparseMatrix.from_dense([[draw(elements(ctx)) for _ in range(q)] for _ in range(q)], ctx)
+    else:
+        unit = cli._family_unit(family, ctx)
+    n = draw(st.integers(1, 6 if unit.rows == 2 else 4))
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([g for g in range(1, n + 1) if n % g == 0]))
+        return circuits.butterfly_circuit([unit] * n, group), unit, n, ()
+    d = draw(st.integers(2, 3))
+    if family == "random":  # a rank-1 split of unit^{x t}, the low part drawn
+        base = sparse.kron_power(unit, draw(st.integers(1, 2)))
+        col, row = ([draw(elements(ctx)) for _ in range(base.rows)] for _ in range(2))
+        tf = circuits.two_factor_from_rigidity(rigidity._rank1_split(base, col, row))
+    else:
+        bases = ["h2", "h3cube"] if family == "hadamard" else ["js:1", "js:2", "js:3"]
+        tf = cli._base_factorization(family, draw(st.sampled_from(bases)), n, d, ctx)
+    return circuits.synthesize(tf, unit, n, d), unit, n, [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
+
+
+def rewrite(data, layers, ctx, how):
+    """Apply one rewrite to layers in place: those of KEEP keep the
+    product, those of BREAK change it unless the product hides the change."""
+    position = st.integers(0, len(layers) - 1).flatmap(
+        lambda j: st.tuples(st.just(j), st.integers(0, len(layers[j]) - 1)))
+    j, k = data.draw(position)
+    ops, m = layers[j], layers[j][k]
+    if how == "merge" and k + 1 < len(ops):
+        ops[k : k + 2] = [kron(m, ops[k + 1])]
+    elif how == "split identity" and m == identity(m.rows, ctx):
+        sides = [a for a in range(2, m.rows) if m.rows % a == 0]
+        if sides:
+            a = data.draw(st.sampled_from(sides))
+            ops[k : k + 1] = [identity(a, ctx), identity(m.rows // a, ctx)]
+    elif how in ("scale and unscale", "unmatched scale"):
+        lam = data.draw(elements(ctx, skip=(0, 1)))
+        ops[k] = sparse.scale(m, lam)
+        if how == "scale and unscale":
+            j2, k2 = data.draw(position)
+            layers[j2][k2] = sparse.scale(layers[j2][k2], ctx.inv_raw(lam))
+    elif how == "explicit layer":
+        layers[j] = [sparse.kron_all(ops)]
+    elif how == "insert 1x1":
+        ops.insert(data.draw(st.integers(0, len(ops))), identity(1, ctx))
+    elif how == "change entry":
+        i, c = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+        delta = data.draw(elements(ctx, skip=(0,)))
+        ops[k] = sparse.add_mat(m, SparseMatrix(m.rows, m.cols, ctx, [(i, c, delta)]))
+    elif how == "swap":
+        k2 = data.draw(st.integers(0, len(ops) - 1))
+        ops[k], ops[k2] = ops[k2], m
+    elif how == "transpose" and m.is_square:  # a non-square one breaks the chain
+        ops[k] = sparse.transpose(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_circuits(), st.data())
+def test_the_proof_is_sound_on_rewritten_circuits(built, data):
+    circ, unit, n, shapes = built
+    layers = [list(ops) for ops in circ.layers]
+    hows = data.draw(st.lists(st.sampled_from(KEEP), max_size=3))
+    hows += data.draw(st.lists(st.sampled_from(BREAK), max_size=1))
+    for how in hows:
+        rewrite(data, layers, unit.ctx, how)
+    circ = SynchronousCircuit(layers)
+    equal = circuit_product(circ) == sparse.kron_power(unit, n)
+    verdict = prove_power(circ, unit, n, shapes)
+    event(f"equal={equal} proved={verdict}")
+    assert verdict is None or verdict == equal
 
 
 # -- the command line -----------------------------------------------------

@@ -268,6 +268,33 @@ def test_kron2_to_vf_outer_zero_rejected():
         kron2_to_vf([bad])
 
 
+def _kron2_values(ctx):
+    if ctx.is_prime_field:
+        return st.integers(1, ctx.modulus - 1)
+    return st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kron2_to_vf_conjugates_any_product_of_outer_nonzero_bases(data):
+    ctx = data.draw(st.sampled_from([F5, FieldCtx(101), FieldCtx(2**31 - 1), RATIONALS]))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b, c = (data.draw(_kron2_values(ctx)) for _ in range(3))
+        corner = data.draw(st.one_of(st.just(ctx.zero_raw()), _kron2_values(ctx)))
+        mats.append(SparseMatrix.from_dense([[a, b], [c, corner]], ctx))
+    pi, f, pip = kron2_to_vf(mats)
+    assert sparse.matmul(sparse.matmul(pi, vf_matrix(f)), pip) == sparse.kron_all(mats)
+    # one zero outer entry, in any base, is named
+    k = data.draw(st.integers(0, len(mats) - 1))
+    i, j = data.draw(st.sampled_from([(0, 0), (0, 1), (1, 0)]))
+    dense = mats[k].to_array().tolist()
+    dense[i][j] = 0
+    with pytest.raises(OuterZero) as info:
+        kron2_to_vf(mats[:k] + [SparseMatrix.from_dense(dense, ctx)] + mats[k + 1 :])
+    assert info.value.position == (i, j)
+
+
 def test_expansion_constant_function():
     f = TruthTable(2, 3, F5, tuple([1] * 8))
     exp = inclusion_exclusion_expand(f)
