@@ -21,16 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sparse
-from .errors import (
-    CapExceeded,
-    ContextMismatch,
-    DepthTooSmall,
-    DimensionCapExceeded,
-    DimensionMismatch,
-    DivisorMismatch,
-    NotSquare,
-    UnverifiedInput,
-)
+from .errors import CapExceeded, ContextMismatch, DimensionMismatch, KronRigidError
 from .fields import FieldCtx, is_prime
 from .rigidity import RigidityDecomposition
 from .sparse import SparseMatrix, identity, kron, kron_all, matmul
@@ -104,7 +95,7 @@ class SynchronousCircuit:
         above sparse.DIMENSION_CAP, or more than WIRE_CAP wires."""
         side = max(max(shape) for shape in self.shapes)
         if side > sparse.DIMENSION_CAP:
-            raise DimensionCapExceeded(f"size {side} exceeds cap {sparse.DIMENSION_CAP}")
+            raise CapExceeded(f"size {side} exceeds cap {sparse.DIMENSION_CAP}")
         if self.wires > WIRE_CAP:
             raise CapExceeded(f"{self.wires} wires exceed the cap {WIRE_CAP} for explicit factors")
 
@@ -156,7 +147,7 @@ def two_factor_from_rigidity(d: RigidityDecomposition) -> TwoFactorization:
     """
     m = d.target
     if not m.is_square:
-        raise NotSquare("two-factorization needs a square target")
+        raise DimensionMismatch("two-factorization needs a square target")
     q = m.rows
     b = sparse.concat_h(d.S, d.B_lr)
     c = sparse.stack_v(identity(q, m.ctx), d.C_lr)
@@ -174,7 +165,7 @@ def symmetrized_depth_d(tf: TwoFactorization, d: int) -> SynchronousCircuit:
     property makes the factor product equal M^{kron d} directly, with no
     explicit permutations."""
     if d < 2:
-        raise DepthTooSmall("depth must be at least 2")
+        raise DimensionMismatch("depth must be at least 2")
     iq = identity(tf.q, tf.B.ctx)
     ih = identity(tf.h, tf.B.ctx)
     exprs = [[iq] * i + [tf.B, tf.C] + [iq] * (d - i - 2) for i in range(d - 1)]
@@ -221,7 +212,7 @@ def synthesize(
     I x unit^{kron k_j} x I, the k_j as even as possible and the earlier
     factors taking the extra copies."""
     if d < 2:
-        raise DepthTooSmall("depth must be at least 2")
+        raise DimensionMismatch("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
     reps, k = divmod(n, base_digits(tf, unit) * d)
@@ -248,7 +239,7 @@ def butterfly_circuit(m_list, group: int = 1) -> SynchronousCircuit:
     divide the list length."""
     n = len(m_list)
     if n == 0 or n % group != 0:
-        raise DivisorMismatch(f"group {group} does not divide {n}")
+        raise DimensionMismatch(f"group {group} does not divide {n}")
     ctx = m_list[0].ctx
     q = m_list[0].rows
     for m in m_list:
@@ -298,7 +289,7 @@ def balance_exponents(
     input_factors = builder(n)
     d = len(input_factors)
     if not verify_circuit(SynchronousCircuit(input_factors), [base] * n):
-        raise UnverifiedInput("input factorization does not multiply to the target")
+        raise KronRigidError("input factorization does not multiply to the target")
     if exponents is None:
         exponents = [
             Fraction(math.log(f.nnz, q)).limit_denominator(10**6) / n
@@ -427,7 +418,7 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     for m in ops:  # one operand at a time: a side far above the cap stops at once
         rows, cols = rows * m.rows, cols * m.cols
         if max(rows, cols) > sparse.DIMENSION_CAP:
-            raise DimensionCapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
+            raise CapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
     if (circ.rows, circ.cols) != (rows, cols):
         raise DimensionMismatch(f"circuit is {circ.rows}x{circ.cols}, the target {rows}x{cols}")
     if any(m.ctx != circ.ctx for m in ops):

@@ -8,20 +8,14 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 import numpy as np
 
 from . import circuits, disjoint, mmbridge, rigidity, sparse, vf
-from .errors import (
-    CapExceeded,
-    DepthTooSmall,
-    DivisorMismatch,
-    ExceedsBound,
-    KronRigidError,
-    NotSquare,
-)
+from .errors import CapExceeded, DimensionMismatch, ExceedsBound, KronRigidError
 from .fields import FieldCtx
 
 EXIT_OK = 0
@@ -51,7 +45,7 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     multiply to the unit's power is for circuits.prove_power to decide.
     """
     if depth < 2:
-        raise DepthTooSmall("depth must be at least 2")
+        raise DimensionMismatch("depth must be at least 2")
     if name == "auto":
         name = "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
     key = name
@@ -157,7 +151,7 @@ def cmd_verify(args) -> int:
 def cmd_rigidity(args) -> int:
     m = sparse.load_matrix(args.matrix)
     if args.out and not m.is_square:  # before the search: the witness could not be written
-        raise NotSquare(f"a witness file holds a square matrix, not {m.rows}x{m.cols}")
+        raise DimensionMismatch(f"a witness file holds a square matrix, not {m.rows}x{m.cols}")
     try:
         minimum, witness = rigidity.brute_force_rigidity(
             m, args.rank, args.max_changes
@@ -203,7 +197,7 @@ def cmd_mmcost(args) -> int:
     if args.n < 1 or args.k < 1:
         raise ValueError(f"mmcost needs n >= 1 and k >= 1, not n = {args.n}, k = {args.k}")
     if args.n % args.k:  # before the q^n-entry probe is built
-        raise DivisorMismatch(f"{args.k} rounds do not divide {args.n} factors")
+        raise DimensionMismatch(f"{args.k} rounds do not divide {args.n} factors")
     ctx = FieldCtx(args.field)
     h1 = rigidity.hadamard_matrix(1, ctx)
     # a round makes q^(n + n/k) products, no fewer than the probe or a round block holds
@@ -252,6 +246,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kronrigid",
@@ -266,39 +261,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="auto")
     p.add_argument("--field", type=int, default=5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="verify a circuit file against a family")
     p.add_argument("--circuit", required=True)
     p.add_argument("--family", choices=["hadamard", "disjointness"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rigidity", help="brute-force minimum changes to rank r")
     p.add_argument("--matrix", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--max-changes", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_rigidity)
 
     p = sub.add_parser("batch", help="batched sums of f over point pairs")
     p.add_argument("--f", required=True, help="truth-table file")
     p.add_argument("--points", required=True, help="bitstring-per-line file")
     p.add_argument("--convention", choices=["or", "and"], default="or")
-    p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("disjoint-stats", help="dense row/col removal stats")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["auto", "scan", "count"], default="auto")
-    p.set_defaults(func=cmd_disjoint_stats)
 
     p = sub.add_parser("mmcost", help="matmul-round evaluation cost")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--backend", choices=["naive", "strassen"], default="naive")
     p.add_argument("--field", type=int, default=5)
-    p.set_defaults(func=cmd_mmcost)
 
     p = sub.add_parser("bench", help="CSV sweep over n/depth grids")
     p.add_argument("--family", choices=["hadamard", "disjointness"], required=True)
@@ -306,16 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", required=True, help="comma list")
     p.add_argument("--base", default="h4")
     p.add_argument("--field", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # cmd_* is looked up here, not bound in the cached parser, so a wrapper
+    # or patch put on cli.cmd_* after the parser was built is what runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -2,7 +2,7 @@
 
 
 class KronRigidError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raised itself by a refusal of no narrower kind."""
 
 
 class ContextMismatch(KronRigidError):
@@ -13,24 +13,16 @@ class DivisionByZero(KronRigidError, ZeroDivisionError):
     """Inverse of the zero element requested."""
 
 
-class NoRootExists(KronRigidError):
-    """No primitive Nth root of unity in this field (N does not divide p-1)."""
-
-
 class RationalUnsupported(KronRigidError):
     """Operation only defined over prime fields."""
 
 
 class DimensionMismatch(KronRigidError):
-    """Matrix dimensions do not chain."""
+    """A shape, length, depth or count does not fit."""
 
 
 class CapExceeded(KronRigidError):
     """Requested size exceeds a materialization cap."""
-
-
-class DimensionCapExceeded(CapExceeded):
-    """Result would exceed the configured dimension cap."""
 
 
 class WorkCapExceeded(CapExceeded):
@@ -50,34 +42,6 @@ class OuterZero(KronRigidError):
     def __init__(self, i, j):
         self.position = (i, j)
         super().__init__(f"outer entry ({i}, {j}) is zero")
-
-
-class OmegaZero(KronRigidError):
-    """The corner entry of the base matrix is zero where its inverse is needed."""
-
-
-class NotSquare(KronRigidError):
-    """A square matrix is required."""
-
-
-class DepthTooSmall(KronRigidError):
-    """Circuit depth must be at least 2."""
-
-
-class DivisorMismatch(KronRigidError):
-    """A block count or group size does not divide the number of factors."""
-
-
-class LengthMismatch(KronRigidError):
-    """Vector length does not match the transform dimension."""
-
-
-class LengthNotPowerOfTwo(KronRigidError):
-    """Butterfly input length must be a power of two."""
-
-
-class UnverifiedInput(KronRigidError):
-    """Input factorization does not multiply to the claimed target."""
 
 
 class ExceedsBound(KronRigidError):

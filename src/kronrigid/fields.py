@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, NoRootExists, RationalUnsupported
+from .errors import DivisionByZero, KronRigidError, RationalUnsupported
 
 MAX_PRIME_MODULUS = 2**31
 
@@ -140,7 +140,7 @@ def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
         raise ValueError("n must be positive")
     p = ctx.modulus
     if (p - 1) % n != 0:
-        raise NoRootExists(f"{n} does not divide {p - 1}")
+        raise KronRigidError(f"{n} does not divide {p - 1}")
     if n == 1:
         return 1
     for w in range(2, p):
@@ -148,4 +148,4 @@ def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
             continue
         if multiplicative_order(ctx, w, n) == n:
             return w
-    raise NoRootExists(f"no element of order {n} in F_{p}")  # pragma: no cover
+    raise KronRigidError(f"no element of order {n} in F_{p}")  # pragma: no cover

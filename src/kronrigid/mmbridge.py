@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sparse
-from .errors import DivisorMismatch, LengthMismatch
+from .errors import DimensionMismatch
 from .sparse import SparseMatrix
 
 
@@ -85,7 +85,7 @@ def kron_identity_apply(m: SparseMatrix, copies: int, v, backend):
     """apply(M kron I_copies, v) as one matrix product after reshaping:
     row b of the right operand is v[b*copies : (b+1)*copies]."""
     if len(v) != m.cols * copies:
-        raise LengthMismatch(f"expected {m.cols * copies} values, got {len(v)}")
+        raise DimensionMismatch(f"expected {m.cols * copies} values, got {len(v)}")
     backend.reset()
     b = np.array(v, dtype=object).reshape(m.cols, copies)
     return backend.multiply(m.to_array().astype(object), b, m.ctx).reshape(-1).tolist()
@@ -101,12 +101,12 @@ def butterflytomm_apply(m_list, k: int, v, backend):
     """
     n = len(m_list)
     if n == 0 or n % k != 0:
-        raise DivisorMismatch(f"{k} rounds do not divide {n} factors")
+        raise DimensionMismatch(f"{k} rounds do not divide {n} factors")
     q = m_list[0].rows
     ctx = m_list[0].ctx
     g = n // k
     if len(v) != q**n:
-        raise LengthMismatch(f"expected {q ** n} values, got {len(v)}")
+        raise DimensionMismatch(f"expected {q ** n} values, got {len(v)}")
     backend.reset()
     cur = np.array(v, dtype=object)
     per_round = []

@@ -19,9 +19,8 @@ import numpy as np
 from . import sparse
 from .errors import (
     DimensionMismatch,
+    DivisionByZero,
     ExceedsBound,
-    NotSquare,
-    OmegaZero,
     OuterZero,
     RationalUnsupported,
     WorkCapExceeded,
@@ -238,7 +237,7 @@ def cube_rank1_decomposition(m: SparseMatrix) -> RigidityDecomposition:
         raise ValueError("base must be outer-1 (normalize first)")
     omega = m.get(1, 1)
     if not omega:
-        raise OmegaZero("corner entry is zero; its inverse defines the low part")
+        raise DivisionByZero("corner entry is zero; its inverse defines the low part")
     return _rank1_split(sparse.kron_power(m, 3), [ctx.inv_raw(omega)] + [one] * 7, [one] + [omega] * 7)
 
 
@@ -323,7 +322,7 @@ def dft_matrix(n: int, ctx: FieldCtx) -> SparseMatrix:
 
 def dump_witness(d: RigidityDecomposition) -> str:
     if not d.target.is_square:  # the header states one size
-        raise NotSquare(f"a witness file holds a square target, not {d.target.rows}x{d.target.cols}")
+        raise DimensionMismatch(f"a witness file holds a square target, not {d.target.rows}x{d.target.cols}")
     header = (
         f"rigidity {d.target.rows} {d.rank_bound} {d.changes} "
         f"{d.target.ctx.modulus}"

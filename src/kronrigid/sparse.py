@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContextMismatch, DimensionCapExceeded, DimensionMismatch, RationalUnsupported
+from .errors import CapExceeded, ContextMismatch, DimensionMismatch, RationalUnsupported
 from .fields import FieldCtx
 
 # Guardrail against accidental q**n explosion.
@@ -258,7 +257,7 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
+        raise CapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
     na, nb = np.diff(a.indptr), np.diff(b.indptr)
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.outer(na, nb).ravel(), out=indptr[1:])
@@ -605,16 +604,16 @@ def _check_dims(*dims) -> None:
     if min(dims) < 0:
         raise ValueError(f"negative size in {dims}")
     if max(dims) > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"size {max(dims)} exceeds cap {DIMENSION_CAP}")
+        raise CapExceeded(f"size {max(dims)} exceeds cap {DIMENSION_CAP}")
 
 
 def capped_power(q: int, n: int, what: str) -> int:
-    """q^n, the count of `what`, or DimensionCapExceeded when it passes
+    """q^n, the count of `what`, or CapExceeded when it passes
     DIMENSION_CAP.  n is cut at the cap's bit length first (q >= 2 makes
     q^n >= 2^n), so a huge n costs nothing."""
     size = q ** min(n, DIMENSION_CAP.bit_length())
     if size > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"{q}^{n} {what} exceed the cap {DIMENSION_CAP}")
+        raise CapExceeded(f"{q}^{n} {what} exceed the cap {DIMENSION_CAP}")
     return size
 
 
@@ -624,16 +623,12 @@ def _numbers(text: str, ctx: FieldCtx, width: int, count=None) -> list:
     "num/den".  ValueError unless the numbers fill whole rows (count rows,
     when given), every index fits int64 and no denominator is zero."""
     try:
-        with warnings.catch_warnings():
-            # numpy before 2.3 only warned on data such as "1/2", and
-            # returned the numbers read so far
-            warnings.simplefilter("error", DeprecationWarning)
-            # (a blank text would read as [0])
-            table = np.zeros(0, np.int64) if text.isspace() else np.fromstring(text, np.int64, sep=" ")
+        # (a blank text would read as [0])
+        table = np.zeros(0, np.int64) if text.isspace() else np.fromstring(text, np.int64, sep=" ")
         info = np.iinfo(np.int64)
         if ((table == info.max) | (table == info.min)).any():  # saturated
             raise ValueError
-    except (ValueError, DeprecationWarning):  # "num/den", or junk that int() rejects
+    except ValueError:  # "num/den", or junk that int() rejects
         table = np.array(text.split(), dtype=object)
     if table.size % width or (count is not None and table.size != width * count):
         rows = "whole rows" if count is None else f"{count} rows"

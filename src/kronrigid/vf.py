@@ -23,12 +23,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import sparse
-from .errors import (
-    CapExceeded,
-    LengthMismatch,
-    LengthNotPowerOfTwo,
-    ModulusTooSmallWarning,
-)
+from .errors import CapExceeded, DimensionMismatch, ModulusTooSmallWarning
 from .fields import FieldCtx
 from .rigidity import normalize_outer1
 from .sparse import SparseMatrix
@@ -48,9 +43,7 @@ class TruthTable:
 
     def __post_init__(self):
         if len(self.values) != self.q**self.n:
-            raise LengthMismatch(
-                f"expected {self.q ** self.n} values, got {len(self.values)}"
-            )
+            raise DimensionMismatch(f"expected {self.q ** self.n} values, got {len(self.values)}")
 
     def __call__(self, digits):
         return self.values[int(np.ravel_multi_index(tuple(digits), (self.q,) * self.n))]
@@ -81,7 +74,7 @@ def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
     size = len(x)
     n = size.bit_length() - 1
     if size < 1 or size != 1 << n:
-        raise LengthNotPowerOfTwo(f"length {size} is not a power of two")
+        raise DimensionMismatch(f"length {size} is not a power of two")
     ops = {"adds": 0, "subs": 0}
     ops["subs" if inverse else "adds"] = n * size // 2
     if ctx.is_prime_field:
@@ -148,7 +141,7 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     # on the Python integers: a point may be too long for int64
     if len(points) and not (0 <= min(points) and max(points) < size):
         bad = next(s for s in points if not 0 <= s < size)
-        raise LengthMismatch(f"point {bad} does not fit in {n} bits")
+        raise DimensionMismatch(f"point {bad} does not fit in {n} bits")
     if p:
         den, values = 1, np.array(f.values, dtype=np.int64)
     else:  # integers over one denominator; a Fraction only per answer
@@ -236,7 +229,7 @@ def dump_truthtable(f: TruthTable) -> str:
 
 def parse_truthtable(text: str) -> TruthTable:
     """Read a truth table back from its text; ValueError if it is
-    malformed, DimensionCapExceeded if q^n passes sparse.DIMENSION_CAP."""
+    malformed, CapExceeded if q^n passes sparse.DIMENSION_CAP."""
     (q, n, field), body = sparse._header(text.lstrip(), "truthtable", 3)
     if q < 1 or n < 0:
         raise ValueError(f"a truth table needs q >= 1 and n >= 0, not q = {q}, n = {n}")

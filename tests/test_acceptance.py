@@ -28,7 +28,7 @@ from kronrigid.disjoint import (
     js_factorization,
     js_side_sums,
 )
-from kronrigid.errors import ExceedsBound, ModulusTooSmallWarning, OmegaZero
+from kronrigid.errors import DivisionByZero, ExceedsBound, ModulusTooSmallWarning
 from kronrigid.fields import FieldCtx
 from kronrigid.mmbridge import NaiveBackend, StrassenBackend, butterflytomm_apply
 from kronrigid.rigidity import brute_force_rigidity, dft_matrix, hadamard_matrix
@@ -81,7 +81,7 @@ def test_criterion_02_cube_and_h4_rank1():
         _, normalized, _ = rigidity.normalize_outer1(m)
         try:
             dec = rigidity.cube_rank1_decomposition(normalized)
-        except OmegaZero:
+        except DivisionByZero:
             continue
         assert dec.changes <= 23
         assert dec.verify()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kronrigid import circuits, rigidity, sparse
+from kronrigid import circuits, cli, rigidity, sparse
 from kronrigid.circuits import (
     SynchronousCircuit,
     balance_exponents,
@@ -15,13 +15,7 @@ from kronrigid.circuits import (
     verify_circuit,
 )
 from kronrigid.disjoint import disjointness_matrix, js_factorization
-from kronrigid.errors import (
-    ContextMismatch,
-    DepthTooSmall,
-    DimensionMismatch,
-    DivisorMismatch,
-    UnverifiedInput,
-)
+from kronrigid.errors import ContextMismatch, DimensionMismatch, KronRigidError
 from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
@@ -64,6 +58,32 @@ def test_symmetrized_depth2_h8():
     assert circ.wires < butterfly_circuit([hadamard_matrix(1, F5)] * 8, 4).wires == 8192
 
 
+# README "The N log N gap": wires / (N log2 N) of synthesize over every
+# d | n.  The least is the butterfly's exactly 2, met only where the base
+# covers no digit; a layer of s whole bits costs 2^(cs)/s, above 2 here.
+BEST_COVERING_AT_64 = {  # (least ratio, its d) where the base covers a digit
+    "h2": (Fraction(79, 32), 32),
+    "h3cube": (Fraction(1065, 256), 16),
+    "h4": (Fraction(945, 256), 16),
+}
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_no_depth_beats_the_butterfly_per_n_log_n(n):
+    unit = hadamard_matrix(1, F5)
+    for name in ("h2", "h3cube", "h4"):
+        tf = cli._base_factorization("hadamard", name, n, 2, F5)
+        deepest = n // circuits.base_digits(tf, unit)  # the base covers a digit up to this d
+        ratios = {
+            d: Fraction(circuits.synthesize(tf, unit, n, d).wires, 2**n * n)
+            for d in range(2, n + 1) if n % d == 0
+        }
+        assert min(ratios.values()) == Fraction(2)
+        assert {d for d, r in ratios.items() if r == 2} == {d for d in ratios if d > deepest}, name
+        if n == 64:
+            assert min((r, d) for d, r in ratios.items() if d <= deepest) == BEST_COVERING_AT_64[name]
+
+
 def test_symmetrized_depth3_counts():
     circ = symmetrized_depth_d(h4_tf(), 3)
     assert circ.per_factor_nnz == [57344, 60928, 57344]
@@ -97,7 +117,7 @@ def test_structural_counts_match_materialized():
 
 
 def test_symmetrized_depth_too_small():
-    with pytest.raises(DepthTooSmall):
+    with pytest.raises(DimensionMismatch):
         symmetrized_depth_d(h4_tf(), 1)
 
 
@@ -223,7 +243,7 @@ def test_butterfly_mixed():
 
 def test_butterfly_group_mismatch():
     h1 = hadamard_matrix(1, F5)
-    with pytest.raises(DivisorMismatch):
+    with pytest.raises(DimensionMismatch):
         butterfly_circuit([h1] * 5, group=2)
 
 
@@ -297,7 +317,7 @@ def test_balance_unverified_input():
     def bad(m):
         return [sparse.identity(2**m, F5), sparse.identity(2**m, F5)]
 
-    with pytest.raises(UnverifiedInput):
+    with pytest.raises(KronRigidError, match="does not multiply to the target"):
         balance_exponents(h1, bad, 3)
 
 

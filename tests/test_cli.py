@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import kronrigid
-from kronrigid import sparse, vf
+from kronrigid import cli, sparse, vf
 from kronrigid.circuits import butterfly_circuit
 from kronrigid.cli import main
 from kronrigid.disjoint import disjointness_matrix
@@ -525,6 +525,21 @@ def test_usage_error(capsys):
     rc = main(["synth", "--family", "hadamard", "--n", "9", "--depth", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_runs_the_command_patched_after_the_parser_was_built(monkeypatch, capsys):
+    argv = ["disjoint-stats", "--n", "4", "--k", "2"]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_disjoint_stats", lambda args: seen.append(args.n) or 0)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert seen == [4]
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("family,base", [("hadamard", "js:4"), ("disjointness", "h4")])

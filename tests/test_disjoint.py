@@ -20,7 +20,7 @@ from kronrigid.disjoint import (
     js_side_sums,
     rn_rigidity_decomposition,
 )
-from kronrigid.errors import CapExceeded, DepthTooSmall
+from kronrigid.errors import CapExceeded, DimensionMismatch
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
@@ -256,7 +256,7 @@ def test_rn_depth_remainder():
 
 @pytest.mark.parametrize("d", [0, 1, -2])
 def test_rn_depth_below_two(d):
-    with pytest.raises(DepthTooSmall):
+    with pytest.raises(DimensionMismatch):
         circuits.synthesize(js_factorization(4, F5), disjointness_matrix(1, F5), 4, d)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronrigid.errors import DivisionByZero, NoRootExists, RationalUnsupported
+from kronrigid.errors import DivisionByZero, KronRigidError, RationalUnsupported
 from kronrigid.fields import (
     RATIONALS,
     FieldCtx,
@@ -89,7 +89,7 @@ def test_root_of_unity_orders():
 
 
 def test_root_of_unity_errors():
-    with pytest.raises(NoRootExists):
+    with pytest.raises(KronRigidError, match="3 does not divide 4"):
         primitive_root_of_unity(F5, 3)
     with pytest.raises(RationalUnsupported):
         primitive_root_of_unity(RATIONALS, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from kronrigid import sparse
 from kronrigid.disjoint import disjointness_matrix
-from kronrigid.errors import DivisorMismatch, LengthMismatch
+from kronrigid.errors import DimensionMismatch
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.mmbridge import (
     NaiveBackend,
@@ -58,7 +58,7 @@ def test_kron_identity_random_vs_dense():
 
 def test_kron_identity_length_mismatch():
     h1 = hadamard_matrix(1, F7)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         kron_identity_apply(h1, 2, [F7.coerce(1)] * 3, NaiveBackend())
 
 
@@ -98,7 +98,7 @@ def test_butterflytomm_mixed_factors():
 
 def test_butterflytomm_bad_round_count():
     h1 = hadamard_matrix(1, F7)
-    with pytest.raises(DivisorMismatch):
+    with pytest.raises(DimensionMismatch):
         butterflytomm_apply([h1] * 5, 2, [F7.coerce(0)] * 32, NaiveBackend())
 
 

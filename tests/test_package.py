@@ -1,7 +1,9 @@
+import ast
 import importlib
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import kronrigid
 from kronrigid import errors, sparse, vf
@@ -30,6 +32,10 @@ REMOVED = [
     ("fields", "sub_raw"),
     ("circuits", "_expressions"),
     ("cli", "_butterfly_wires"),
+    *(("errors", name) for name in (
+        "NotSquare", "DepthTooSmall", "DivisorMismatch", "LengthMismatch", "LengthNotPowerOfTwo",
+        "OmegaZero", "DimensionCapExceeded", "NoRootExists", "UnverifiedInput",
+    )),
 ]
 
 
@@ -49,9 +55,32 @@ def test_every_exported_name_resolves_once():
 
 
 def test_every_cap_is_a_cap_exceeded():
-    # cli.main turns this one class into exit 3
-    for cap in (errors.DimensionCapExceeded, errors.WorkCapExceeded):
-        assert issubclass(cap, errors.CapExceeded)
+    # cli.main turns this one class into exit 3; a dimension cap raises it itself
+    assert issubclass(errors.WorkCapExceeded, errors.CapExceeded)
+    assert not hasattr(errors, "DimensionCapExceeded")
+
+
+def test_errors_has_one_type_per_kind_of_refusal():
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {
+        "KronRigidError", "ContextMismatch", "DivisionByZero", "RationalUnsupported",
+        "DimensionMismatch", "CapExceeded", "WorkCapExceeded", "OuterZero", "ExceedsBound",
+        "ModulusTooSmallWarning",
+    }
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    for path in sorted(Path(kronrigid.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } - {"annotations"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}  # attribute bases too
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 # Run in a fresh interpreter: the commands that multiply no F_p sparse

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kronrigid import disjoint, rigidity, sparse
-from kronrigid.errors import ExceedsBound, NotSquare, OmegaZero, OuterZero, WorkCapExceeded
+from kronrigid.errors import DimensionMismatch, DivisionByZero, ExceedsBound, OuterZero, WorkCapExceeded
 from kronrigid.fields import FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
@@ -55,7 +55,7 @@ def test_cube_decomposition_omega_values():
 
 def test_cube_omega_zero_rejected():
     r1 = SparseMatrix.from_dense([[1, 1], [1, 0]], F5)
-    with pytest.raises(OmegaZero):
+    with pytest.raises(DivisionByZero):
         rigidity.cube_rank1_decomposition(r1)
 
 
@@ -385,7 +385,7 @@ def test_witness_blocks_must_fit_the_header(at, line, match):
 def test_witness_of_a_non_square_matrix_is_not_written(tmp_path):
     m = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 1]], F5)
     _, w = rigidity.brute_force_rigidity(m, 1, 1)
-    with pytest.raises(NotSquare):
+    with pytest.raises(DimensionMismatch):
         rigidity.save_witness(w, tmp_path / "w.rig")
     assert not (tmp_path / "w.rig").exists()
 
