@@ -29,7 +29,7 @@ from .sparse import SparseMatrix, identity, kron, kron_all, matmul
 
 # Most wires a circuit may have to be built as explicit factors or written:
 # `factors` takes about 25 B of peak memory per wire, so 2^27 wires
-# is about 3.4 GB; the writer builds a layer one block at a time, so for
+# is about 3.4 GB; the writer builds no layer, so for
 # `--out` the cap bounds the file: about 14 B per wire at F_5 (1.8 GB),
 # more for larger fields.
 WIRE_CAP = 2**27
@@ -368,8 +368,10 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
             elif q**t != size or not chain:
                 return None
             else:
-                lams = {_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u)
-                        for r, u in _row_blocks([unit] * t)}
+                lams = set()
+                for r, a, b in _row_blocks([unit] * t):
+                    u = kron(a, b)
+                    lams.add(_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u))
                 lam = lams.pop() if len(lams) == 1 else None
             seen.setdefault(key, []).append((chain, lam))
         if lam is None:
@@ -520,9 +522,11 @@ def _mod(integers, ctx: FieldCtx) -> SparseMatrix:
 # `factor idx rows cols nnz` followed by its triplets.
 
 
-# Entries _row_blocks builds at a time, for written layers and proved unit
-# powers.  Of 2^12..2^20, 2^15..2^17 wrote the synth_large configs fastest on
-# a 2-core machine; 2^14 took about a third longer for 16 MB less peak RSS.
+# Entries in a block of _row_blocks, for written layers and proved unit
+# powers.  Of 2^14..2^18, 2^15 and 2^16 wrote the synth_large configs
+# fastest (0.62-0.67 s in-process on a 2-core machine, proofs about 6 ms at
+# each size) with 67 MB peak RSS; 2^14 took about a third longer for 9 MB
+# less, and 2^17 and 2^18 5-10% longer for 1-5 MB more.
 WRITE_BLOCK = 1 << 16
 
 
@@ -531,14 +535,13 @@ def _circuit_text(circ: SynchronousCircuit):
     yield f"circuit {circ.depth} {circ.rows} {circ.cols} {circ.ctx.modulus} {circ.wires}\n".encode()
     for idx, (ops, (rows, cols), nnz) in enumerate(zip(circ.layers, circ.shapes, circ.per_factor_nnz)):
         yield f"factor {idx} {rows} {cols} {nnz}\n".encode()
-        for row, block in _row_blocks(ops):
-            yield from sparse._format_entries(block, row)
-            del block  # before the next block is built
+        yield from sparse._kron_lines(_row_blocks(ops), nnz)
 
 
 def _row_blocks(ops):
-    """kron_all(ops) as (first row, block) pairs in row order, each block
-    of about WRITE_BLOCK entries built from the operands; none if all zero.
+    """kron_all(ops) as (first row, head block, tail) triples in row order:
+    kron(head block, tail) is the product's rows from the first row on, of
+    about WRITE_BLOCK entries; none if all zero.  No block is built.
 
     The product is head x tail: tail is the Kronecker product of the longest
     operand suffix after the first operand with at most WRITE_BLOCK
@@ -557,7 +560,7 @@ def _row_blocks(ops):
     cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], WRITE_BLOCK), side="right") - 1)
     cuts[:1] = 0
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), head.rows]):
-        yield lo * tail.rows, kron(head.row_block(lo, hi), tail)
+        yield lo * tail.rows, head.row_block(lo, hi), tail
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circuits, disjoint, mmbridge, rigidity, sparse, vf
 from .errors import CapExceeded, DimensionMismatch, ExceedsBound, KronRigidError
-from .fields import FieldCtx
+from .fields import RATIONALS, FieldCtx
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -87,17 +87,19 @@ def _family_unit(family: str, ctx: FieldCtx):
     return disjoint.disjointness_matrix(1, ctx)
 
 
-def _base_shapes(family: str, ctx: FieldCtx):
+@functools.cache
+def _base_shapes(family: str):
     """Operand shapes of the family's built-in bases, which
-    circuits.prove_power tries when it peels a layer read from a file."""
+    circuits.prove_power tries when it peels a layer read from a file.
+    They do not depend on the field, so they are read once, over Q."""
     if family == "disjointness":
-        return [(1 << m, 1 << m) for m in range(2, disjoint.LIST_CAP + 1)]
+        return tuple((1 << m, 1 << m) for m in range(2, disjoint.LIST_CAP + 1))
     shapes = []
     for base_family, decomposition in _BASES.values():
         if base_family == family:
-            tf = circuits.two_factor_from_rigidity(decomposition(ctx))
+            tf = circuits.two_factor_from_rigidity(decomposition(RATIONALS))
             shapes += [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
-    return shapes
+    return tuple(shapes)
 
 
 def _synth_row(family: str, base: str, n: int, depth: int, ctx: FieldCtx):
@@ -141,7 +143,7 @@ def cmd_verify(args) -> int:
     sparse.capped_power(2, args.n, "rows")  # before the n operands are listed
     circ = circuits.load_circuit(args.circuit)
     unit = _family_unit(args.family, circ.ctx)
-    ok, method = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family, circ.ctx)), "structural"
+    ok, method = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family)), "structural"
     if ok is None:
         ok, method = circuits.verify_circuit(circ, [unit] * args.n), "block"
     print(f"equal={ok} wires={circ.wires} depth={circ.depth} method={method}")
@@ -171,16 +173,12 @@ def cmd_batch(args) -> int:
         points = vf.parse_points(fh.read())
     answers, ops = vf.batch_sums(table, points, convention=args.convention)
     if points:
-        at = np.array(points, dtype=np.int64)
+        # each distinct point and its answer are formatted once
+        distinct, slot = np.unique(np.array(points, dtype=np.int64), return_inverse=True)
         width = max(table.n, 1)  # f"{0:00b}" is "0"
-        digits = (at[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8) + ord("0")
-        distinct, slot = np.unique(at, return_inverse=True)
-        sums = list(map(answers.__getitem__, distinct.tolist()))
-        if table.ctx.is_prime_field:
-            column = np.array(sums, np.int64)
-        else:  # one str() per distinct point, not per line
-            column = np.array(list(map(str, sums)), "S")
-        lines = sparse._text_lines(digits.view(f"S{width}").ravel(), column[slot])
+        digits = (distinct[:, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8) + ord("0")
+        column = np.array(list(map(answers.__getitem__, distinct.tolist())), table.ctx.dtype)
+        lines = sparse._text_lines((digits.view(f"S{width}").ravel(), slot), (column, slot))
         sys.stdout.write(lines.decode())
     print(f"adds={ops['adds']} mults={ops['mults']}", file=sys.stderr)
     return EXIT_OK

@@ -258,26 +258,34 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     cols = a.cols * b.cols
     if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
         raise CapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
-    na, nb = np.diff(a.indptr), np.diff(b.indptr)
+    indptr, ka, kb = _kron_index(a, b)
+    indices = a.indices[ka] * b.cols
+    indices += b.indices[kb]
+    data = a.data[ka]
+    data *= b.data[kb]
+    a.ctx.reduce(data)
+    return SparseMatrix._from_csr(rows, cols, a.ctx, indptr, indices, data)
+
+
+def _kron_index(a: SparseMatrix, b: SparseMatrix):
+    """(indptr, ka, kb) of kron(a, b): its row pointer, and for each of its
+    entries in CSR order the entry of a and the entry of b it is made of."""
+    rows = a.rows * b.rows
+    na, nb = a.indptr[1:] - a.indptr[:-1], b.indptr[1:] - b.indptr[:-1]
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.outer(na, nb).ravel(), out=indptr[1:])
     # Output row r = ia * b.rows + ib is a run of segments, one per entry ka
     # of A's row ia in column order: B's row ib, its columns shifted by
     # a.indices[ka] * b.cols and its values scaled by a.data[ka].
-    segs = np.repeat(na, b.rows)  # segments per output row
-    seg_row = np.repeat(np.arange(rows, dtype=np.int64), segs)
+    segs = na.repeat(b.rows)  # segments per output row
+    seg_row = np.arange(rows, dtype=np.int64).repeat(segs)
     ia, ib = np.divmod(seg_row, b.rows)
     ka = np.arange(len(seg_row), dtype=np.int64)
-    ka += a.indptr[ia] - (np.cumsum(segs) - segs)[seg_row]
+    ka += a.indptr[ia] - (segs.cumsum() - segs)[seg_row]
     seg_len = nb[ib]
-    kb = np.repeat(b.indptr[ib] - (np.cumsum(seg_len) - seg_len), seg_len)
+    kb = (b.indptr[ib] - (seg_len.cumsum() - seg_len)).repeat(seg_len)
     kb += np.arange(len(kb), dtype=np.int64)
-    indices = np.repeat(a.indices[ka] * b.cols, seg_len)
-    indices += b.indices[kb]
-    data = np.repeat(a.data[ka], seg_len)
-    data *= b.data[kb]
-    a.ctx.reduce(data)
-    return SparseMatrix._from_csr(rows, cols, a.ctx, indptr, indices, data)
+    return indptr, ka.repeat(seg_len), kb
 
 
 def kron_power(m: SparseMatrix, n: int) -> SparseMatrix:
@@ -673,39 +681,141 @@ _HIGH = _digit_table(4).view(np.uint32).ravel()
 _HIGH[0] = 0  # no digits above
 
 
-def _text_lines(*columns: np.ndarray) -> bytes:
+def _textual(column: np.ndarray) -> np.ndarray:
+    """column as the digit tables take it: integers >= 0 or S bytes;
+    Fractions and negative integers become the S bytes of their str()."""
+    if column.dtype == object or column.dtype.kind != "S" and column.min() < 0:
+        return np.array([str(v) for v in column.tolist()], "S")
+    return column
+
+
+def _width(column: np.ndarray) -> int:
+    """Words per value of a _textual column, one byte of NUL to spare."""
+    return (column.itemsize if column.dtype.kind == "S" else len(str(column.max()))) // 4 + 1
+
+
+def _fill(column: np.ndarray, out: np.ndarray) -> None:
+    """Write the words of a _textual column's values into out, word j of
+    every value in row j (_width rows), NUL-padded on the left."""
+    if column.dtype.kind == "S":  # the last byte of each value stays NUL
+        out[...] = column.astype(f"S{4 * len(out)}").view(np.uint32).reshape(-1, len(out)).T
+        return
+    above = column // 1000
+    out[-1] = _LOW[np.minimum(column, column - 1000 * above + 1000)]
+    for j in range(len(out) - 2, -1, -1):
+        out[j] = _HIGH[np.minimum(above, above % 10**4 + 10**4)]
+        above //= 10**4
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """The words of table's values, as _fill writes them, for a (table,
+    codes) column of _text_lines: a table used by many calls is formatted
+    once."""
+    table = _textual(table)
+    out = np.empty((_width(table), table.size), np.uint32)
+    _fill(table, out)
+    return out
+
+
+def _text_lines(*columns) -> bytes:
     """Lines of the (non-empty) columns' values joined by spaces, each as str() writes it;
-    the bytes of an S column are taken as they are."""
-    columns = [np.array([str(v) for v in c.tolist()], "S")
-               if c.dtype == object or c.dtype.kind != "S" and c.min() < 0 else c
-               for c in columns]
-    widths = [(c.itemsize if c.dtype.kind == "S" else len(str(c.max()))) // 4 + 1 for c in columns]
-    words = np.empty((columns[0].size, sum(widths)), np.uint32)
-    for column, end, width in zip(columns, np.cumsum(widths), widths):
-        if column.dtype.kind == "S":  # the last byte of each row stays NUL
-            words[:, end - width : end] = column.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width)
+    the bytes of an S column are taken as they are.  A column is an array of values,
+    or a (table, codes) pair that stands for table[codes], table an array of values
+    or their _words: each table value is formatted once, and its words are
+    gathered one word row at a time."""
+    parts = []  # (values or table words, codes or None, width)
+    for column in columns:
+        if isinstance(column, tuple):
+            table, codes = column
+            table = _words(table) if table.ndim == 1 else table
+            parts.append((table, codes, len(table)))
+        else:
+            column = _textual(column)
+            parts.append((column, None, _width(column)))
+    ends = np.cumsum([width for *_, width in parts])
+    first, codes, _ = parts[0]
+    # word j of every line in row j: each column is written into whole rows
+    words = np.empty((ends[-1], first.size if codes is None else codes.size), np.uint32)
+    for (values, codes, width), end in zip(parts, ends.tolist()):
+        if codes is None:
+            _fill(values, words[end - width : end])
             continue
-        above = column // 1000
-        words[:, end - 1] = _LOW[np.minimum(column, column - 1000 * above + 1000)]
-        for j in range(end - 2, end - width - 1, -1):
-            words[:, j] = _HIGH[np.minimum(above, above % 10**4 + 10**4)]
-            above //= 10**4
-    text = words.view(np.uint8)
-    text[:, 4 * np.cumsum(widths) - 1] = list(b" " * (len(widths) - 1) + b"\n")
-    return text.tobytes().translate(None, b"\0")
+        for j in range(width):  # codes are in range; "clip" lets take write to out unbuffered
+            np.take(values[j], codes, out=words[end - width + j], mode="clip")
+    words.view(np.uint8).reshape(len(words), -1, 4)[ends - 1, :, 3] = np.array(
+        list(b" " * (len(parts) - 1) + b"\n"), np.uint8)[:, None]
+    return words.T.tobytes().translate(None, b"\0")
 
 
-def _format_entries(m: SparseMatrix, row0: int = 0):
-    """m's "i j value" lines as bytes, a block of at most 2^14 entries and rows at a time;
-    row0 is added to every row index."""
-    lo = 0
-    while lo < m.nnz:
-        first = int(np.searchsorted(m.indptr, lo, side="right")) - 1
-        stop = min(first + (1 << 14), m.rows)
-        hi = min(lo + (1 << 14), int(m.indptr[stop]))
-        rows = np.repeat(np.arange(first, stop) + row0, np.diff(np.clip(m.indptr[first : stop + 1], lo, hi)))
-        yield _text_lines(rows, m.indices[lo:hi], m.data[lo:hi])
+def _chunks(indptr: np.ndarray, row0: int):
+    """(lo, hi, rows) for the entries lo..hi-1 of a CSR row pointer, at most
+    2^14 entries and rows at a time; rows is their row indices, plus row0,
+    as a (table, codes) column of the chunk's rows."""
+    lo, nnz, last = 0, int(indptr[-1]), len(indptr) - 1
+    while lo < nnz:
+        first = int(np.searchsorted(indptr, lo, side="right")) - 1
+        stop = min(first + (1 << 14), last)
+        hi = min(lo + (1 << 14), int(indptr[stop]))
+        ends = np.minimum(np.maximum(indptr[first : stop + 1], lo), hi)
+        yield lo, hi, (np.arange(first + row0, stop + row0), np.arange(stop - first).repeat(ends[1:] - ends[:-1]))
         lo = hi
+
+
+def _format_entries(m: SparseMatrix):
+    """m's "i j value" lines as bytes, a block of at most 2^14 entries and rows at a time."""
+    for lo, hi, rows in _chunks(m.indptr, 0):
+        yield _text_lines(rows, m.indices[lo:hi], m.data[lo:hi])
+
+
+def _distinct(values: np.ndarray):
+    """(table, codes) with values == table[codes] and table the distinct
+    values in increasing order.  Rationals are ranked as integer numerators
+    over the lcm of their denominators, with no Fraction compared."""
+    keys = values
+    if values.dtype == object:
+        den, keys = _numerators(values)
+        try:
+            keys = keys.astype(np.int64)
+        except OverflowError:
+            pass  # compared as Python integers
+    table = np.sort(keys)
+    table = table[np.concatenate(([True], table[1:] != table[:-1]))]
+    codes = table.searchsorted(keys)
+    if values.dtype == object:
+        table = np.array([Fraction(x, den) for x in table.tolist()], object)
+    return table, codes
+
+
+def _kron_lines(blocks, nnz: int):
+    """The "i j value" lines of kron(a, b), row0 added to every row index,
+    for each (row0, a, b) of blocks, with no product built; nnz counts the
+    entries of all the products.
+
+    Every column is a (table, codes) one where it pays, from _kron_index's
+    ka and kb: the rows of each chunk; the products of a's distinct values
+    with b's, with codes acode[ka] * len(bu) + bcode[kb]; and the columns
+    0..cols-1 when there are no more of them than nnz (else each entry's
+    column is formatted).  b's codes and the column table are made again
+    only when b changes: once per layer of a circuit.
+    """
+    tail = None
+    for row0, a, b in blocks:
+        if b is not tail:
+            tail, cols = b, a.cols * b.cols
+            bu, bcode = _distinct(b.data)
+            col_words = _words(np.arange(cols)) if cols <= nnz else None
+        au, acode = _distinct(a.data)
+        value_words = _words(a.ctx.reduce(np.multiply.outer(au, bu).ravel()))
+        acode *= len(bu)
+        acol = a.indices * b.cols
+        indptr, ka, kb = _kron_index(a, b)
+        for lo, hi, rows in _chunks(indptr, row0):
+            i, j = ka[lo:hi], kb[lo:hi]
+            value = acode[i]
+            value += bcode[j]
+            col = acol[i]
+            col += b.indices[j]
+            yield _text_lines(rows, col if col_words is None else (col_words, col), (value_words, value))
 
 
 def dump_matrix(m: SparseMatrix) -> str:

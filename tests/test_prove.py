@@ -69,10 +69,22 @@ def family_tf(family, base, n, d, ctx):
 def decide(circ, family, n):
     """What `verify` decides, and how: the proof, else the block check."""
     unit = cli._family_unit(family, circ.ctx)
-    ok = prove_power(circ, unit, n, cli._base_shapes(family, circ.ctx))
+    ok = prove_power(circ, unit, n, cli._base_shapes(family))
     if ok is None:
         return verify_circuit(circ, [unit] * n), "block"
     return ok, "structural"
+
+
+@pytest.mark.parametrize("field", [3, 5, 2**31 - 1, 0])
+def test_the_base_shapes_are_the_same_in_every_field(field):
+    """`verify` reads the Hadamard bases' shapes once, whatever the field."""
+    ctx, shapes = FieldCtx(field), []
+    for family, decomposition in cli._BASES.values():
+        if family == "hadamard":
+            tf = circuits.two_factor_from_rigidity(decomposition(ctx))
+            shapes += [(tf.q, tf.h), (tf.h, tf.q), (tf.h, tf.h)]
+    assert tuple(shapes) == cli._base_shapes("hadamard") == (
+        (4, 5), (5, 4), (5, 5), (8, 9), (9, 8), (9, 9), (16, 17), (17, 16), (17, 17))
 
 
 # -- kron_split -----------------------------------------------------------
@@ -235,7 +247,7 @@ def test_every_row_block_of_a_chain_needs_the_same_multiple():
     # lambda 1 on one and 2 on the other
     r1 = cli._family_unit("disjointness", F5)
     r10 = sparse.kron_power(r1, 10)
-    assert [r for r, _ in circuits._row_blocks([r1] * 11)] == [0, 1024]
+    assert [r for r, *_ in circuits._row_blocks([r1] * 11)] == [0, 1024]
     for rows, proved in [([[1, 1], [1, 0]], True), ([[1, 1], [2, 0]], None)]:
         x = kron(SparseMatrix.from_dense(rows, F5), r10)
         circ = SynchronousCircuit([[x, r1], [identity(2048, F5), identity(2, F5)]])
@@ -248,7 +260,7 @@ def test_the_row_blocks_cover_the_empty_rows_of_a_unit_power(ctx):
     # the unit's row 0 is empty: a chain with an entry there is no multiple
     # of it, though its other rows match
     unit = SparseMatrix.from_dense([[0, 0], [1, 1]], ctx)
-    assert [r for r, _ in circuits._row_blocks([unit])] == [0]
+    assert [r for r, *_ in circuits._row_blocks([unit])] == [0]
     extra = SparseMatrix.from_dense([[1, 0], [1, 1]], ctx)
     assert prove_power(SynchronousCircuit([[unit, unit]]), unit, 2) is True
     assert prove_power(SynchronousCircuit([[extra, unit]]), unit, 2) is None
@@ -287,7 +299,7 @@ def test_one_entry_changed_in_an_explicit_layer_is_not_equal(ctx, how, family, b
     rng = SplitMix64(n * d)
     for j in range(d):
         tampered = SynchronousCircuit(factors[:j] + [changed(factors[j], how, rng)] + factors[j + 1 :])
-        assert prove_power(tampered, unit, n, cli._base_shapes(family, ctx)) is not True
+        assert prove_power(tampered, unit, n, cli._base_shapes(family)) is not True
         assert decide(tampered, family, n)[0] is False
         assert verify_circuit(tampered, [unit] * n) is False
 

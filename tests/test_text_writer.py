@@ -2,10 +2,12 @@
 replaced, over F_5, F_(2^31 - 1) and Q, and with str() beside a bytes
 column; byte identity of circuit files
 written from each layer's Kronecker operands, one row block at a time, with
-the explicit layers of an entry-by-entry Kronecker product; the memory
-bound of both writers; the cap check before a circuit is written; the
-sha256 of `synth --out` files; and the reuse of repeated operands in
-kron_all."""
+the explicit layers of an entry-by-entry Kronecker product, also for rows
+longer than a 2^14-entry chunk, tails with all values distinct and layers
+with more columns than entries; that no layer block is built for a file;
+the memory bound of both writers; the cap check before a circuit is
+written; the sha256 of `synth --out` files; and the reuse of repeated
+operands in kron_all."""
 
 import hashlib
 import math
@@ -207,6 +209,45 @@ def test_dump_circuit_matches_the_explicit_layers(circ, block):
         assert circuits.dump_circuit(circ) == expect
 
 
+def random_operand(rng, ctx, rows, cols, count, distinct):
+    """A rows x cols operand with count entries in random cells: all values
+    distinct, or drawn from 1, 2 and -1."""
+    cells = rng.choice(rows * cols, count, replace=False)
+    if not distinct:
+        vals = [ctx.coerce(int(v)) for v in rng.choice([1, 2, -1], count)]
+    elif ctx.is_prime_field:
+        vals = (rng.choice(ctx.modulus - 1, count, replace=False) + 1).tolist()
+    else:  # numerators below a prime denominator: all distinct
+        vals = [Fraction((-1) ** k * (k + 1), 1000003) for k in range(count)]
+    return SparseMatrix(rows, cols, ctx, [(int(c // cols), int(c % cols), v) for c, v in zip(cells, vals)])
+
+
+# (head rows, cols, entries, distinct values), then the same for the tail
+LAYER_CASES = {
+    "a row across chunks": ((1, 150, 150, False), (2, 200, 260, False)),
+    "distinct tail values": ((3, 3, 9, False), (40, 50, 1500, True)),
+    "more columns than entries": ((3, 2000, 6, True), (3, 3000, 7, True)),
+}
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 16])
+@pytest.mark.parametrize("ctx", [FieldCtx(P31), RATIONALS], ids=str)
+@pytest.mark.parametrize("case", sorted(LAYER_CASES))
+def test_dump_circuit_of_large_operands_matches_the_explicit_layer(case, ctx, block, monkeypatch):
+    rng = np.random.default_rng(11)
+    head, tail = (random_operand(rng, ctx, *spec) for spec in LAYER_CASES[case])
+    layer = kron_reference([head, tail])
+    if case == "a row across chunks":
+        assert np.diff(layer.indptr).max() > 1 << 14
+    if case == "more columns than entries":
+        assert layer.cols > layer.nnz
+    monkeypatch.setattr(circuits, "WRITE_BLOCK", block)
+    assert circuits.dump_circuit(SynchronousCircuit([[head, tail]])) == (
+        f"circuit 1 {layer.rows} {layer.cols} {ctx.modulus} {layer.nnz}\n"
+        f"factor 0 {layer.rows} {layer.cols} {layer.nnz}\n" + percent_lines(layer)
+    )
+
+
 def h4_circuit(n, d):
     ctx = FieldCtx(5)
     tf = circuits.two_factor_from_rigidity(rigidity.h4_rank1_decomposition(ctx))
@@ -227,6 +268,22 @@ def test_save_circuit_memory_is_bounded_by_the_block(tmp_path):
     with open(path, "rb") as fh:
         assert fh.readline() == f"circuit 2 16384 16384 5 {circ.wires}\n".encode()
     assert peak < 40 * 2**20
+
+
+def test_save_circuit_builds_no_layer_block(tmp_path, monkeypatch):
+    """The lines are made from each block's Kronecker operands: no product
+    of more than WRITE_BLOCK entries is built."""
+    sizes = []
+    kron = sparse.kron
+
+    def spy(a, b):
+        sizes.append(a.nnz * b.nnz)
+        return kron(a, b)
+
+    monkeypatch.setattr(sparse, "kron", spy)
+    monkeypatch.setattr(circuits, "kron", spy)
+    circuits.save_circuit(h4_circuit(14, 2), tmp_path / "c.circ")
+    assert sizes and max(sizes) <= circuits.WRITE_BLOCK
 
 
 def test_caps_are_checked_before_a_circuit_is_written(tmp_path):
@@ -269,15 +326,26 @@ SYNTH_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("config", sorted(SYNTH_DIGESTS))
+# sha256 of n = 12 `synth --out` files whose layers span several 2^14-entry
+# chunks, taken before the writer made lines from the Kronecker operands.
+CHUNKED_DIGESTS = {
+    ("hadamard", "h4", "2147483629", "12", "3"): "fd6b1c875027b5ebd823d5df969d528317c9f910ad8524d23efca749778e68d5",
+    ("hadamard", "h4", "0", "12", "3"): "5cc4dbe5915a010326d808e6f92ed324a4c77952c95652bba3209a75573e8f80",
+    ("disjointness", "js:6", "2147483629", "12", "2"): "ee3507452c8155910f0d28a24bfe55784625a4f4764b8467583c008145a25729",
+    ("disjointness", "js:6", "0", "12", "2"): "280f4eeab5582c208a1b60721e7462479a85988382e18014e59489518854746e",
+}
+
+
+@pytest.mark.parametrize("config", [(*c, "8", "2") for c in sorted(SYNTH_DIGESTS)] + sorted(CHUNKED_DIGESTS))
 def test_synth_out_bytes_are_pinned(tmp_path, capsys, config):
-    family, base, field = config
+    family, base, field, n, depth = config
     path = tmp_path / "c.circ"
-    argv = ["synth", "--family", family, "--n", "8", "--depth", "2", "--base", base,
+    argv = ["synth", "--family", family, "--n", n, "--depth", depth, "--base", base,
             "--field", field, "--out", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_DIGESTS[config]
+    expect = CHUNKED_DIGESTS.get(config) or SYNTH_DIGESTS[config[:3]]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expect
 
 
 def test_kron_all_builds_a_repeated_half_once(monkeypatch):
