@@ -352,7 +352,7 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
             cuts.append(ks)
     if len(cuts) == 1:
         return None
-    seen, total = {}, ctx.one_raw()
+    seen, total = {}, 1
     for lo, hi in zip(cuts, cuts[1:] + [ends]):
         chain = tuple(kron_all(ops[a:b]) for ops, a, b in zip(layers, lo, hi)
                       if not all(m == identity(m.rows, ctx) for m in ops[a:b]))
@@ -377,7 +377,7 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
         if lam is None:
             return None
         total = ctx.mul_raw(total, lam)
-    return total == ctx.one_raw()
+    return total == 1
 
 
 def _peel(m: SparseMatrix, shapes) -> list:

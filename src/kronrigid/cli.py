@@ -2,7 +2,7 @@
 batch sums, disjointness stats, matmul cost, and benchmark CSV sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
-exceeded.
+exceeded (out of memory included).
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:  # out of memory is a cap the machine sets
+        print(f"cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError, KronRigidError) as exc:
         print(f"error: {exc}", file=sys.stderr)

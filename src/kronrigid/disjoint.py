@@ -125,7 +125,7 @@ def rn_rigidity_decomposition(
     lights = np.flatnonzero(light)
     h = lights.size
     slot = np.cumsum(light) - 1  # position of a light index among the light ones
-    ones = np.full(h, ctx.one_raw(), ctx.dtype)
+    ones = np.full(h, 1, ctx.dtype)
     i, j, v = sparse._row_ids(target), target.indices, target.data
     in_c, in_b = light[i], ~light[i] & light[j]
     in_s = ~(in_c | light[j])
@@ -178,7 +178,7 @@ def js_factorization(n: int, ctx: FieldCtx) -> circuits.TwoFactorization:
     a_t, b = (
         SparseMatrix._from_csr(
             size, size, ctx, sparse._indptr(size, p), x[np.lexsort((x, p))],
-            np.full(x.size, ctx.one_raw(), ctx.dtype),
+            np.full(x.size, 1, ctx.dtype),
         )
         for p, x in ((ap, ax), (bp, by))
     )

@@ -2,9 +2,11 @@
 
 A field is described by a single integer: ``p > 0`` selects F_p (p an odd
 prime below 2**31, so products fit in 64-bit intermediates), and ``0``
-selects the rationals.  Prime-field values are residues in ``[0, p)``;
-rational values are ``fractions.Fraction`` (always reduced, positive
-denominator).
+selects the rationals.  Prime-field values are residues in ``[0, p)``.
+A rational value is an ``int`` when it is integral, a ``Fraction``
+otherwise, and never a float.  ``coerce``, ``inv_raw`` and the readers keep
+this rule; arithmetic on Fractions may leave an integral Fraction, which
+equals its int.  Zero and one are 0 and 1 in every field.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class FieldCtx:
     @property
     def dtype(self):
         """numpy dtype of an array of raw values: int64 residues over F_p,
-        objects (Fractions, or integer numerators) over Q."""
+        objects (ints and Fractions) over Q."""
         return "int64" if self.is_prime_field else object
 
     def reduce(self, values):
@@ -78,7 +80,7 @@ class FieldCtx:
         return values
 
     # Raw-value arithmetic.  These operate on the internal representation
-    # (int residues or Fractions) and are the hot path for matrix code.
+    # (int residues, or ints and Fractions) and are the hot path for matrix code.
 
     def coerce(self, x):
         """Bring an int or Fraction into canonical internal form."""
@@ -90,13 +92,8 @@ class FieldCtx:
                     x.numerator % self.modulus
                 ) * self.inv_raw(x.denominator % self.modulus) % self.modulus
             return x % self.modulus
-        return Fraction(x)
-
-    def zero_raw(self):
-        return 0 if self.is_prime_field else Fraction(0)
-
-    def one_raw(self):
-        return 1 if self.is_prime_field else Fraction(1)
+        x = Fraction(x)
+        return int(x.numerator) if x.denominator == 1 else x
 
     def add_raw(self, x, y):
         return (x + y) % self.modulus if self.is_prime_field else x + y
@@ -109,7 +106,7 @@ class FieldCtx:
             raise DivisionByZero("inverse of zero")
         if self.is_prime_field:
             return pow(x, -1, self.modulus)
-        return 1 / x
+        return self.coerce(Fraction(1, x))
 
     def __str__(self):
         return f"F_{self.modulus}" if self.is_prime_field else "Q"

@@ -232,13 +232,12 @@ def cube_rank1_decomposition(m: SparseMatrix) -> RigidityDecomposition:
     ctx = m.ctx
     if (m.rows, m.cols) != (2, 2):
         raise DimensionMismatch("base must be 2x2")
-    one = ctx.one_raw()
-    if m.get(0, 0) != one or m.get(0, 1) != one or m.get(1, 0) != one:
+    if m.get(0, 0) != 1 or m.get(0, 1) != 1 or m.get(1, 0) != 1:
         raise ValueError("base must be outer-1 (normalize first)")
     omega = m.get(1, 1)
     if not omega:
         raise DivisionByZero("corner entry is zero; its inverse defines the low part")
-    return _rank1_split(sparse.kron_power(m, 3), [ctx.inv_raw(omega)] + [one] * 7, [one] + [omega] * 7)
+    return _rank1_split(sparse.kron_power(m, 3), [ctx.inv_raw(omega)] + [1] * 7, [1] + [omega] * 7)
 
 
 def h4_rank1_decomposition(ctx: FieldCtx) -> RigidityDecomposition:

@@ -2,7 +2,7 @@
 
 A matrix stores int64 ``indptr``/``indices`` arrays (columns sorted within
 each row) and a ``data`` array: int64 residues for F_p, an object array of
-``Fraction`` for Q.  No stored value is zero, so ``nnz`` (the wire-count
+ints and Fractions for Q.  No stored value is zero, so ``nnz`` (the wire-count
 metric everything else is built on) is canonical.  All arithmetic is exact:
 F_p products go through one overflow-guarded kernel, Q products are summed
 by position like any other triplets, and cancellations never leave
@@ -36,13 +36,18 @@ class SparseMatrix:
         """Build from (i, j, value) triplets of raw field values.
 
         Every triplet must be in bounds, hold a nonzero canonical value (a
-        residue in [1, p) for F_p) and name a distinct position.  Triplets
-        may come in any order.
+        residue in [1, p) for F_p; an int, numpy integer or Fraction for Q)
+        and name a distinct position.  Triplets may come in any order.
         """
         try:
             i, j, v = _triplet_arrays(entries, ctx)
         except OverflowError as exc:
             raise ValueError(f"entry does not fit the matrix: {exc}") from None
+        if not ctx.is_prime_field:  # a numpy integer is stored as an int
+            for k, x in enumerate(v.tolist()):
+                if not isinstance(x, (int, np.integer, Fraction)):
+                    raise ValueError(f"value {x!r} at ({i[k]}, {j[k]}) is not an exact rational")
+                v[k] = int(x) if isinstance(x, np.integer) else x
         _init_csr(self, rows, cols, ctx, *_csr_from_coo(rows, cols, ctx, i, j, v))
 
     @classmethod
@@ -88,11 +93,11 @@ class SparseMatrix:
             k = lo + np.searchsorted(self.indices[lo:hi], j)
             if k < hi and self.indices[k] == j:
                 return self.data[k : k + 1].tolist()[0]
-        return self.ctx.zero_raw()
+        return 0
 
     def to_array(self) -> np.ndarray:
         """The dense rows x cols array of the values, in the field's dtype."""
-        dense = np.full((self.rows, self.cols), self.ctx.zero_raw(), self.ctx.dtype)
+        dense = np.full((self.rows, self.cols), 0, self.ctx.dtype)
         dense[_row_ids(self), self.indices] = self.data
         return dense
 
@@ -151,10 +156,10 @@ def _triplet_arrays(entries, ctx):
 
 def _numerators(values):
     """(den, nums): rationals as an object array of integers nums over
-    den, the lcm of their denominators."""
+    den, the lcm of their denominators; ints, the usual case, are copied."""
+    if set(map(type, values)) <= {int}:
+        return 1, np.array(values, dtype=object)
     den = math.lcm(*(v.denominator for v in values))
-    if den == 1:  # integers, the usual case: no products
-        return den, np.array([v.numerator for v in values], dtype=object)
     return den, np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
 
 
@@ -235,7 +240,7 @@ def _require_ctx(a: SparseMatrix, b: SparseMatrix):
 
 def identity(k: int, ctx: FieldCtx) -> SparseMatrix:
     idx = np.arange(k, dtype=np.int64)
-    data = np.full(k, ctx.one_raw(), ctx.dtype)
+    data = np.full(k, 1, ctx.dtype)
     return SparseMatrix._from_csr(k, k, ctx, np.arange(k + 1, dtype=np.int64), idx, data)
 
 
@@ -500,7 +505,7 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
                     y = ctx.reduce(y * c)
                 parts.append((c != minus_one, y))
             if not parts:
-                o[...] = ctx.zero_raw()
+                o[...] = 0
                 continue
             parts.sort(key=lambda part: not part[0])  # an added slice first
             added, y = parts[0]
@@ -525,7 +530,7 @@ def rank(a: SparseMatrix) -> int:
 def _eliminate(a: np.ndarray, ctx: FieldCtx, r=None) -> np.ndarray:
     """Gaussian elimination of each matrix of a (K, rows, cols) array of
     values over ctx, in place; returns the ranks.  Over F_p a pivot is
-    scaled by its Fermat inverse, over Q by 1 / x.
+    scaled by its Fermat inverse, over Q by its exact inverse.
 
     Each matrix keeps its own rank counter k.  Its pivot in a column is
     the first nonzero row at or below row k; it is scaled to a leading 1,
@@ -551,7 +556,7 @@ def _eliminate(a: np.ndarray, ctx: FieldCtx, r=None) -> np.ndarray:
         at = np.arange(sel.size)
         prow = x[at, piv]
         x[at, piv] = x[at, k]
-        inverse = _inverse(prow[:, c], ctx.modulus) if ctx.modulus else 1 / prow[:, c]
+        inverse = _inverse(prow[:, c], ctx.modulus) if ctx.modulus else np.frompyfunc(ctx.inv_raw, 1, 1)(prow[:, c])
         prow = ctx.reduce(prow * inverse[:, None])
         x -= x[:, :, c, None] * prow[:, None, :]
         ctx.reduce(x)
@@ -644,7 +649,7 @@ def _numbers(text: str, ctx: FieldCtx, width: int, count=None) -> list:
     table = table.reshape(-1, width)
     if table.dtype != object:
         last = table[:, -1]
-        values = last % ctx.modulus if ctx.is_prime_field else [Fraction(x) for x in last.tolist()]
+        values = last % ctx.modulus if ctx.is_prime_field else last.astype(object)
     else:
         values = []
         for token in table[:, -1]:

@@ -144,7 +144,7 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
         raise DimensionMismatch(f"point {bad} does not fit in {n} bits")
     if p:
         den, values = 1, np.array(f.values, dtype=np.int64)
-    else:  # integers over one denominator; a Fraction only per answer
+    else:  # integers over one denominator; a Fraction only per non-integral answer
         den, values = sparse._numerators(f.values)
     work = np.array(points, dtype=np.int64)
     if convention == "and":
@@ -158,7 +158,7 @@ def batch_sums(f: TruthTable, points, convention: str = "or"):
     counts = ctx.reduce(multiplicity.astype(ctx.dtype))
     # residues below 2^31, so each product is below 2^62
     w = _rn(ctx, ctx.reduce(_rn(ctx, values, inverse=True) * _rn(ctx, counts)))[hit].tolist()
-    answers = dict(zip(keys, w if p else map(Fraction, w, repeat(den))))
+    answers = dict(zip(keys, w if den == 1 else (ctx.coerce(Fraction(v, den)) for v in w)))
     return answers, {"adds": n * size, "mults": size}
 
 
@@ -175,16 +175,15 @@ def kron2_to_vf(m_list):
     if not m_list:
         raise ValueError("need at least one base matrix")
     ctx = m_list[0].ctx
-    one = ctx.one_raw()
-    swap = SparseMatrix(2, 2, ctx, [(0, 1, one), (1, 0, one)])
+    swap = SparseMatrix(2, 2, ctx, [(0, 1, 1), (1, 0, 1)])
     pi_parts, pip_parts, columns = [], [], []
     for m in m_list:
         d, mprime, dp = normalize_outer1(m)
         pi_parts.append(sparse.matmul(d, swap))
         pip_parts.append(sparse.matmul(swap, dp))
-        columns.append(SparseMatrix.from_dense([[mprime.get(1, 1)], [one]], ctx))
+        columns.append(SparseMatrix.from_dense([[mprime.get(1, 1)], [1]], ctx))
     # f(z) = prod_i g_i(z[i]): the Kronecker product of the columns (g_i(0), g_i(1))
-    values = sparse.kron_apply(columns, np.full(1, one, ctx.dtype)).tolist()
+    values = sparse.kron_apply(columns, np.full(1, 1, ctx.dtype)).tolist()
     f = TruthTable(2, len(m_list), ctx, tuple(values))
     return sparse.kron_all(pi_parts), f, sparse.kron_all(pip_parts)
 

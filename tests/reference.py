@@ -102,7 +102,7 @@ def apply_reference(a: SparseMatrix, x) -> list:
     ctx = a.ctx
     x = [ctx.coerce(v) for v in x]
     column = SparseMatrix(len(x), 1, ctx, [(k, 0, v) for k, v in enumerate(x) if v])
-    out = [ctx.zero_raw()] * a.rows
+    out = [0] * a.rows
     for i, _, v in triplets(matmul_rows(a, column)):
         out[i] = v
     return out
@@ -112,7 +112,7 @@ def kron_reference(ops) -> SparseMatrix:
     """The Kronecker product of a list of operands, left operand on the
     high digits, one entry of each operand at a time from its triplets."""
     ctx = ops[0].ctx
-    rows, cols, entries = 1, 1, [(0, 0, ctx.one_raw())]
+    rows, cols, entries = 1, 1, [(0, 0, 1)]
     for m in ops:
         entries = [(i * m.rows + a, j * m.cols + b, ctx.mul_raw(v, w))
                    for i, j, v in entries for a, b, w in triplets(m)]
@@ -143,7 +143,7 @@ def batch_sums_oracle(f: TruthTable, points, convention: str = "or"):
     ctx = f.ctx
     out = {}
     for s in points:
-        acc = ctx.zero_raw()
+        acc = 0
         for t in points:
             z = (s | t) if convention == "or" else (s & t)
             acc = ctx.add_raw(acc, f.values[z])
@@ -161,7 +161,7 @@ def inclusion_exclusion_reference(f: TruthTable):
             values = []
             for widx in range((q - 1) ** size):
                 w = np.unravel_index(widx, (q - 1,) * size)
-                acc = ctx.zero_raw()
+                acc = 0
                 for tsize in range(size + 1):
                     for t in combinations(s, tsize):
                         x = [0] * n
@@ -186,7 +186,7 @@ def expansion_identity_check(f: TruthTable, expansion=None) -> bool:
     for z in range(q**n):
         dz = np.unravel_index(z, (q,) * n)
         supp = [i for i in range(n) if dz[i]]
-        acc = ctx.zero_raw()
+        acc = 0
         for size in range(len(supp) + 1):
             for s in combinations(supp, size):
                 table = expansion[frozenset(s)]
@@ -220,7 +220,7 @@ def expansion_matrix_identity_check(f: TruthTable, expansion=None) -> bool:
                 v = table(w)
                 if v:
                     key = (x, y)
-                    acc[key] = ctx.add_raw(acc.get(key, ctx.zero_raw()), v)
+                    acc[key] = ctx.add_raw(acc.get(key, 0), v)
     rebuilt = SparseMatrix.from_triplets(
         size, size, ctx, [(i, j, v) for (i, j), v in acc.items()]
     )
@@ -279,7 +279,7 @@ def js_pieces_reference(n: int) -> tuple:
 def js_factors_reference(pieces, n: int, ctx):
     """(A_n, B_n) from the pieces: column p of A_n indicates piece p's
     rows, row p of B_n its columns."""
-    one = ctx.one_raw()
+    one = 1
     a_entries = []
     b_entries = []
     for p, (rows, cols, _) in enumerate(pieces):
@@ -301,7 +301,7 @@ def rn_split_reference(target, k: int):
     row to column h + i of B, and the rest to S; B then gets e_x in
     column i and C the row e_y^T at row h + i."""
     ctx, size = target.ctx, target.rows
-    one = ctx.one_raw()
+    one = 1
     removed = [x for x in range(size) if bin(x).count("1") < k]
     col_of = {x: i for i, x in enumerate(removed)}
     h = len(removed)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kronrigid import circuits, cli, rigidity, sparse
@@ -16,7 +17,7 @@ from kronrigid.circuits import (
 )
 from kronrigid.disjoint import disjointness_matrix, js_factorization
 from kronrigid.errors import ContextMismatch, DimensionMismatch, KronRigidError
-from kronrigid.fields import FieldCtx
+from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.rigidity import hadamard_matrix
 from kronrigid.sparse import SparseMatrix
 
@@ -515,3 +516,24 @@ def test_q_verify_agrees_with_the_whole_product():
             assert verify_circuit(c, want) is expected
             verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+# Built-in bases at sizes where each layer holds several Kronecker operands.
+INTEGRAL = [(base, n, d) for base in ("h2", "h3cube", "h4") for n, d in ((12, 2), (12, 3), (16, 4))]
+INTEGRAL += [(f"js:{m}", 2 * m, 2) for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("base,n,d", INTEGRAL)
+def test_each_built_in_q_circuit_is_integral_and_reduces_to_its_fp_circuit(base, n, d):
+    # an integral circuit proved over Q is an identity of integer matrices,
+    # so it holds in every field: its image mod p is the F_p circuit
+    family = "disjointness" if base.startswith("js:") else "hadamard"
+    circ = cli._synth_row(family, base, n, d, RATIONALS)[1]
+    assert all(type(v) is int for layer in circ.layers for m in layer for v in m.data.tolist())
+    for p in (3, 7, 2**31 - 1):
+        image = cli._synth_row(family, base, n, d, FieldCtx(p))[1]
+        assert [len(layer) for layer in image.layers] == [len(layer) for layer in circ.layers]
+        for a, b in zip(sum(circ.layers, []), sum(image.layers, [])):
+            assert (a.rows, a.cols) == (b.rows, b.cols)
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert [v % p for v in a.data.tolist()] == b.data.tolist()

@@ -703,6 +703,39 @@ def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):
     assert proc.stderr.startswith("cap exceeded:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads its address space from /proc")
+def test_verify_out_of_memory_is_a_cap(tmp_path, capsys):
+    # the child may map only 2 MB more than it holds after its imports: too
+    # little to read a 2.7 MB circuit, so verify runs out of memory
+    circuit = tmp_path / "h12.circ"
+    synth = ["synth", "--family", "hadamard", "--n", "12", "--depth", "3", "--base", "h2"]
+    assert main(synth + ["--out", str(circuit)]) == 0
+    code = (
+        "import resource, sys\n"
+        "import scipy.sparse  # mapped before the limit, as the first F_p product loads it\n"
+        "from kronrigid.cli import build_parser, main\n"
+        "build_parser()\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    limit = int(fh.read().split()[0]) * resource.getpagesize() + 2**21\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    verify = ["verify", "--family", "hadamard", "--n", "12", "--circuit", str(circuit)]
+    proc = subprocess.run([sys.executable, "-c", code, *verify], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("cap exceeded:") and "Traceback" not in proc.stderr
+    assert not proc.stdout
+    # exit 1 stays "not equal": the same file with one entry changed
+    lines = circuit.read_text().splitlines(keepends=True)
+    i, j, v = lines[-1].split()
+    lines[-1] = f"{i} {j} {int(v) % 4 + 1}\n"  # another residue mod 5
+    circuit.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(verify) == 1
+    assert "equal=False" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("prime", [131, 2**31 - 1])
 def test_verify_at_large_primes(tmp_path, capsys, prime):
     path = str(tmp_path / "h8.circ")

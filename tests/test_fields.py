@@ -42,9 +42,23 @@ def test_raw_arithmetic_examples():
 
 def test_zero_inverse():
     with pytest.raises(DivisionByZero):
-        F5.inv_raw(F5.zero_raw())
+        F5.inv_raw(0)
     with pytest.raises(DivisionByZero):
-        RATIONALS.inv_raw(RATIONALS.zero_raw())
+        RATIONALS.inv_raw(0)
+
+
+def test_rationals_are_ints_where_integral():
+    # coerce and inv_raw follow one rule over Q: an int when integral, a
+    # Fraction otherwise, never a float or a numpy scalar
+    cases = [(3, 3), (-7, -7), (Fraction(6, 3), 2), (Fraction(-1, 2), Fraction(-1, 2)),
+             (np.int64(4), 4), (2**70, 2**70), (0.5, Fraction(1, 2))]
+    for x, want in cases:
+        got = RATIONALS.coerce(x)
+        assert got == want and type(got) is type(want)
+    inverses = [(1, 1), (-1, -1), (3, Fraction(1, 3)), (Fraction(1, 3), 3), (Fraction(-2, 5), Fraction(-5, 2))]
+    for x, want in inverses:
+        got = RATIONALS.inv_raw(x)
+        assert got == want and type(got) is type(want)
 
 
 def test_reduce_works_in_place_over_fp_only():
@@ -68,7 +82,7 @@ def test_field_axioms_random():
             assert add(add(x, y), z) == add(x, add(y, z))
             assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
             if x:
-                assert mul(x, ctx.inv_raw(x)) == ctx.one_raw()
+                assert mul(x, ctx.inv_raw(x)) == 1
 
 
 def test_root_of_unity_examples():

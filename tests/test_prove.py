@@ -57,7 +57,7 @@ def changed(m, how, rng):
         if how == "moved":
             entries[k] = (i, free[rng.randrange(len(free))], v)
         else:
-            entries.append((i, free[rng.randrange(len(free))], ctx.one_raw()))
+            entries.append((i, free[rng.randrange(len(free))], 1))
     return SparseMatrix(m.rows, m.cols, ctx, entries)
 
 
@@ -270,7 +270,7 @@ def test_the_row_blocks_cover_the_empty_rows_of_a_unit_power(ctx):
 @pytest.mark.parametrize("ctx", FIELDS, ids=str)
 def test_a_correct_circuit_that_is_no_kronecker_product_takes_the_block_check(ctx):
     h3 = sparse.kron_power(cli._family_unit("hadamard", ctx), 3)
-    perm = SparseMatrix(8, 8, ctx, [(i, (5 * i + 3) % 8, ctx.one_raw()) for i in range(8)])
+    perm = SparseMatrix(8, 8, ctx, [(i, (5 * i + 3) % 8, 1) for i in range(8)])
     circ = SynchronousCircuit([perm, matmul(sparse.transpose(perm), h3)])
     assert prove_power(circ, cli._family_unit("hadamard", ctx), 3) is None
     assert decide(circ, "hadamard", 3) == (True, "block")

@@ -34,7 +34,7 @@ def dense_matmul_oracle(a, b):
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            acc = ctx.zero_raw()
+            acc = 0
             for k in range(a.cols):
                 acc = ctx.add_raw(acc, ctx.mul_raw(da[i][k], db[k][j]))
             row.append(acc)
@@ -53,6 +53,16 @@ def test_entry_validation():
         SparseMatrix(2, 2, F5, [(0, 0, 7)])
     with pytest.raises(ValueError, match="does not fit the matrix"):
         SparseMatrix(2, 2, F5, [(0, 0, 2**64)])
+
+
+def test_entry_validation_over_q_takes_exact_rationals_only():
+    # a float would be written as "0.5", which no reader takes back
+    for bad in (0.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=r"at \(0, 1\) is not an exact rational"):
+            SparseMatrix(1, 2, RATIONALS, [(0, 0, 1), (0, 1, bad)])
+    m = SparseMatrix(1, 3, RATIONALS, [(0, 0, 2), (0, 1, np.int64(-3)), (0, 2, Fraction(1, 2))])
+    assert [type(v) for v in m.data.tolist()] == [int, int, Fraction]  # a numpy integer is stored as an int
+    assert sparse.parse_matrix(sparse.dump_matrix(m)) == m
 
 
 def test_kron_h2_display():
@@ -170,11 +180,11 @@ def test_to_array_matches_the_triplets(ctx):
     for m in [SparseMatrix.from_triplets(m.rows, m.cols, ctx, triplets(m)) for m in mats] + [big]:
         got = m.to_array()
         assert got.shape == (m.rows, m.cols) and got.dtype == np.dtype(ctx.dtype)
-        want = [[ctx.zero_raw()] * m.cols for _ in range(m.rows)]
+        want = [[0] * m.cols for _ in range(m.rows)]
         for i, j, v in triplets(m):
             want[i][j] = v
         assert got.tolist() == want
-        assert all(type(v) is type(ctx.zero_raw()) for v in got.ravel().tolist())
+        assert all(type(v) is (int if v == round(v) else Fraction) for v in got.ravel().tolist())
 
 
 def test_to_csr_holds_the_same_arrays_over_fp_only():

@@ -352,3 +352,81 @@ def test_text_formats_golden():
     for table, text in tables:
         assert vf.dump_truthtable(table) == text
         assert vf.parse_truthtable(text) == table
+
+
+# -- the Q value rule ---------------------------------------------------------
+
+
+def exact(v):
+    """Whether v is a value the Q kernels may hold: an int or a Fraction,
+    never a float or a numpy scalar."""
+    return type(v) in (int, Fraction)
+
+
+def canonical(v):
+    """Whether v is a Q value as coerce, inv_raw and the reader make it:
+    an int when it is integral, a Fraction otherwise."""
+    return type(v) is (int if v == round(v) else Fraction)
+
+
+def q_values():
+    """Nonzero ints and Fractions, integral Fractions among them."""
+    return st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=6)).filter(bool)
+
+
+@st.composite
+def q_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)))) if rows and cols else ()
+    return SparseMatrix(rows, cols, RATIONALS, [(i, j, draw(q_values())) for i, j in cells])
+
+
+def all_exact(*mats):
+    return all(exact(v) for m in mats for v in m.data.tolist())
+
+
+@PROPS
+@given(st.data())
+def test_q_kernels_hold_only_ints_and_fractions(data):
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(q_matrices(rows, inner)), data.draw(q_matrices(inner, cols))
+    c = data.draw(q_matrices(rows, inner))
+    s = data.draw(q_values())
+    assert all_exact(sparse.kron(a, b), sparse.matmul(a, b), sparse.add_mat(a, c), sparse.sub_mat(a, c),
+                     sparse.scale(a, s), sparse.transpose(a))
+    r = sparse.rank(a)
+    assert type(r) is int
+    low_b, low_c = rigidity.low_rank_factor(a, r)
+    assert all_exact(low_b, low_c) and sparse.matmul(low_b, low_c) == a
+    u = np.array([data.draw(st.one_of(st.just(0), q_values())) for _ in range(inner * cols)], object)
+    assert all(exact(v) for v in sparse.kron_apply([a, b], u).tolist())
+
+
+@PROPS
+@given(q_matrices(), st.lists(st.one_of(st.integers(-2**70, 2**70), st.fractions())))
+def test_q_values_are_ints_where_integral(m, xs):
+    back = sparse.parse_matrix(sparse.dump_matrix(m))
+    assert back == m and all(canonical(v) for v in back.data.tolist())
+    for x in xs:
+        got = RATIONALS.coerce(x)
+        assert got == x and canonical(got)
+        if x:
+            inverse = RATIONALS.inv_raw(x)
+            assert inverse * x == 1 and canonical(inverse)
+
+
+def test_an_integer_q_file_reads_as_ints():
+    text = "2 3 0\n0 0 4\n0 2 -9223372036854775807\n1 1 1180591620717411303424\n"  # 2^70: past int64
+    for m in (sparse.parse_matrix(text), sparse.parse_matrix(text.replace("1180591620717411303424", "1"))):
+        assert all(type(v) is int for v in m.data.tolist())
+    m = sparse.parse_matrix("1 1 0\n0 0 6/3\n")
+    assert m.data.tolist() == [2] and type(m.get(0, 0)) is int
+
+
+def test_low_rank_factor_of_an_integer_matrix_is_exact():
+    # 1 / 3 was a float, and C held 6004799503160661/18014398509481984
+    m = SparseMatrix(2, 2, RATIONALS, [(0, 0, 3), (0, 1, 1), (1, 0, 6), (1, 1, 2)])
+    b, c = rigidity.low_rank_factor(m, 1)
+    assert sparse.matmul(b, c) == m
+    assert c.data.tolist() == [1, Fraction(1, 3)]

@@ -27,7 +27,7 @@ from kronrigid.errors import CapExceeded
 from kronrigid.fields import RATIONALS, FieldCtx
 from kronrigid.sparse import SparseMatrix
 
-from reference import kron_reference
+from reference import circuit_product, kron_reference
 
 P31 = 2**31 - 1
 FIELDS = [FieldCtx(5), FieldCtx(P31), RATIONALS]
@@ -313,6 +313,30 @@ def test_dump_truthtable_matches_str(data):
 def test_dump_truthtable_writes_values_as_given():
     table = vf.TruthTable(2, 1, FieldCtx(5), (-1, 7))  # not canonical residues
     assert vf.dump_truthtable(table) == "truthtable 2 1 5\n-1\n7\n"
+
+
+def test_q_integers_past_int64_take_the_python_int_paths():
+    # sparse._distinct ranks numerators past int64 as Python ints, and
+    # circuits._integers sums entries of 2^31 and more as Python ints
+    big = [(0, 1, 2**70), (1, 0, -(2**40)), (2, 2, 2**70), (2, 3, 5), (1, 3, Fraction(-2**70, 3))]
+    m = SparseMatrix(3, 4, RATIONALS, big)
+    assert sparse.dump_matrix(m) == reference_dump(m)
+    assert sparse.parse_matrix(sparse.dump_matrix(m)) == m
+    a = SparseMatrix(2, 2, RATIONALS, [(0, 0, 2**70), (0, 1, 1), (1, 1, -(2**40))])
+    b = SparseMatrix(2, 2, RATIONALS, [(0, 0, 1), (1, 0, -(2**40)), (1, 1, 2**70)])
+    circ = SynchronousCircuit([[a, b], [b, a]])
+    explicit = [kron_reference(ops) for ops in circ.layers]
+    expect = f"circuit 2 4 4 0 {sum(x.nnz for x in explicit)}\n"
+    for idx, x in enumerate(explicit):
+        expect += f"factor {idx} 4 4 {x.nnz}\n" + percent_lines(x)
+    text = circuits.dump_circuit(circ)
+    assert text == expect
+    assert circuits.parse_circuit(text).factors == explicit
+    target = circuit_product(circ)
+    assert max(abs(v) for v in target.data.tolist()) > 2**180
+    assert circuits.verify_circuit(circ, target)
+    off_by_one = sparse.add_mat(target, SparseMatrix(4, 4, RATIONALS, [(0, 0, 1)]))
+    assert not circuits.verify_circuit(circ, off_by_one)
 
 
 # sha256 of `synth --out` files, taken before the table-driven writer.
