@@ -408,11 +408,22 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     sides are checked against sparse.DIMENSION_CAP, then against the
     circuit's shape, before anything is built.
 
-    No N x N array is built: the trailing operands form a dense `tail`,
-    the longest suffix whose row block keeps at most 2^20 entries (8 MB of
-    int64).  The product is walked in aligned row blocks lead_a x tail,
-    lead_a the Kronecker product of one row of each leading operand, and
-    each column group is compared with v * tail mod p.
+    The block check first multiplies both sides by k seeded random columns
+    X over F_p, p^k >= 2^20 (Freivalds 1979): the circuit's layers last
+    first, the target by sparse.kron_apply with a factor I_k, both exactly
+    mod p.  P X != T X proves P != T, so a mismatch decides False at a cost
+    of wires * k plus k kron_apply passes; an unequal product gets past all
+    k columns with probability at most 2^-20, which costs only time.
+    kron_apply takes a Python step per stored entry, so the columns are
+    skipped when the target's operands hold more than 2 (rows + cols)
+    entries, as a dense explicit target does.
+
+    Then no N x N array is built: the trailing operands form a dense
+    `tail`, the longest suffix whose row block keeps at most 2^20 entries
+    (8 MB of int64).  The product is walked in aligned row blocks
+    lead_a x tail, lead_a the Kronecker product of one row of each leading
+    operand, and each column group is compared with v * tail mod p.  Only
+    this walk decides True.
     """
     one = identity(1, circ.ctx)  # keeps the leading operands and the tail non-empty
     ops = [one, *(target if isinstance(target, (list, tuple)) else [target])]
@@ -431,10 +442,22 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
 
 
 def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
-    """The F_p block check of verify_circuit; ops[0] is the 1 x 1 identity."""
+    """The F_p block check of verify_circuit, seeded random columns first;
+    ops[0] is the 1 x 1 identity."""
+    import scipy.sparse  # the F_p product kernel's library, as in SparseMatrix.to_csr
+
     p = circ.ctx.modulus
     first, *rest = circ.factors
     rest = [f.to_csr() for f in rest]
+    if sum(m.nnz for m in ops) <= 2 * (circ.rows + circ.cols):  # kron_apply: a Python step per entry
+        cols = next(c for c in itertools.count(1) if p**c >= 1 << 20)  # a slip has chance p^-cols <= 2^-20
+        x = np.random.default_rng(0).integers(0, p, (circ.cols, cols))
+        got = scipy.sparse.csr_matrix(x)
+        for f in [*rest[::-1], first.to_csr()]:
+            got = sparse._csr_mulmod(f, got, p)
+        want = sparse.kron_apply([*ops, identity(cols, circ.ctx)], x)  # consumes x
+        if not np.array_equal(got.toarray(), want.reshape(-1, cols)):
+            return False
     k = len(ops)
     while k > 1 and math.prod(m.rows for m in ops[k - 1 :]) * circ.cols <= 1 << 20:
         k -= 1

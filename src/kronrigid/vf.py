@@ -80,7 +80,7 @@ def fast_rn_apply(ctx: FieldCtx, x, inverse: bool = False):
     if ctx.is_prime_field:
         return _rn(ctx, np.array(x, dtype=np.int64), inverse).tolist(), ops
     den, nums = sparse._numerators(x)
-    return [Fraction(v, den) for v in _rn(ctx, nums, inverse)], ops
+    return [ctx.coerce(Fraction(v, den)) for v in _rn(ctx, nums, inverse)], ops
 
 
 def _rn(ctx: FieldCtx, u: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -461,6 +462,30 @@ def test_q_verify_bound_counts_the_denominators(monkeypatch, side):
     used = _record_moduli(monkeypatch)
     assert verify_circuit(circ, target) is False
     assert len(used) > 1 and used[0] == MERSENNE
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_q_verify_bound_holds_at_its_edge(monkeypatch, j):
+    # D = P - target has one entry e, the product of the first j primes, and
+    # |D| <= e + 4 is the bound.  Deciding D = 0 needs primes whose product
+    # passes the bound (_moduli asks for twice it); a test with a bound one
+    # bit too small, (e + 4) / 2, would stop at these j primes, each of which
+    # divides e, and call the circuit equal
+    primes = [ctx.modulus for ctx in itertools.islice(circuits._moduli(1, 2**200), j + 1)]
+    e = math.prod(primes[:j])
+    h1 = hadamard_matrix(1, Q)
+    circ = SynchronousCircuit([_plus(h1, 0, 0, e), sparse.identity(2, Q)])
+    bounds, moduli = [], circuits._moduli
+
+    def spy(avoid, bound):
+        bounds.append(bound)
+        return moduli(avoid, bound)
+
+    monkeypatch.setattr(circuits, "_moduli", spy)
+    used = _record_moduli(monkeypatch)
+    assert verify_circuit(circ, [h1]) is False
+    assert bounds == [e + 4] and used == primes  # the j images agree, the next one refutes
+    assert math.prod(primes[: j - 1]) <= (e + 4) // 2 < e
 
 
 @pytest.mark.parametrize("down,up,equal", [

@@ -19,7 +19,7 @@ from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
-from reference import SplitMix64, circuit_product, triplets
+from reference import SplitMix64, circuit_product, dense_kron, dense_product, triplets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ROUNDTRIP  # noqa: E402
@@ -427,6 +427,85 @@ def test_the_proof_is_sound_on_rewritten_circuits(built, data):
     verdict = prove_power(circ, unit, n, shapes)
     event(f"equal={equal} proved={verdict}")
     assert verdict is None or verdict == equal
+
+
+# -- the block check's random columns ------------------------------------
+
+
+def rescaled(factors, rng):
+    """The factors with the first times a random invertible diagonal D and
+    the second times D^-1: the same product, but the first two layers
+    rarely peel, so the proof is mostly undecided."""
+    ctx = factors[0].ctx
+    values = [rng.nonzero_field_element(ctx) for _ in range(factors[0].cols)]
+    d, d_inv = (sparse.diagonal(v, ctx) for v in (values, [ctx.inv_raw(x) for x in values]))
+    return [matmul(factors[0], d), matmul(d_inv, factors[1]), *factors[2:]]
+
+
+@st.composite
+def explicit_circuits(draw):
+    """(factors, unit, n): the explicit factors of a butterfly or a
+    synthesized circuit of H_1 or R_1 at n <= 8, over F_3, F_(2^31-1) or Q."""
+    ctx = draw(st.sampled_from([FieldCtx(3), FBIG, Q]))
+    family = draw(st.sampled_from(["hadamard", "disjointness"]))
+    unit = cli._family_unit(family, ctx)
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([g for g in range(1, n + 1) if n % g == 0]))
+        circ = circuits.butterfly_circuit([unit] * n, group)
+    else:
+        bases = ["h2", "h3cube", "h4"] if family == "hadamard" else ["js:1", "js:2", "js:3"]
+        d = draw(st.integers(2, 3))
+        circ = synthesize(cli._base_factorization(family, draw(st.sampled_from(bases)), n, d, ctx), unit, n, d)
+    return circ.factors, unit, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(explicit_circuits(), st.sampled_from(["value", "moved", "rescaled"]), st.data())
+def test_the_block_check_agrees_with_the_dense_product(built, how, data):
+    # one value changed or one entry moved: the random columns refute it
+    # (or, with chance at most 2^-20, the walk does); rescaled: still equal
+    factors, unit, n = built
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    if how == "rescaled" and len(factors) > 1:
+        factors = rescaled(factors, rng)
+    else:
+        j = data.draw(st.integers(0, len(factors) - 1))
+        m = factors[j]
+        factors[j] = changed(m, "value" if how == "rescaled" or m.nnz == m.rows * m.cols else how, rng)
+    circ = SynchronousCircuit(factors)
+    equal = dense_product(circ) == dense_kron([unit] * n)
+    event(f"{how} equal={equal}")
+    assert verify_circuit(circ, [unit] * n) is equal
+
+
+@pytest.mark.parametrize("ctx", [F5, FieldCtx(3), FBIG, Q], ids=str)
+def test_an_equal_circuit_the_proof_leaves_undecided_verifies(ctx):
+    unit, circ = cli._synth_row("hadamard", "h4", 10, 2, ctx)[:2]
+    circ = SynchronousCircuit(rescaled(circ.factors, SplitMix64(10)))
+    assert prove_power(circ, unit, 10, cli._base_shapes("hadamard")) is None
+    assert verify_circuit(circ, [unit] * 10) is True
+
+
+def test_the_random_columns_alone_refute_a_changed_last_entry(tmp_path, monkeypatch, capsys):
+    # the h2 file at n = 14, d = 7 with the last entry of layer 0 changed:
+    # the walk of row blocks would take seconds, and it is not reached
+    path = tmp_path / "h2.circ"
+    assert main(["synth", "--family", "hadamard", "--n", "14", "--depth", "7", "--base", "h2",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("factor 1 ")) - 1  # layer 0's last
+    i, j, v = lines[k].split()
+    lines[k] = f"{i} {j} {int(v) % 4 + 1}"  # another nonzero residue mod 5
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_walk(*args):
+        raise AssertionError("the walk of row blocks ran")
+
+    monkeypatch.setattr(SparseMatrix, "row_block", no_walk)
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(path), "--family", "hadamard", "--n", "14"]) == 1
+    assert capsys.readouterr().out.startswith("equal=False wires=540672 depth=7 method=block")
 
 
 # -- the command line -----------------------------------------------------
