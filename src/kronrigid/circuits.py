@@ -413,10 +413,9 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     first, the target by sparse.kron_apply with a factor I_k, both exactly
     mod p.  P X != T X proves P != T, so a mismatch decides False at a cost
     of wires * k plus k kron_apply passes; an unequal product gets past all
-    k columns with probability at most 2^-20, which costs only time.
-    kron_apply takes a Python step per stored entry, so the columns are
-    skipped when the target's operands hold more than 2 (rows + cols)
-    entries, as a dense explicit target does.
+    k columns with probability at most 2^-20, which costs only time.  The
+    columns go in passes of c, the most (at least one) with c times the
+    larger side at most 2^20, so X and T X hold O(max(2^20, N)) entries.
 
     Then no N x N array is built: the trailing operands form a dense
     `tail`, the longest suffix whose row block keeps at most 2^20 entries
@@ -449,14 +448,17 @@ def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
     p = circ.ctx.modulus
     first, *rest = circ.factors
     rest = [f.to_csr() for f in rest]
-    if sum(m.nnz for m in ops) <= 2 * (circ.rows + circ.cols):  # kron_apply: a Python step per entry
-        cols = next(c for c in itertools.count(1) if p**c >= 1 << 20)  # a slip has chance p^-cols <= 2^-20
-        x = np.random.default_rng(0).integers(0, p, (circ.cols, cols))
+    cols = next(c for c in itertools.count(1) if p**c >= 1 << 20)  # a slip has chance p^-cols <= 2^-20
+    chunk = max(1, (1 << 20) // max(circ.rows, circ.cols))  # columns per pass
+    rng, down = np.random.default_rng(0), [*rest[::-1], first.to_csr()]
+    for start in range(0, cols, chunk):
+        c = min(chunk, cols - start)
+        x = rng.integers(0, p, (circ.cols, c))
         got = scipy.sparse.csr_matrix(x)
-        for f in [*rest[::-1], first.to_csr()]:
+        for f in down:
             got = sparse._csr_mulmod(f, got, p)
-        want = sparse.kron_apply([*ops, identity(cols, circ.ctx)], x)  # consumes x
-        if not np.array_equal(got.toarray(), want.reshape(-1, cols)):
+        want = sparse.kron_apply([*ops, identity(c, circ.ctx)], x)  # consumes x
+        if not np.array_equal(got.toarray(), want.reshape(-1, c)):
             return False
     k = len(ops)
     while k > 1 and math.prod(m.rows for m in ops[k - 1 :]) * circ.cols <= 1 << 20:

@@ -3,8 +3,7 @@
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
 row-by-row sparse product with a dict per row, a matrix-vector product
-and a circuit's product made of it, the entry-by-entry Kronecker product,
-a circuit's product and a Kronecker product as dense rows, the line-by-line
+and a circuit's product made of it, the entry-by-entry Kronecker product, the line-by-line
 points reader, the quadratic oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
 its two identity checks, the exhaustive check of a rectangle partition,
 the tuple recursion that builds that partition, the entry-by-entry
@@ -124,36 +123,6 @@ def kron_reference(ops) -> SparseMatrix:
 def circuit_product(circ) -> SparseMatrix:
     """The product of a circuit's explicit factors, by matmul_rows."""
     return functools.reduce(matmul_rows, circ.factors)
-
-
-def dense_product(circ) -> list:
-    """The product of a circuit's explicit factors as dense rows of raw
-    values, last factor first: row i of A times the rows below is the sum,
-    over the entries (i, k, v) of A, of v times row k."""
-    p = circ.ctx.modulus
-    *factors, last = circ.factors
-    below = [[0] * last.cols for _ in range(last.rows)]
-    for i, j, v in triplets(last):
-        below[i][j] = v
-    for a in reversed(factors):
-        rows = [[0] * last.cols for _ in range(a.rows)]
-        for i, k, v in triplets(a):
-            rows[i] = [x + v * y for x, y in zip(rows[i], below[k])]
-        below = [[x % p for x in row] for row in rows] if p else rows
-    return below
-
-
-def dense_kron(ops) -> list:
-    """The Kronecker product of a list of operands as dense rows, one
-    product of entries per position, left operand on the high digits."""
-    p = ops[0].ctx.modulus
-    rows = [[1]]
-    for m in ops:
-        dense = [[0] * m.cols for _ in range(m.rows)]
-        for i, j, v in triplets(m):
-            dense[i][j] = v
-        rows = [[x * y for x in row for y in mrow] for row in rows for mrow in dense]
-    return [[x % p for x in row] for row in rows] if p else rows
 
 
 def parse_points_reference(text: str):

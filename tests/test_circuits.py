@@ -468,9 +468,10 @@ def test_q_verify_bound_counts_the_denominators(monkeypatch, side):
 def test_q_verify_bound_holds_at_its_edge(monkeypatch, j):
     # D = P - target has one entry e, the product of the first j primes, and
     # |D| <= e + 4 is the bound.  Deciding D = 0 needs primes whose product
-    # passes the bound (_moduli asks for twice it); a test with a bound one
-    # bit too small, (e + 4) / 2, would stop at these j primes, each of which
-    # divides e, and call the circuit equal
+    # passes the bound; _moduli asks for twice it.  A stopping rule
+    # product > (e + 4) / 2 would stop at these j primes, each of which
+    # divides e, and call the circuit equal.  Dropping the 2 * in _moduli is
+    # still sound, since product > |D| is enough, so no test can catch it
     primes = [ctx.modulus for ctx in itertools.islice(circuits._moduli(1, 2**200), j + 1)]
     e = math.prod(primes[:j])
     h1 = hadamard_matrix(1, Q)
@@ -486,6 +487,37 @@ def test_q_verify_bound_holds_at_its_edge(monkeypatch, j):
     assert verify_circuit(circ, [h1]) is False
     assert bounds == [e + 4] and used == primes  # the j images agree, the next one refutes
     assert math.prod(primes[: j - 1]) <= (e + 4) // 2 < e
+
+
+@pytest.mark.parametrize("changed", [False, True])
+def test_the_random_columns_go_in_passes_of_at_most_2_20_entries(monkeypatch, changed):
+    # N = 2^17 over F_3 needs k = 13 columns (3^13 >= 2^20), 8 per pass
+    n, f3 = 17, FieldCtx(3)
+    layer = sparse.identity(2**n, f3)
+    if changed:
+        layer = _plus(layer, 2**n - 1, 2**n - 1, 1)
+    passes, kron_apply = [], sparse.kron_apply
+
+    def spy(ops, u):
+        passes.append(ops[-1].rows)
+        return kron_apply(ops, u)
+
+    class Walked(Exception):
+        pass
+
+    def no_walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(sparse, "kron_apply", spy)
+    monkeypatch.setattr(SparseMatrix, "row_block", no_walk)
+    circ = SynchronousCircuit([layer])
+    if changed:
+        assert verify_circuit(circ, [sparse.identity(2, f3)] * n) is False
+        assert passes in ([8], [8, 5])
+    else:
+        with pytest.raises(Walked):  # both passes agree, so the walk decides
+            verify_circuit(circ, [sparse.identity(2, f3)] * n)
+        assert passes == [8, 5]
 
 
 @pytest.mark.parametrize("down,up,equal", [

@@ -19,7 +19,7 @@ from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
-from reference import SplitMix64, circuit_product, dense_kron, dense_product, triplets
+from reference import SplitMix64, circuit_product, kron_reference, triplets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import ROUNDTRIP  # noqa: E402
@@ -462,7 +462,7 @@ def explicit_circuits(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(explicit_circuits(), st.sampled_from(["value", "moved", "rescaled"]), st.data())
-def test_the_block_check_agrees_with_the_dense_product(built, how, data):
+def test_the_block_check_agrees_with_the_reference_product(built, how, data):
     # one value changed or one entry moved: the random columns refute it
     # (or, with chance at most 2^-20, the walk does); rescaled: still equal
     factors, unit, n = built
@@ -474,7 +474,7 @@ def test_the_block_check_agrees_with_the_dense_product(built, how, data):
         m = factors[j]
         factors[j] = changed(m, "value" if how == "rescaled" or m.nnz == m.rows * m.cols else how, rng)
     circ = SynchronousCircuit(factors)
-    equal = dense_product(circ) == dense_kron([unit] * n)
+    equal = circuit_product(circ) == kron_reference([unit] * n)
     event(f"{how} equal={equal}")
     assert verify_circuit(circ, [unit] * n) is equal
 
