@@ -93,9 +93,7 @@ class SynchronousCircuit:
     def check_caps(self) -> None:
         """Raise before building a circuit too large to hold: a factor side
         above sparse.DIMENSION_CAP, or more than WIRE_CAP wires."""
-        side = max(max(shape) for shape in self.shapes)
-        if side > sparse.DIMENSION_CAP:
-            raise CapExceeded(f"size {side} exceeds cap {sparse.DIMENSION_CAP}")
+        sparse._check_dims(*itertools.chain.from_iterable(self.shapes))
         if self.wires > WIRE_CAP:
             raise CapExceeded(f"{self.wires} wires exceed the cap {WIRE_CAP} for explicit factors")
 
@@ -429,8 +427,7 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     rows = cols = 1
     for m in ops:  # one operand at a time: a side far above the cap stops at once
         rows, cols = rows * m.rows, cols * m.cols
-        if max(rows, cols) > sparse.DIMENSION_CAP:
-            raise CapExceeded(f"a target side is above the cap {sparse.DIMENSION_CAP}")
+        sparse._check_dims(rows, cols)
     if (circ.rows, circ.cols) != (rows, cols):
         raise DimensionMismatch(f"circuit is {circ.rows}x{circ.cols}, the target {rows}x{cols}")
     if any(m.ctx != circ.ctx for m in ops):
@@ -596,11 +593,15 @@ def dump_circuit(circ: SynchronousCircuit) -> str:
 def parse_circuit(text: str) -> SynchronousCircuit:
     """Read a circuit back from its text; ValueError if it is malformed.
 
-    Each factor block must hold exactly its sub-header's nnz entries, and
-    the header's depth, shape and wire count must match the factors.
+    A header of more than WIRE_CAP wires raises CapExceeded before any
+    factor is read.  Each factor block must hold exactly its sub-header's
+    nnz entries, and the header's depth, shape and wire count must match
+    the factors.
     """
     head, *blocks = sparse._blocks(text.lstrip(), "factor")
     (depth, rows, cols, field, wires), rest = sparse._header(head, "circuit", 5)
+    if wires > WIRE_CAP:  # what save_circuit would refuse to write
+        raise CapExceeded(f"{wires} wires exceed the cap {WIRE_CAP}")
     if rest.strip():
         raise ValueError("text between the header and the first factor")
     ctx = FieldCtx(field)

@@ -11,6 +11,7 @@ equals its int.  Zero and one are 0 and 1 in every field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,11 +87,7 @@ class FieldCtx:
         """Bring an int or Fraction into canonical internal form."""
         if self.is_prime_field:
             if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    return x.numerator % self.modulus
-                return (
-                    x.numerator % self.modulus
-                ) * self.inv_raw(x.denominator % self.modulus) % self.modulus
+                return x.numerator * self.inv_raw(x.denominator % self.modulus) % self.modulus
             return x % self.modulus
         x = Fraction(x)
         return int(x.numerator) if x.denominator == 1 else x
@@ -115,21 +112,12 @@ class FieldCtx:
 RATIONALS = FieldCtx(0)
 
 
-def multiplicative_order(ctx: FieldCtx, x: int, bound: int) -> int:
-    """Order of x in F_p*, or 0 if it exceeds ``bound``."""
-    acc = x
-    for k in range(1, bound + 1):
-        if acc == 1:
-            return k
-        acc = acc * x % ctx.modulus
-    return 0
-
-
 def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
     """Smallest w in F_p with w**n = 1 and w**k != 1 for 0 < k < n.
 
     Requires n | (p - 1).  Candidates are scanned in increasing order so the
-    result is deterministic.
+    result is deterministic; w has order n when w**n = 1 and w**(n/r) != 1
+    for every prime r | n.
     """
     if not ctx.is_prime_field:
         raise RationalUnsupported("roots of unity need a prime field")
@@ -138,11 +126,9 @@ def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
     p = ctx.modulus
     if (p - 1) % n != 0:
         raise KronRigidError(f"{n} does not divide {p - 1}")
-    if n == 1:
-        return 1
-    for w in range(2, p):
-        if pow(w, n, p) != 1:
-            continue
-        if multiplicative_order(ctx, w, n) == n:
+    # the primes among n's divisors, found by trial division up to sqrt(n)
+    primes = [r for k in range(1, math.isqrt(n) + 1) if n % k == 0 for r in {k, n // k} if is_prime(r)]
+    for w in range(1, p):
+        if pow(w, n, p) == 1 and all(pow(w, n // r, p) != 1 for r in primes):
             return w
     raise KronRigidError(f"no element of order {n} in F_{p}")  # pragma: no cover

@@ -261,8 +261,7 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     _require_ctx(a, b)
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
-        raise CapExceeded(f"{rows}x{cols} exceeds cap {DIMENSION_CAP}")
+    _check_dims(rows, cols)
     indptr, ka, kb = _kron_index(a, b)
     indices = a.indices[ka] * b.cols
     indices += b.indices[kb]
@@ -434,22 +433,10 @@ def scale(a: SparseMatrix, s) -> SparseMatrix:
 
 
 def concat_h(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """(A | B): horizontal concatenation."""
-    _require_ctx(a, b)
+    """(A | B): horizontal concatenation, the transpose of (A^T / B^T)."""
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ in concat_h")
-    # Row i holds A's row i, then B's row i shifted right by a.cols.
-    pos_a = np.arange(a.nnz, dtype=np.int64) + b.indptr[_row_ids(a)]
-    pos_b = np.arange(b.nnz, dtype=np.int64) + a.indptr[_row_ids(b) + 1]
-    indices = np.empty(a.nnz + b.nnz, dtype=np.int64)
-    indices[pos_a] = a.indices
-    indices[pos_b] = b.indices + a.cols
-    data = np.empty(a.nnz + b.nnz, dtype=a.data.dtype)
-    data[pos_a] = a.data
-    data[pos_b] = b.data
-    return SparseMatrix._from_csr(
-        a.rows, a.cols + b.cols, a.ctx, a.indptr + b.indptr, indices, data
-    )
+    return transpose(stack_v(transpose(a), transpose(b)))
 
 
 def stack_v(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -471,10 +458,12 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
     views the vector as (lead, ops[i].cols, tail) and combines its middle
     slices by the rows of ops[i].  No Kronecker product is built.
 
-    Over F_p, u holds int64 residues.  A coefficient 1 adds a slice, -1
-    (p - 1) subtracts it, and any other one multiplies it and is reduced
-    mod p, so a row of t terms sums below t * p < 2^63; the row is then
-    reduced.  Over Q, u is an object array, or an integer array whose sums
+    Over F_p, u holds int64 residues.  A row's first slice is copied into
+    it (coefficient 1) or multiplied into it (a residue times a residue is
+    below 2^62).  Each further slice is added (1), subtracted (-1, that is
+    p - 1), or multiplied, reduced mod p and added.  So a row of t slices
+    sums below p^2 + t * p < 2^63, and it is reduced once, unless it is a
+    single copy.  Over Q, u is an object array, or an integer array whose sums
     the caller knows fit its dtype when every coefficient is 1 or -1.
     Two buffers alternate between passes; u is one of them when it is as
     long as the largest stage, so it is consumed.
@@ -498,24 +487,22 @@ def kron_apply(ops, u: np.ndarray) -> np.ndarray:
         ptr, idx, data = op.indptr.tolist(), op.indices.tolist(), op.data.tolist()
         for a in range(op.rows):
             o = out[:, a]
-            parts = []  # (added, slice)
-            for b, c in zip(idx[ptr[a] : ptr[a + 1]], data[ptr[a] : ptr[a + 1]]):
-                y = x[:, b]
-                if c != 1 and c != minus_one:
-                    y = ctx.reduce(y * c)
-                parts.append((c != minus_one, y))
-            if not parts:
+            lo, hi = ptr[a], ptr[a + 1]
+            if lo == hi:
                 o[...] = 0
                 continue
-            parts.sort(key=lambda part: not part[0])  # an added slice first
-            added, y = parts[0]
-            if len(parts) == 1 and added:  # a copy of a residue
+            b, c = idx[lo], data[lo]
+            y = x[:, b] if c == 1 else np.multiply(x[:, b], c, out=o)
+            if hi == lo + 1 and c == 1:  # a copy of a residue
                 np.copyto(o, y)
                 continue
-            if not added:
-                y = np.negative(y, out=o)
-            for added, z in parts[1:]:
-                y = (np.add if added else np.subtract)(y, z, out=o)
+            for b, c in zip(idx[lo + 1 : hi], data[lo + 1 : hi]):
+                if c == 1:
+                    y = np.add(y, x[:, b], out=o)
+                elif c == minus_one:
+                    y = np.subtract(y, x[:, b], out=o)
+                else:
+                    y = np.add(y, ctx.reduce(x[:, b] * c), out=o)
             ctx.reduce(o)
         cur = out
         spare, other = other, spare
@@ -774,21 +761,10 @@ def _format_entries(m: SparseMatrix):
 
 def _distinct(values: np.ndarray):
     """(table, codes) with values == table[codes] and table the distinct
-    values in increasing order.  Rationals are ranked as integer numerators
-    over the lcm of their denominators, with no Fraction compared."""
-    keys = values
-    if values.dtype == object:
-        den, keys = _numerators(values)
-        try:
-            keys = keys.astype(np.int64)
-        except OverflowError:
-            pass  # compared as Python integers
-    table = np.sort(keys)
+    values in increasing order; over Q, ints and Fractions compare exactly."""
+    table = np.sort(values)
     table = table[np.concatenate(([True], table[1:] != table[:-1]))]
-    codes = table.searchsorted(keys)
-    if values.dtype == object:
-        table = np.array([Fraction(x, den) for x in table.tolist()], object)
-    return table, codes
+    return table, table.searchsorted(values)
 
 
 def _kron_lines(blocks, nnz: int):

@@ -3,13 +3,14 @@
 Each check here has its own loops and shares no algorithm with the code it
 checks: the seeded generator the randomized tests draw from, the
 row-by-row sparse product with a dict per row, a matrix-vector product
-and a circuit's product made of it, the entry-by-entry Kronecker product, the line-by-line
-points reader, the quadratic oracle for batch sums, the subset-by-subset inclusion-exclusion expansion,
-its two identity checks, the exhaustive check of a rectangle partition,
-the tuple recursion that builds that partition, the entry-by-entry
-split of R_n into a low-rank part and a sparse rest, the row-list
-Gaussian elimination, and the candidate-by-candidate brute-force
-rigidity search built on it.
+and a circuit's product made of it, the entry-by-entry Kronecker product,
+the multiply-until-one order scan for roots of unity, the line-by-line
+points reader, the quadratic oracle for batch sums, the subset-by-subset
+inclusion-exclusion expansion, its two identity checks, the exhaustive
+check of a rectangle partition, the tuple recursion that builds that
+partition, the entry-by-entry split of R_n into a low-rank part and a
+sparse rest, the row-list Gaussian elimination, and the
+candidate-by-candidate brute-force rigidity search built on it.
 """
 
 import functools
@@ -123,6 +124,18 @@ def kron_reference(ops) -> SparseMatrix:
 def circuit_product(circ) -> SparseMatrix:
     """The product of a circuit's explicit factors, by matmul_rows."""
     return functools.reduce(matmul_rows, circ.factors)
+
+
+def root_of_unity_reference(p: int, n: int) -> int:
+    """The smallest w in F_p of order n, n | p - 1: w's order found by
+    multiplying by w until the product is 1, at most n times."""
+    for w in range(1, p):
+        acc, order = w, 1
+        while acc != 1 and order < n:
+            acc, order = acc * w % p, order + 1
+        if acc == 1 and order == n:
+            return w
+    raise ValueError(f"no element of order {n} in F_{p}")
 
 
 def parse_points_reference(text: str):

@@ -647,6 +647,22 @@ def test_cap_exit_code(tmp_path, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,rc,out,err", [
+    ("circuit 1 2 2 5 134217729\n", 3, "", "cap exceeded:"),
+    ("circuit 1 2 2 5 134217728\n", 2, "", "error:"),  # at the cap: read on to the missing factor
+    ("circuit 1 2 2 5 3\nfactor 0 2 2 3\n0 0 1\n0 1 1\n1 0 1\n", 1,  # H_1 without its -1
+     "equal=False wires=3 depth=1 method=block\n", ""),
+])
+def test_verify_refuses_a_header_past_the_wire_cap_before_its_factors(tmp_path, capsys, text, rc, out, err):
+    # circuits.WIRE_CAP bounds what synth --out writes and what verify reads;
+    # exit 1 stays "not equal"
+    path = tmp_path / "w.circ"
+    path.write_text(text)
+    assert main(["verify", "--circuit", str(path), "--family", "hadamard", "--n", "1"]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == out and captured.err.startswith(err)
+
+
 def _child_env():
     """The environment of a child that imports the same kronrigid as the
     tests, installed or not."""

@@ -8,11 +8,10 @@ from kronrigid.fields import (
     RATIONALS,
     FieldCtx,
     is_prime,
-    multiplicative_order,
     primitive_root_of_unity,
 )
 
-from reference import SplitMix64
+from reference import SplitMix64, root_of_unity_reference
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
@@ -109,6 +108,8 @@ def test_root_of_unity_errors():
         primitive_root_of_unity(RATIONALS, 2)
 
 
-def test_multiplicative_order():
-    assert multiplicative_order(F7, 3, 10) == 6
-    assert multiplicative_order(F7, 2, 2) == 0  # order 3 exceeds the bound
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 97, 257, 7681, 12289])
+def test_root_of_unity_is_the_smallest_of_its_order(p):
+    ctx = FieldCtx(p)
+    for n in (n for n in range(1, p) if (p - 1) % n == 0):
+        assert primitive_root_of_unity(ctx, n) == root_of_unity_reference(p, n)

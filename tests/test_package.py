@@ -34,6 +34,7 @@ REMOVED = [
     ("fields", "one_raw"),
     ("circuits", "_expressions"),
     ("cli", "_butterfly_wires"),
+    ("fields", "multiplicative_order"),
     *(("errors", name) for name in (
         "NotSquare", "DepthTooSmall", "DivisorMismatch", "LengthMismatch", "LengthNotPowerOfTwo",
         "OmegaZero", "DimensionCapExceeded", "NoRootExists", "UnverifiedInput",

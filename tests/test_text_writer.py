@@ -316,7 +316,7 @@ def test_dump_truthtable_writes_values_as_given():
 
 
 def test_q_integers_past_int64_take_the_python_int_paths():
-    # sparse._distinct ranks numerators past int64 as Python ints, and
+    # sparse._distinct ranks ints past int64 and Fractions as Python objects, and
     # circuits._integers sums entries of 2^31 and more as Python ints
     big = [(0, 1, 2**70), (1, 0, -(2**40)), (2, 2, 2**70), (2, 3, 5), (1, 3, Fraction(-2**70, 3))]
     m = SparseMatrix(3, 4, RATIONALS, big)
