@@ -323,16 +323,11 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
     a layer stays one operand, there is no cut, or a chain is not a
     multiple of a unit power.  A chain is multiplied out one row block of
     unit^{kron t_g} at a time (_row_blocks), with one lambda_g for all.
-
-    Over Q the proof runs on the circuit's images mod primes, as
-    verify_circuit's block check does (see _on_images): an image that is
-    not proved equal decides, and proofs on enough primes prove Q.
+    All of it is exact in the circuit's own field, Q included.
     """
     q, ctx = unit.rows, unit.ctx
     if n < 1 or circ.ctx != ctx or (circ.rows, circ.cols) != (q**n, q**n):
         return None
-    if not ctx.modulus:
-        return _on_images(circ, [unit] * n, lambda image, ops: prove_power(image, ops[0], n, shapes))
     candidates = [(r, c) for r, c in [(q, q), *shapes] if r * c > 1]
     layers = [ops if len(ops) > 1 else _peel(ops[0], candidates) for ops in circ.layers]
     if any(len(ops) == 1 for ops in layers):
@@ -400,7 +395,7 @@ def _multiple(m: SparseMatrix, u: SparseMatrix):
 def verify_circuit(circ: SynchronousCircuit, target) -> bool:
     """Whether the circuit's product equals target, compared exactly by
     one block check mod p, over F_p and, on its images mod primes (see
-    _on_images), over Q.
+    _images), over Q.
 
     target is a matrix or, like a layer, a list of Kronecker operands.  Its
     sides are checked against sparse.DIMENSION_CAP, then against the
@@ -434,7 +429,7 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
         raise ContextMismatch("circuit and target are over different fields")
     if circ.ctx.modulus:
         return _blocks_equal(circ, ops)
-    return _on_images(circ, ops, _blocks_equal)
+    return all(_blocks_equal(c, o) for c, o in _images(circ, ops))
 
 
 def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
@@ -475,10 +470,10 @@ def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
     return True
 
 
-def _on_images(circ: SynchronousCircuit, target, decide):
-    """decide(image, image_target) on the images over F_q of a circuit over
-    Q and of its target's Kronecker operands: the first verdict that is not
-    True, else True.
+def _images(circ: SynchronousCircuit, target):
+    """(image, image_target) pairs: the images over F_q of a circuit over
+    Q and of its target's Kronecker operands, for enough primes q that the
+    product equals the target over Q exactly when it does on every image.
 
     Each operand m, of every layer and of the target, times den_m, the lcm
     of its denominators, is an integer matrix whose largest absolute row
@@ -488,9 +483,7 @@ def _on_images(circ: SynchronousCircuit, target, decide):
     integer matrix with |D| <= T prod r_circuit + S prod r_target.  The
     primes q go downward from 2^31 - 1, skipping those that divide S T,
     until their product passes twice that bound: D is zero exactly when it
-    is zero mod each q.  So an image found unequal decides Q, and so do
-    exact verdicts of True on every image.  Each distinct operand is
-    reduced once per prime.
+    is zero mod each q.  Each distinct operand is reduced once per prime.
     """
     distinct = {id(m): m for m in (*itertools.chain.from_iterable(circ.layers), *target)}
     integers = {key: _integers(m) for key, m in distinct.items()}
@@ -498,13 +491,8 @@ def _on_images(circ: SynchronousCircuit, target, decide):
     t, r_target = (math.prod(integers[id(m)][i] for m in target) for i in (1, 3))
     for ctx in _moduli(s * t, t * r_circ + s * r_target):
         image = {key: _mod(x, ctx) for key, x in integers.items()}
-        verdict = decide(
-            SynchronousCircuit([[image[id(m)] for m in layer] for layer in circ.layers]),
-            [image[id(m)] for m in target],
-        )
-        if verdict is not True:
-            return verdict
-    return True
+        yield (SynchronousCircuit([[image[id(m)] for m in layer] for layer in circ.layers]),
+               [image[id(m)] for m in target])
 
 
 def _integers(m: SparseMatrix):

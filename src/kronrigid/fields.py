@@ -115,9 +115,12 @@ RATIONALS = FieldCtx(0)
 def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
     """Smallest w in F_p with w**n = 1 and w**k != 1 for 0 < k < n.
 
-    Requires n | (p - 1).  Candidates are scanned in increasing order so the
-    result is deterministic; w has order n when w**n = 1 and w**(n/r) != 1
-    for every prime r | n.
+    Requires n | (p - 1).  w has order n when w**n = 1 and w**(n/r) != 1
+    for every prime r | n.  When n * n > p there are phi(n) > sqrt(p)
+    elements of order n, so a scan upward from 1 meets one early.
+    Otherwise they are the h**j with gcd(j, n) = 1 for any h of order n,
+    at most sqrt(p) of them; h is c**((p-1)/n) for the first c that gives
+    one of that order.
     """
     if not ctx.is_prime_field:
         raise RationalUnsupported("roots of unity need a prime field")
@@ -128,7 +131,11 @@ def primitive_root_of_unity(ctx: FieldCtx, n: int) -> int:
         raise KronRigidError(f"{n} does not divide {p - 1}")
     # the primes among n's divisors, found by trial division up to sqrt(n)
     primes = [r for k in range(1, math.isqrt(n) + 1) if n % k == 0 for r in {k, n // k} if is_prime(r)]
-    for w in range(1, p):
-        if pow(w, n, p) == 1 and all(pow(w, n // r, p) != 1 for r in primes):
-            return w
-    raise KronRigidError(f"no element of order {n} in F_{p}")  # pragma: no cover
+
+    def of_order_n(w):
+        return pow(w, n, p) == 1 and all(pow(w, n // r, p) != 1 for r in primes)
+
+    if n * n > p:
+        return next(w for w in range(1, p) if of_order_n(w))
+    h = next(h for h in (pow(c, (p - 1) // n, p) for c in range(1, p)) if of_order_n(h))
+    return min(pow(h, j, p) for j in range(1, n + 1) if math.gcd(j, n) == 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, ContextMismatch, DimensionMismatch, RationalUnsupported
+from .errors import CapExceeded, ContextMismatch, DimensionMismatch
 from .fields import FieldCtx
 
 # Guardrail against accidental q**n explosion.
@@ -314,16 +314,16 @@ def kron_all(mats) -> SparseMatrix:
 def kron_split(m: SparseMatrix, r: int, c: int):
     """(X, Y) with m == kron(X, Y) and X of shape r x c, or None when m is
     no such product.  This is the exact rank-1 case of Van Loan and
-    Pitsianis' rearrangement, over F_p; RationalUnsupported over Q.
+    Pitsianis' rearrangement, which holds in any field.
 
     m is cut into r x c blocks of Y's shape.  Every nonempty block must
     hold as many entries as the others (one count per block rejects most
     shapes in O(nnz)), at the inner positions of the first one, with
-    values lambda_b times the first one's.  Y is the first nonempty
-    block and X holds the lambda_b.
+    values lambda_b times the first one's: block b times the first
+    block's head entry equals b's head entry times the first block,
+    compared without a division (over F_p each product is below 2^62).
+    Y is the first nonempty block and X holds the lambda_b.
     """
-    if not m.ctx.modulus:
-        raise RationalUnsupported("kron_split is over F_p")
     if m.rows % r or m.cols % c:
         return None
     h, w, ctx = m.rows // r, m.cols // c, m.ctx
@@ -344,10 +344,10 @@ def kron_split(m: SparseMatrix, r: int, c: int):
     if (inner != inner[0]).any():
         return None
     values = m.data[order].reshape(-1, k)
-    first, p = values[0].copy(), ctx.modulus
-    lam = values[:, 0] * pow(int(first[0]), -1, p) % p
-    if (lam[:, None] * first % p != values).any():
+    first, head = values[0].copy(), values[0, :1].tolist()[0]
+    if ctx.reduce(values * head - values[:, :1] * first).any():
         return None
+    lam = ctx.reduce(values[:, 0] * ctx.inv_raw(head))
     blocks = block[order][::k]
     return (
         SparseMatrix._from_csr(r, c, ctx, _indptr(r, blocks // c), blocks % c, lam),

@@ -90,6 +90,13 @@ def test_root_of_unity_examples():
     # both 2 and 4 have order 3 in F_7; the smallest candidate wins
     assert primitive_root_of_unity(F7, 3) == 2
     assert all(type(primitive_root_of_unity(F5, n)) is int for n in (1, 2, 4))
+    # small n in a large field: a scan upward from 1 would take about p
+    # steps for n = 2 and seconds for n = 1024
+    big = FieldCtx(2**31 - 1)
+    assert primitive_root_of_unity(big, 2) == 2**31 - 2
+    w = primitive_root_of_unity(big, 3)
+    assert w == 634005911 and w < pow(w, 2, 2**31 - 1)  # the other cube root of 1
+    assert primitive_root_of_unity(FieldCtx(2013265921), 1024) == 11377661
 
 
 def test_root_of_unity_orders():

@@ -88,7 +88,8 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 # Run in a fresh interpreter: the commands that multiply no F_p sparse
-# matrices must load no scipy module; synth, which does, still runs.
+# matrices, Q synth and the verify of a Q file the proof decides among
+# them, must load no scipy module; F_p synth, which does, still runs.
 _SCIPY_ON_DEMAND = """
 import sys
 import kronrigid, kronrigid.cli
@@ -104,6 +105,9 @@ runs = [
     ["mmcost", "--n", "4", "--k", "2", "--backend", "strassen"],
     ["disjoint-stats", "--n", "8", "--k", "3", "--method", "scan"],
     ["rigidity", "--matrix", f"{tmp}/h2.mat", "--rank", "1", "--max-changes", "4"],
+    ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--field", "0", "--out", f"{tmp}/q.circ"],
+    ["verify", "--circuit", f"{tmp}/q.circ", "--family", "hadamard", "--n", "8"],
+    ["synth", "--family", "disjointness", "--n", "8", "--depth", "2", "--field", "0"],
 ]
 for argv in runs:
     assert main(argv) == 0, argv

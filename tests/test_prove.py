@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from kronrigid import cli, circuits, rigidity, sparse
 from kronrigid.circuits import SynchronousCircuit, prove_power, synthesize, verify_circuit
 from kronrigid.cli import main
-from kronrigid.errors import RationalUnsupported
 from kronrigid.fields import FieldCtx
 from kronrigid.sparse import SparseMatrix, identity, kron, kron_split, matmul
 
@@ -90,7 +89,7 @@ def test_the_base_shapes_are_the_same_in_every_field(field):
 # -- kron_split -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("ctx", [F7, FBIG], ids=str)
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(4))
 def test_kron_split_recovers_a_product_up_to_scalars(ctx, seed):
     rng = SplitMix64(seed)
@@ -105,7 +104,7 @@ def test_kron_split_recovers_a_product_up_to_scalars(ctx, seed):
     assert kron_split(m, 5, a.cols) is None  # 5 does not divide the rows
 
 
-@pytest.mark.parametrize("ctx", [F7, FBIG], ids=str)
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
 @pytest.mark.parametrize("how", ["value", "moved", "extra"])
 @pytest.mark.parametrize("seed", range(3))
 def test_kron_split_rejects_one_entry_changed(ctx, how, seed):
@@ -113,15 +112,6 @@ def test_kron_split_rejects_one_entry_changed(ctx, how, seed):
     a, b = random_matrix(rng, 3, 2, ctx, fill=1), random_matrix(rng, 4, 5, ctx)
     m = changed(kron(a, b), how, rng)
     assert kron_split(m, 3, 2) is None
-
-
-def test_kron_split_refuses_q():
-    # over Q the proof splits the layers' images mod primes instead; the
-    # refusal comes first, before a shape that does not divide m is refused
-    m = kron(identity(2, Q), identity(3, Q))
-    for r, c in [(2, 2), (4, 4)]:
-        with pytest.raises(RationalUnsupported):
-            kron_split(m, r, c)
 
 
 def test_kron_split_of_zero_and_of_sparse_blocks():
@@ -152,7 +142,7 @@ def test_the_proof_is_structural_at_n_64(ctx, family, base, d):
 
 @pytest.mark.parametrize("ctx,a", [
     *[pytest.param(ctx, 3, id=str(ctx)) for ctx in FIELDS],
-    pytest.param(Q, Fraction(3, 2), id="Q-3/2"),  # denominators on the proof's images
+    pytest.param(Q, Fraction(3, 2), id="Q-3/2"),  # denominators in the proof itself
 ])
 def test_operands_scaled_by_a_and_one_over_a(ctx, a):
     tf, unit = family_tf("hadamard", "h4", 12, 3, ctx)
@@ -173,27 +163,27 @@ def test_operands_scaled_by_a_and_one_over_a(ctx, a):
 
 
 @pytest.mark.parametrize("delta", [2**31 - 1, -(2**31 - 1)])
-def test_q_proof_takes_a_second_prime_for_an_entry_moved_by_the_first(monkeypatch, delta):
-    # the change vanishes mod 2^31 - 1, the first prime, where the image is
-    # proved equal: the bound must call for a second prime, which decides
+def test_the_q_proof_reduces_nothing_mod_a_prime(monkeypatch, delta):
+    # the proof runs on the rationals themselves: no image mod a prime is
+    # made, and an entry moved by the first prime the block check would
+    # use is not proved equal, whether the layers are operands or explicit
     tf, unit = family_tf("hadamard", "h4", 8, 2, Q)
     circ = synthesize(tf, unit, 8, 2)
-    used, mod = set(), circuits._mod
+    used, mod = [], circuits._mod
 
     def spy(integers, ctx):
-        used.add(ctx.modulus)
+        used.append(ctx.modulus)
         return mod(integers, ctx)
 
     monkeypatch.setattr(circuits, "_mod", spy)
     assert prove_power(circ, unit, 8) is True
-    assert used == {2**31 - 1}  # small integer entries: one prime
     layers = [list(ops) for ops in circ.layers]
     b = layers[0][0]
     layers[0][0] = sparse.add_mat(b, SparseMatrix(b.rows, b.cols, Q, [(0, 0, Fraction(delta))]))
     tampered = SynchronousCircuit(layers)
-    used.clear()
     assert prove_power(tampered, unit, 8) is not True
-    assert len(used) > 1
+    assert prove_power(SynchronousCircuit(tampered.factors), unit, 8, cli._base_shapes("hadamard")) is not True
+    assert used == []
     assert decide(tampered, "hadamard", 8)[0] is False
     assert decide(SynchronousCircuit(tampered.factors), "hadamard", 8)[0] is False
 

@@ -401,6 +401,8 @@ def test_q_kernels_hold_only_ints_and_fractions(data):
     assert all_exact(low_b, low_c) and sparse.matmul(low_b, low_c) == a
     u = np.array([data.draw(st.one_of(st.just(0), q_values())) for _ in range(inner * cols)], object)
     assert all(exact(v) for v in sparse.kron_apply([a, b], u).tolist())
+    x, y = sparse.kron_split(sparse.kron(a, b), a.rows, a.cols)
+    assert all_exact(x, y) and sparse.kron(x, y) == sparse.kron(a, b)
 
 
 @PROPS
