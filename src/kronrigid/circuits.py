@@ -364,7 +364,9 @@ def prove_power(circ: SynchronousCircuit, unit: SparseMatrix, n: int, shapes=())
                 lams = set()
                 for r, a, b in _row_blocks([unit] * t):
                     u = kron(a, b)
-                    lams.add(_multiple(functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows)), u))
+                    m = functools.reduce(matmul, chain[1:], chain[0].row_block(r, r + u.rows))
+                    if u.nnz or m.nnz:  # empty rows of the unit power need empty rows of the chain
+                        lams.add(_multiple(m, u))
                 lam = lams.pop() if len(lams) == 1 else None
             seen.setdefault(key, []).append((chain, lam))
         if lam is None:
@@ -435,7 +437,7 @@ def verify_circuit(circ: SynchronousCircuit, target) -> bool:
 def _blocks_equal(circ: SynchronousCircuit, ops) -> bool:
     """The F_p block check of verify_circuit, seeded random columns first;
     ops[0] is the 1 x 1 identity."""
-    import scipy.sparse  # the F_p product kernel's library, as in SparseMatrix.to_csr
+    import scipy.sparse  # loaded here alone, as in SparseMatrix.to_csr
 
     p = circ.ctx.modulus
     first, *rest = circ.factors
@@ -532,11 +534,8 @@ def _mod(integers, ctx: FieldCtx) -> SparseMatrix:
 # `factor idx rows cols nnz` followed by its triplets.
 
 
-# Entries in a block of _row_blocks, for written layers and proved unit
-# powers.  Of 2^14..2^18, 2^15 and 2^16 wrote the synth_large configs
-# fastest (0.62-0.67 s in-process on a 2-core machine, proofs about 6 ms at
-# each size) with 67 MB peak RSS; 2^14 took about a third longer for 9 MB
-# less, and 2^17 and 2^18 5-10% longer for 1-5 MB more.
+# Entries per run of _row_blocks (written layers, proved unit powers): a block
+# holds at most twice this, or one longer product row and under this many more.
 WRITE_BLOCK = 1 << 16
 
 
@@ -549,28 +548,38 @@ def _circuit_text(circ: SynchronousCircuit):
 
 
 def _row_blocks(ops):
-    """kron_all(ops) as (first row, head block, tail) triples in row order:
-    kron(head block, tail) is the product's rows from the first row on, of
-    about WRITE_BLOCK entries; none if all zero.  No block is built.
+    """kron_all(ops) as (first row, head block, tail block) triples in row
+    order, kron(head block, tail block) the product's rows from the first
+    row on.  No block is built.
 
-    The product is head x tail: tail is the Kronecker product of the longest
-    operand suffix after the first operand with at most WRITE_BLOCK
-    entries, head that of the operands before it.  Rows lo..hi-1 of head x
-    tail are head's rows lo..hi-1 x tail (Van Loan 2000), so head's rows
-    are cut at 0 and where their entries times tail's pass a multiple of
-    WRITE_BLOCK.
+    tail is the Kronecker product of the longest operand suffix after the
+    first operand with at most WRITE_BLOCK entries, head that of the
+    operands before it.  Rows lo..hi-1 of head x tail are head's rows
+    lo..hi-1 x tail (Van Loan 2000), so head's rows are cut into _runs.  A
+    head row whose entries times tail's pass WRITE_BLOCK is cut over tail's
+    rows instead, and the rest of its run, which may hold no entry, follows.
     """
     s = 1
     while s < len(ops) and math.prod(m.nnz for m in ops[s:]) > WRITE_BLOCK:
         s += 1
     head = kron_all(ops[:s])
     tail = kron_all(ops[s:]) if s < len(ops) else identity(1, head.ctx)
-    ends = head.indptr * tail.nnz
-    # The head row holding entry k * WRITE_BLOCK, for every k; the first run starts at 0.
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], WRITE_BLOCK), side="right") - 1)
-    cuts[:1] = 0
-    for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), head.rows]):
-        yield lo * tail.rows, head.row_block(lo, hi), tail
+    for lo, hi in _runs(head.indptr * tail.nnz):
+        weight = int(head.indptr[lo + 1] - head.indptr[lo])
+        if weight * tail.nnz > WRITE_BLOCK:
+            for a, b in _runs(tail.indptr * weight):
+                yield lo * tail.rows + a, head.row_block(lo, lo + 1), tail.row_block(a, b)
+            lo += 1
+        if lo < hi:
+            yield lo * tail.rows, head.row_block(lo, hi), tail
+
+
+def _runs(ends):
+    """(lo, hi) runs of the rows whose entries end at ends[1:], cut at row 0 and at the row
+    holding each multiple of WRITE_BLOCK: a run is empty rows before the first entry, or its
+    first row and under WRITE_BLOCK more entries."""
+    cuts = np.union1d(0, np.searchsorted(ends, np.arange(0, ends[-1], WRITE_BLOCK), side="right") - 1)
+    return zip(cuts.tolist(), [*cuts[1:].tolist(), len(ends) - 1])
 
 
 def dump_circuit(circ: SynchronousCircuit) -> str:

@@ -4,9 +4,8 @@ A matrix stores int64 ``indptr``/``indices`` arrays (columns sorted within
 each row) and a ``data`` array: int64 residues for F_p, an object array of
 ints and Fractions for Q.  No stored value is zero, so ``nnz`` (the wire-count
 metric everything else is built on) is canonical.  All arithmetic is exact:
-F_p products go through one overflow-guarded kernel, Q products are summed
-by position like any other triplets, and cancellations never leave
-explicit zeros.
+every product sums its reduced terms by position, in every field (scipy
+serves only verify's block check), and cancellations leave no zeros.
 
 Kronecker products index rows and columns in numpy's C order (mixed
 radix): the left operand occupies the high digits.
@@ -110,11 +109,11 @@ class SparseMatrix:
         )
 
     def to_csr(self):
-        """scipy CSR of the residues (prime field only), on the same data
-        array; scipy may copy the index arrays to int32."""
+        """scipy CSR of the residues (prime field only, for the block check)
+        on the same data array; scipy may copy the index arrays to int32."""
         if not self.ctx.is_prime_field:
             raise ValueError("csr export requires a prime field")
-        import scipy.sparse  # only the F_p product kernel needs scipy: load it on first use
+        import scipy.sparse  # only the block check needs scipy: load it on first use
 
         return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.rows, self.cols)
@@ -220,16 +219,6 @@ def _empty(rows, cols, ctx):
     return SparseMatrix._from_csr(
         rows, cols, ctx, np.zeros(rows + 1, dtype=np.int64),
         np.zeros(0, dtype=np.int64), np.zeros(0, ctx.dtype),
-    )
-
-
-def _from_scipy(rows, cols, ctx, c):
-    """Matrix of a scipy CSR of residues; explicit zeros are dropped."""
-    c.eliminate_zeros()
-    c.sort_indices()
-    return SparseMatrix._from_csr(
-        rows, cols, ctx, c.indptr.astype(np.int64, copy=False),
-        c.indices.astype(np.int64, copy=False), c.data.astype(np.int64, copy=False),
     )
 
 
@@ -383,9 +372,9 @@ def _mulmod(x, y, p: int, terms: int, bx: int, by: int):
 
 
 def _csr_mulmod(x, y, p: int):
-    """x @ y mod p for scipy CSRs of residues; the result may hold explicit
-    zeros and unsorted column indices.  Each operand is bounded by its
-    largest stored entry, so small entries skip the limb split at any p."""
+    """x @ y mod p for scipy CSRs of residues, in the block check; the result
+    may hold explicit zeros and unsorted column indices.  Each operand is
+    bounded by its largest stored entry: small entries skip the limb split."""
     terms = min(
         int(np.diff(x.indptr).max()) if x.shape[0] else 0,
         int(np.bincount(y.indices).max()) if y.nnz else 0,
@@ -395,17 +384,21 @@ def _csr_mulmod(x, y, p: int):
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a @ b in any field: each product of an entry a[i, k] and an entry of
+    b's row k, reduced (below p < 2^31, so under 2^32 of them sum in int64),
+    summed by position.  Past 2^20 products a's halves are multiplied in turn
+    and stacked, so a pass holds about 2^20 products, or those of one row."""
     _require_ctx(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if a.ctx.is_prime_field:
-        return _from_scipy(a.rows, b.cols, a.ctx, _csr_mulmod(a.to_csr(), b.to_csr(), a.ctx.modulus))
-    # over Q: one product per entry a[i, k] and entry of B's row k, summed by position
     seg_len = np.diff(b.indptr)[a.indices]
+    if a.rows > 1 and seg_len.sum() > 1 << 20:
+        half = a.rows // 2
+        return stack_v(matmul(a.row_block(0, half), b), matmul(a.row_block(half, a.rows), b))
     kb = np.repeat(b.indptr[a.indices] - (np.cumsum(seg_len) - seg_len), seg_len)
     kb += np.arange(len(kb), dtype=np.int64)
     return _summed(a.rows, b.cols, a.ctx, np.repeat(_row_ids(a), seg_len), b.indices[kb],
-                   np.repeat(a.data, seg_len) * b.data[kb])
+                   a.ctx.reduce(np.repeat(a.data, seg_len) * b.data[kb]))
 
 
 def add_mat(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -776,14 +769,18 @@ def _kron_lines(blocks, nnz: int):
     ka and kb: the rows of each chunk; the products of a's distinct values
     with b's, with codes acode[ka] * len(bu) + bcode[kb]; and the columns
     0..cols-1 when there are no more of them than nnz (else each entry's
-    column is formatted).  b's codes and the column table are made again
-    only when b changes: once per layer of a circuit.
+    column is formatted).  b's codes are made again only when b changes
+    (once per layer of a circuit, and per block of a heavy head row), the
+    column table only when the product's columns do.
     """
-    tail = None
+    tail = cols = None
     for row0, a, b in blocks:
+        if not a.nnz * b.nnz:  # empty rows: nothing to write
+            continue
         if b is not tail:
-            tail, cols = b, a.cols * b.cols
-            bu, bcode = _distinct(b.data)
+            tail, (bu, bcode) = b, _distinct(b.data)
+        if a.cols * b.cols != cols:
+            cols = a.cols * b.cols
             col_words = _words(np.arange(cols)) if cols <= nnz else None
         au, acode = _distinct(a.data)
         value_words = _words(a.ctx.reduce(np.multiply.outer(au, bu).ravel()))

@@ -98,12 +98,13 @@ class VfWitness:
     b_f: tuple
 
     def verify_against(self, f: TruthTable) -> bool:
-        """Dense reconstruction: R x D_f x R = V_f."""
+        """Dense reconstruction: R x D_f x R = V_f, by one kron_apply."""
         from .disjoint import disjointness_matrix
 
-        r = disjointness_matrix(self.n, f.ctx)
-        rebuilt = sparse.matmul(sparse.matmul(r, self.D_f), r)
-        return rebuilt == vf_matrix(f)
+        ctx, size = f.ctx, 1 << self.n
+        scaled = ctx.reduce(np.array(self.b_f, ctx.dtype)[:, None] * disjointness_matrix(self.n, ctx).to_array())
+        ops = [disjointness_matrix(1, ctx)] * self.n + [sparse.identity(size, ctx)]
+        return np.array_equal(sparse.kron_apply(ops, scaled).reshape(size, size), vf_matrix(f).to_array())
 
 
 def build_vf_witness(f: TruthTable) -> VfWitness:

@@ -728,7 +728,6 @@ def test_verify_out_of_memory_is_a_cap(tmp_path, capsys):
     assert main(synth + ["--out", str(circuit)]) == 0
     code = (
         "import resource, sys\n"
-        "import scipy.sparse  # mapped before the limit, as the first F_p product loads it\n"
         "from kronrigid.cli import build_parser, main\n"
         "build_parser()\n"
         "with open('/proc/self/statm') as fh:\n"

@@ -87,17 +87,27 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
-# Run in a fresh interpreter: the commands that multiply no F_p sparse
-# matrices, Q synth and the verify of a Q file the proof decides among
-# them, must load no scipy module; F_p synth, which does, still runs.
+# Run in a fresh interpreter: every command, F_p synth, bench and the
+# verify the proof decides among them, must load no scipy module; the verify
+# of a file with one value changed, which falls to the block check, does.
 _SCIPY_ON_DEMAND = """
-import sys
+import contextlib, io, sys
 import kronrigid, kronrigid.cli
 from kronrigid.cli import main
 
 kronrigid.cli.build_parser()
 tmp = sys.argv[1]
 pts = ["--points", f"{tmp}/pts.txt"]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+verify = ["verify", "--circuit", f"{tmp}/fp.circ", "--family", "hadamard", "--n", "8"]
 runs = [
     ["batch", "--f", f"{tmp}/fp.tt", *pts],
     ["batch", "--f", f"{tmp}/q.tt", *pts],
@@ -108,16 +118,28 @@ runs = [
     ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--field", "0", "--out", f"{tmp}/q.circ"],
     ["verify", "--circuit", f"{tmp}/q.circ", "--family", "hadamard", "--n", "8"],
     ["synth", "--family", "disjointness", "--n", "8", "--depth", "2", "--field", "0"],
+    ["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", f"{tmp}/fp.circ"],
+    verify,
+    ["synth", "--family", "disjointness", "--n", "12", "--depth", "3"],
+    ["bench", "--family", "hadamard", "--n", "4,6", "--depth", "2"],
 ]
 for argv in runs:
-    assert main(argv) == 0, argv
+    code, out = run(argv)
+    assert code == 0, argv
+    assert argv[0] != "verify" or "method=structural" in out, out
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
-assert main(["synth", "--family", "hadamard", "--n", "8", "--depth", "2"]) == 0
+lines = open(f"{tmp}/fp.circ").read().splitlines()
+i, j, v = lines[-1].split()
+lines[-1] = f"{i} {j} {2 * int(v) % 5}"  # one value changed
+open(f"{tmp}/fp.circ", "w").write("\\n".join(lines) + "\\n")
+code, out = run(verify)
+assert code == 1 and "method=block" in out, (code, out)
+assert "scipy.sparse" in sys.modules
 """
 
 
-def test_scipy_is_loaded_only_by_an_fp_product(tmp_path):
+def test_scipy_is_loaded_only_by_the_block_check(tmp_path):
     vf.save_truthtable(vf.TruthTable(2, 2, FieldCtx(5), (1, 0, 3, 4)), tmp_path / "fp.tt")
     table = (Fraction(1, 2), 0, Fraction(-3), 2)
     vf.save_truthtable(vf.TruthTable(2, 2, RATIONALS, table), tmp_path / "q.tt")

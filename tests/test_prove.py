@@ -3,6 +3,7 @@ circuits.prove_power proves a circuit on them, and `verify` falls back to
 the block check only when the proof is undecided."""
 
 import dataclasses
+import functools
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -216,10 +217,12 @@ def test_chains_of_one_shape_are_compared_by_value(ctx):
     assert decide(SynchronousCircuit(tampered.factors), "hadamard", 12)[0] is False
 
 
-def test_the_js14_proof_holds_one_row_block_of_each_chain():
+@pytest.mark.parametrize("ctx", [F5, Q], ids=str)
+def test_the_js14_proof_holds_one_row_block_of_each_chain(ctx):
     # the chain products B_14 C_14 and R_14 hold 4.8M entries each; built
-    # whole, they put the proof's traced peak near 200 MiB
-    tf, unit = family_tf("disjointness", "js:14", 64, 4, F5)
+    # whole, they put the proof's traced peak near 200 MiB, and one head row
+    # of R_1 times the whole tail (944,784 entries) above 50 MiB
+    tf, unit = family_tf("disjointness", "js:14", 64, 4, ctx)
     circ = synthesize(tf, unit, 64, 4)
     tracemalloc.start()
     try:
@@ -227,17 +230,18 @@ def test_the_js14_proof_holds_one_row_block_of_each_chain():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert peak < 20 * 2**20
 
 
 def test_every_row_block_of_a_chain_needs_the_same_multiple():
-    # R_1^{x11} (177,147 entries) is proved in two row blocks, rows
-    # 0..1023 and 1024..2047; doubling the second block's rows of R_11 makes
-    # a chain that is a multiple of the unit power on each block, but with
-    # lambda 1 on one and 2 on the other
+    # R_1^{x11} (177,147 entries) is proved in three row blocks: R_1's
+    # heavy first row times R_10 cut at tail row 324, then rows
+    # 1024..2047; doubling those rows of R_11 makes a chain that is a
+    # multiple of the unit power on each block, but with lambda 1 on the
+    # first two and 2 on the last
     r1 = cli._family_unit("disjointness", F5)
     r10 = sparse.kron_power(r1, 10)
-    assert [r for r, *_ in circuits._row_blocks([r1] * 11)] == [0, 1024]
+    assert [r for r, *_ in circuits._row_blocks([r1] * 11)] == [0, 324, 1024]
     for rows, proved in [([[1, 1], [1, 0]], True), ([[1, 1], [2, 0]], None)]:
         x = kron(SparseMatrix.from_dense(rows, F5), r10)
         circ = SynchronousCircuit([[x, r1], [identity(2048, F5), identity(2, F5)]])
@@ -245,12 +249,43 @@ def test_every_row_block_of_a_chain_needs_the_same_multiple():
         assert verify_circuit(circ, [r1] * 12) is bool(proved)
 
 
+def test_every_row_block_holds_at_most_two_write_blocks():
+    # a heavy head row is cut over the tail's rows; one head row times the
+    # longest tail of at most WRITE_BLOCK entries held 944,784 entries for
+    # R_1^{x14} and 487,424 for h4
+    r1 = cli._family_unit("disjointness", F5)
+    tf, unit = family_tf("hadamard", "h4", 16, 4, F5)
+    for ops in [[r1] * 14, *synthesize(tf, unit, 16, 4).layers]:
+        assert max(a.nnz * b.nnz for _, a, b in circuits._row_blocks(ops)) <= 2 * circuits.WRITE_BLOCK
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+@pytest.mark.parametrize("ctx", FIELDS, ids=str)
+def test_heavy_head_rows_are_cut_over_the_tail(ctx, block, monkeypatch):
+    # with WRITE_BLOCK small, head rows are heavy and cut over the tail's
+    # rows; the empty rows after a heavy one are a block of their own,
+    # which the proof needs to be empty in the chain too
+    monkeypatch.setattr(circuits, "WRITE_BLOCK", block)
+    top = SparseMatrix.from_dense([[1, 1], [0, 0]], ctx)
+    for unit, bad in [(top, [[1, 1], [0, 1]]), (cli._family_unit("disjointness", ctx), [[1, 1], [1, 1]])]:
+        blocks = list(circuits._row_blocks([unit] * 4))
+        pieces = [kron(a, b) for _, a, b in blocks]
+        assert [r for r, *_ in blocks] == [sum(u.rows for u in pieces[:k]) for k in range(len(pieces))]
+        assert functools.reduce(sparse.stack_v, pieces) == sparse.kron_power(unit, 4)
+        for u in pieces:  # or one longer row, and fewer than block more
+            assert u.nnz <= 2 * block or u.nnz - u.nnz_r < block
+        for first, proved in [(unit, True), (SparseMatrix.from_dense(bad, ctx), None)]:
+            x = kron(first, sparse.kron_power(unit, 3))
+            circ = SynchronousCircuit([[x, unit], [identity(16, ctx), identity(2, ctx)]])
+            assert prove_power(circ, unit, 5) is proved
+
+
 @pytest.mark.parametrize("ctx", FIELDS, ids=str)
 def test_the_row_blocks_cover_the_empty_rows_of_a_unit_power(ctx):
-    # the unit's row 0 is empty: a chain with an entry there is no multiple
-    # of it, though its other rows match
+    # the unit's row 0 is empty, a block of its own: a chain with an entry
+    # there is no multiple of the unit, though its other rows match
     unit = SparseMatrix.from_dense([[0, 0], [1, 1]], ctx)
-    assert [r for r, *_ in circuits._row_blocks([unit])] == [0]
+    assert [r for r, *_ in circuits._row_blocks([unit])] == [0, 1]
     extra = SparseMatrix.from_dense([[1, 0], [1, 1]], ctx)
     assert prove_power(SynchronousCircuit([[unit, unit]]), unit, 2) is True
     assert prove_power(SynchronousCircuit([[extra, unit]]), unit, 2) is None

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -373,17 +374,36 @@ def test_mulmod_splits_only_for_large_entries(monkeypatch, value, calls):
     col = SparseMatrix(8, 1, ctx, [(k, 0, value) for k in range(8)])
     seen, mulmod = [], sparse._mulmod
     monkeypatch.setattr(sparse, "_mulmod", lambda *args: seen.append(args) or mulmod(*args))
-    assert sparse.matmul(row, col).to_array().tolist() == [[8 * value * value % ctx.modulus]]
+    assert sparse._csr_mulmod(row.to_csr(), col.to_csr(), ctx.modulus).toarray().tolist() == [
+        [8 * value * value % ctx.modulus]]
     assert len(seen) == calls
 
 
 def test_matmul_long_inner_product_at_largest_prime():
-    # 70000 terms, each the largest product (p-1)^2 = 1 mod p: the int64 sum
-    # is exact only with both operands split into 16-bit limbs
+    # 70000 terms, each the largest product (p-1)^2 = 1 mod p: matmul reduces
+    # each term before it sums them, and the block check's int64 sum is
+    # exact only with both operands split into 16-bit limbs
     p = 2**31 - 1
     ctx = FieldCtx(p)
     n = 70000
     row = SparseMatrix(1, n, ctx, [(0, k, p - 1) for k in range(n)])
     col = SparseMatrix(n, 1, ctx, [(k, 0, p - 1) for k in range(n)])
     assert sparse.matmul(row, col).to_array().tolist() == [[n]]
+    assert sparse._csr_mulmod(row.to_csr(), col.to_csr(), p).toarray().tolist() == [[n]]
     assert sparse.kron_apply([row], np.full(n, p - 1)).tolist() == [n]
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(2**31 - 1), RATIONALS], ids=str)
+def test_matmul_holds_a_bounded_share_of_its_terms(ctx):
+    # R_10 R_10 sums 3^10 entries of R_10 times their rows of R_10: 9.8M
+    # terms, made in passes of at most about 2^20 terms; held at once over Q
+    # they peaked near 600 MiB.  The mixed-product property gives the result.
+    r1, r10 = disjointness_matrix(1, ctx), disjointness_matrix(10, ctx)
+    tracemalloc.start()
+    try:
+        got = sparse.matmul(r10, r10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == sparse.kron_power(sparse.matmul(r1, r1), 10)
+    assert peak < 128 * 2**20

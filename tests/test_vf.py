@@ -142,6 +142,17 @@ def test_witness_random_dense_check():
         assert build_vf_witness(f).verify_against(f)
 
 
+@pytest.mark.parametrize("ctx", [F7, RATIONALS], ids=str)
+def test_witness_refutes_a_table_with_one_value_changed(ctx):
+    f = TruthTable(2, 6, ctx, tuple(ctx.coerce(Fraction(k % 5, k % 3 + 1)) for k in range(64)))
+    w = build_vf_witness(f)
+    assert w.verify_against(f)
+    for k in (0, 37, 63):
+        values = list(f.values)
+        values[k] = ctx.add_raw(values[k], 1)
+        assert not w.verify_against(TruthTable(2, 6, ctx, tuple(values)))
+
+
 def test_witness_all_ones_indicator():
     n = 6
     values = [0] * (1 << n)
