@@ -47,7 +47,7 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     if depth < 2:
         raise DimensionMismatch("depth must be at least 2")
     if name == "auto":
-        name = "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
+        name = _auto_base(family, n, depth)
     key = name
     if name.startswith("js:"):  # js:m for a whole number m >= 1
         key = "js:" if name[3:].isdecimal() and int(name[3:]) >= 1 else None
@@ -59,6 +59,10 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
     if decomposition is None:
         return disjoint.js_factorization(int(name[3:]), ctx)
     return circuits.two_factor_from_rigidity(decomposition(ctx))
+
+
+def _auto_base(family: str, n: int, depth: int) -> str:
+    return "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
 
 
 def _formula_bound(tf, unit, n: int, depth: int) -> float:
@@ -137,15 +141,71 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _rebuilt(path, family: str, n: int):
+    """The circuit in the file at path when its bytes are those synth
+    writes for the family and n with some built-in base, and synth's proof
+    holds for it; else None, and the file is left to the reader.
+
+    Only the header is read to choose: its depth, shape, field and wires.
+    Each base of the family, 'auto' first and js:m for m <= n // d only, is
+    synthesized, skipped unless its wires are the header's, and its
+    circuits._circuit_text compared with the file's bytes up to the end.
+    parse_circuit reads _circuit_text(c) back as c, so equal bytes are
+    the file's circuit.  A header past circuits.WIRE_CAP builds nothing.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:  # the reader reports it
+        return None
+    with fh:
+        header = fh.readline(1024).split()
+        if len(header) != 6 or header[0] != b"circuit" or not all(x.isdigit() for x in header[1:]):
+            return None
+        depth, rows, cols, field, wires = map(int, header[1:])
+        if wires > circuits.WIRE_CAP or depth < 2 or n % depth or (rows, cols) != (2**n, 2**n):
+            return None
+        try:
+            ctx = FieldCtx(field)
+        except ValueError:
+            return None
+        unit = _family_unit(family, ctx)
+        if family == "hadamard":
+            bases = [name for name, (base_family, _) in _BASES.items() if base_family == family]
+        else:
+            bases = [f"js:{m}" for m in range(1, min(n // depth, disjoint.LIST_CAP) + 1)]
+        for base in dict.fromkeys([_auto_base(family, n, depth), *bases]):
+            try:
+                circ = circuits.synthesize(_base_factorization(family, base, n, depth, ctx), unit, n, depth)
+                if circ.wires != wires:
+                    continue
+                circ.check_caps()  # as synth does before it writes
+            except (ValueError, KronRigidError):
+                continue
+            fh.seek(0)
+            if all(fh.read(len(chunk)) == chunk for chunk in circuits._circuit_text(circ)) and not fh.read(1):
+                return circ if circuits.prove_power(circ, unit, n) else None
+    return None
+
+
 def cmd_verify(args) -> int:
+    """Print whether the circuit file computes the family's n-th power.
+
+    A file synth wrote is rebuilt and compared byte for byte (_rebuilt),
+    at about synth's cost; its proof is synth's, on the operands.  Any
+    other file is read whole and proved on its layers peeled into
+    operands (method=structural), or else by the block check.
+    """
     if args.n < 0:
         raise ValueError(f"verify needs n >= 0, not n = {args.n}")
     sparse.capped_power(2, args.n, "rows")  # before the n operands are listed
-    circ = circuits.load_circuit(args.circuit)
-    unit = _family_unit(args.family, circ.ctx)
-    ok, method = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family)), "structural"
-    if ok is None:
-        ok, method = circuits.verify_circuit(circ, [unit] * args.n), "block"
+    circ = _rebuilt(args.circuit, args.family, args.n)
+    ok, method = circ is not None, "structural"
+    if not ok:
+        circ = circuits.load_circuit(args.circuit)
+        unit = _family_unit(args.family, circ.ctx)
+        ok = circuits.prove_power(circ, unit, args.n, _base_shapes(args.family))
+        if ok is None:
+            ok, method = circuits.verify_circuit(circ, [unit] * args.n), "block"
     print(f"equal={ok} wires={circ.wires} depth={circ.depth} method={method}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -663,6 +663,41 @@ def test_verify_refuses_a_header_past_the_wire_cap_before_its_factors(tmp_path, 
     assert captured.out == out and captured.err.startswith(err)
 
 
+@pytest.mark.parametrize("header,n", [("circuit 1 2 2 5 134217729", 1), ("circuit 2 256 256 5 134217729", 8)])
+def test_a_header_past_the_wire_cap_exits_before_anything_is_built(tmp_path, capsys, monkeypatch, header, n):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cli, "_base_factorization", refuse)
+    monkeypatch.setattr(cli.circuits, "synthesize", refuse)
+    path = tmp_path / "w.circ"
+    path.write_text(header + "\n")
+    assert main(["verify", "--circuit", str(path), "--family", "hadamard", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "cap exceeded: 134217729 wires exceed the cap 134217728\n"
+
+
+@pytest.mark.parametrize("make,err", [
+    (lambda tmp_path: tmp_path / "missing.circ", "[Errno 2] No such file or directory"),
+    (lambda tmp_path: tmp_path, "[Errno 21] Is a directory"),
+], ids=["missing", "directory"])
+def test_verify_of_an_unreadable_path_is_a_usage_error(tmp_path, capsys, make, err):
+    path = str(make(tmp_path))
+    assert main(["verify", "--circuit", path, "--family", "hadamard", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}: {path!r}\n"
+
+
+def test_verify_of_a_crlf_copy_reads_it_as_written(tmp_path, capsys):
+    # the reader opens the file as text, so CRLF line ends read as LF
+    path, crlf = tmp_path / "h8.circ", tmp_path / "h8_crlf.circ"
+    assert main(["synth", "--family", "hadamard", "--n", "8", "--depth", "2", "--out", str(path)]) == 0
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(crlf), "--family", "hadamard", "--n", "8"]) == 0
+    assert capsys.readouterr().out == "equal=True wires=7168 depth=2 method=structural\n"
+
+
 def _child_env():
     """The environment of a child that imports the same kronrigid as the
     tests, installed or not."""
@@ -722,7 +757,8 @@ def test_huge_n_is_a_cap_under_an_address_limit(tmp_path, argv):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads its address space from /proc")
 def test_verify_out_of_memory_is_a_cap(tmp_path, capsys):
     # the child may map only 2 MB more than it holds after its imports: too
-    # little to read a 2.7 MB circuit, so verify runs out of memory
+    # little to rebuild the 2.7 MB circuit synth wrote, or to read it, so
+    # verify runs out of memory
     circuit = tmp_path / "h12.circ"
     synth = ["synth", "--family", "hadamard", "--n", "12", "--depth", "3", "--base", "h2"]
     assert main(synth + ["--out", str(circuit)]) == 0

@@ -206,7 +206,10 @@ def test_dump_circuit_matches_the_explicit_layers(circ, block):
         expect += f"factor {idx} {m.rows} {m.cols} {m.nnz}\n" + percent_lines(m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circuits, "WRITE_BLOCK", block)
-        assert circuits.dump_circuit(circ) == expect
+        text = circuits.dump_circuit(circ)
+    assert text == expect
+    # the reader reads the writer's text back as its layers, as verify's rebuild relies on
+    assert circuits.parse_circuit(text).factors == explicit
 
 
 def random_operand(rng, ctx, rows, cols, count, distinct):
