@@ -62,6 +62,7 @@ def _base_factorization(family: str, name: str, n: int, depth: int, ctx: FieldCt
 
 
 def _auto_base(family: str, n: int, depth: int) -> str:
+    """The base that --base auto names (see _base_factorization)."""
     return "h4" if family == "hadamard" else f"js:{min(max(1, n // depth), disjoint.LIST_CAP)}"
 
 
