@@ -152,13 +152,16 @@ def _rebuilt(path, family: str, n: int):
     synthesized, skipped unless its wires are the header's, and its
     circuits._circuit_text compared with the file's bytes up to the end.
     parse_circuit reads _circuit_text(c) back as c, so equal bytes are
-    the file's circuit.  A header past circuits.WIRE_CAP builds nothing.
+    the file's circuit.  A header past circuits.WIRE_CAP builds nothing,
+    and a stream that cannot seek, such as a pipe, is not read.
     """
     try:
         fh = open(path, "rb")
     except OSError:  # the reader reports it
         return None
     with fh:
+        if not fh.seekable():  # a pipe: its bytes are the reader's, unread
+            return None
         header = fh.readline(1024).split()
         if len(header) != 6 or header[0] != b"circuit" or not all(x.isdigit() for x in header[1:]):
             return None

@@ -4,6 +4,8 @@ file falls through to the reader with the verdict, method and exit code
 it had before."""
 
 import dataclasses
+import os
+import threading
 
 import pytest
 
@@ -146,6 +148,29 @@ def test_a_js_verify_builds_no_js_m_above_n_over_d(tmp_path, monkeypatch, capsys
             path.write_bytes(text)
         verify(monkeypatch, capsys, path, "disjointness", n)
     assert built and max(built) <= n // depth
+
+
+@pytest.mark.parametrize("change", [None, "header wires", "value"])
+def test_a_pipe_is_left_to_the_reader(tmp_path, monkeypatch, capsys, change):
+    # --circuit /dev/stdin < f, or <(zcat f.gz): nothing is read from a
+    # stream that cannot seek back to its start
+    path = synth(tmp_path, "hadamard", "h4", 6, 2, 5)
+    if change:
+        path.write_bytes(one_byte_changes(path.read_bytes())[change])
+    expected = verify(monkeypatch, capsys, path, "hadamard", 6, rebuild=False)
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert verify(monkeypatch, capsys, f"/dev/fd/{r}", "hadamard", 6) == expected
+    finally:
+        writer.join()
+        os.close(r)
 
 
 def test_equal_bytes_are_decided_by_the_proof(tmp_path, monkeypatch, capsys):
